@@ -41,7 +41,6 @@ from .tasks import (
     Possibility,
     Task,
     check_consistency,
-    check_uniform_possibility,
     deductive_closure,
     impossible,
     parallel_compose,

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import __version__
 from .core import ModelError
-from .dsl import BuiltModel, Diagnostic, parse_model, validate_model, build_model
+from .dsl import BuiltModel, Diagnostic, analyze_model, parse_model
 from .dynamics import AdvanceCheckFailed, estimate_derivative
 from .tasks import (
     Declared,
@@ -103,10 +103,7 @@ def _load_file(path: str) -> tuple[BuiltModel | None, list[Diagnostic]]:
     parsed = parse_model(text)
     if parsed.model is None:
         return None, parsed.diagnostics
-    diags = validate_model(parsed.model)
-    if any(d.severity == "error" for d in diags):
-        return None, diags
-    return build_model(parsed.model), diags
+    return analyze_model(parsed.model)
 
 
 def _check_laws(model: BuiltModel, budget: int) -> tuple[list[dict], bool]:

@@ -550,7 +550,8 @@ class BuiltModel:
     trajectories: Mapping[str, TrajectoryModel]
 
 
-def _analyze(decl: ModelDecl) -> tuple[BuiltModel | None, list[Diagnostic]]:
+def analyze_model(decl: ModelDecl) -> tuple[BuiltModel | None, list[Diagnostic]]:
+    """Resolve a declaration once: the built model (None on any error) and every diagnostic."""
     diags: list[Diagnostic] = []
 
     def err(span: Span, message: str, suggestion: str | None = None) -> None:
@@ -702,13 +703,13 @@ def _analyze(decl: ModelDecl) -> tuple[BuiltModel | None, list[Diagnostic]]:
 
 def validate_model(decl: ModelDecl) -> list[Diagnostic]:
     """Semantic diagnostics: name resolution, bijectivity, timer well-formedness."""
-    _, diags = _analyze(decl)
+    _, diags = analyze_model(decl)
     return diags
 
 
 def build_model(decl: ModelDecl) -> BuiltModel:
     """Resolve a declaration to engine objects, raising on any error diagnostic."""
-    model, diags = _analyze(decl)
+    model, diags = analyze_model(decl)
     if model is None:
         first = next(d for d in diags if d.severity == "error")
         raise ModelError(str(first))
@@ -720,7 +721,7 @@ def load_model(text: str) -> tuple[BuiltModel, list[Diagnostic]]:
     parsed = parse_model(text)
     if parsed.model is None:
         raise ModelError("; ".join(str(d) for d in parsed.diagnostics) or "empty parse")
-    model, diags = _analyze(parsed.model)
+    model, diags = analyze_model(parsed.model)
     if model is None:
         raise ModelError("; ".join(str(d) for d in diags if d.severity == "error"))
     return model, diags

@@ -292,16 +292,3 @@ def premise_chain(st: LawStatement) -> list[LawStatement]:
 
     walk(st)
     return out
-
-
-def check_uniform_possibility(family, in_attrs, out_attrs, device_budget: int = 1, max_steps: int = 4):
-    """One constructor for a whole family of substrates, or only one per member.
-
-    Thin wrapper over the witness-search engine; see
-    :func:`ctm.witnesses.uniform_possibility` for the semantics.
-    """
-    from .witnesses import uniform_possibility
-
-    return uniform_possibility(
-        family, in_attrs, out_attrs, device_budget=device_budget, max_steps=max_steps
-    )

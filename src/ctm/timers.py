@@ -161,20 +161,7 @@ def composite_timer(c1: TimerSpec, c2: TimerSpec, name: str | None = None) -> Ti
         raise ModelError("composite timer needs both durations defined")
     if c1.duration > c2.duration:
         raise ModelError("compose the shorter-duration timer first")
-    second = c2
-    if c2.substrate is c1.substrate:
-        sub2 = clone_substrate(c2.substrate)
-        second = TimerSpec(
-            c2.name + "'",
-            sub2,
-            retarget(c2.attr0, sub2),
-            retarget(c2.attrR, sub2),
-            retarget(c2.attr1, sub2),
-            retarget(c2.halt_flag, sub2),
-            c2.duration,
-            c2.static_horizon,
-            c2.recurrence,
-        )
+    second = _distinct(c1, c2)
     joint = compose_substrates(c1.substrate, second.substrate)
     attr0 = pair_attribute(joint, c1.attr0, second.attr0, name="(0,0)")
     full2 = Attribute(second.substrate, frozenset(second.substrate.states), name="any")
@@ -196,7 +183,7 @@ def recurrence_horizon(c: TimerSpec) -> int:
     rep = min(c.attr0.members, key=lambda s: c.substrate.states.index(s))
     cur = c.substrate.step[rep]
     k = 1
-    while cur not in c.attr0.members:
+    while cur != rep:
         cur = c.substrate.step[cur]
         k += 1
     return k
@@ -215,37 +202,42 @@ def check_staggered_halt(c1: TimerSpec, c2: TimerSpec) -> bool:
         raise ModelError("both timers need a defined duration")
     if c1.duration >= c2.duration:
         raise ModelError("staggered-halt check requires duration(c1) < duration(c2)")
-    a, b = c1, _distinct(c1, c2)
-    bound = max(a.recurrence, b.recurrence)
-    for s0 in a.attr0.members:
-        h = first_entry(a.substrate, s0, a.halt_flag.members, bound)
+    bound = max(c1.recurrence, c2.recurrence)
+    for s0 in c1.attr0.members:
+        h = first_entry(c1.substrate, s0, c1.halt_flag.members, bound)
         if h is None:
             return False
-        for t0 in b.attr0.members:
+        for t0 in c2.attr0.members:
             x, y = s0, t0
             for k in range(h + 1):
-                if x in a.attr1.members and y in b.attr1.members:
+                if x in c1.attr1.members and y in c2.attr1.members:
                     return False
                 if k < h:
-                    x, y = a.substrate.step[x], b.substrate.step[y]
-            if x not in a.attr1.members or y not in b.attrR.members:
+                    x, y = c1.substrate.step[x], c2.substrate.step[y]
+            if x not in c1.attr1.members or y not in c2.attrR.members:
                 return False
     return True
+
+
+def _halt_signature(c: TimerSpec) -> int | None:
+    """The first step into completion shared by every starting state, or None when they differ.
+
+    A first entry, if any, happens within the recurrence period, so that
+    period caps the walk.  When it exists it equals the timer's duration.
+    """
+    firsts = {first_entry(c.substrate, s, c.attr1.members, c.recurrence) for s in c.attr0.members}
+    return firsts.pop() if len(firsts) == 1 else None
 
 
 def check_simultaneous_halt(c1: TimerSpec, c2: TimerSpec) -> bool:
     """True iff both timers first reach completion at the same step from every joint start.
 
     This is the operational success of the (0,0) -> (1,1) task on the
-    pair, and it holds exactly when the durations coincide.
+    pair, and it holds exactly when the durations coincide.  Each timer is
+    simulated on its own step map, so the two may share a substrate.
     """
-    a, b = c1, _distinct(c1, c2)
-    bound = max(a.recurrence, b.recurrence)
-    firsts_a = {first_entry(a.substrate, s, a.attr1.members, bound) for s in a.attr0.members}
-    firsts_b = {first_entry(b.substrate, s, b.attr1.members, bound) for s in b.attr0.members}
-    if None in firsts_a or None in firsts_b:
-        return False
-    return len(firsts_a) == 1 and firsts_a == firsts_b
+    k = _halt_signature(c1)
+    return k is not None and k == _halt_signature(c2)
 
 
 def _distinct(c1: TimerSpec, c2: TimerSpec) -> TimerSpec:
@@ -286,48 +278,25 @@ def classify_timers(catalog: Sequence[TimerSpec]) -> tuple[TimerClass, ...]:
         report = validate_null_constructor(spec)
         if not report.passed:
             raise ModelError(f"timer {spec.name!r} fails validation: {report.failures()}")
-    # union-find over co-halting pairs
-    parent = list(range(len(specs)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(specs)):
-        for j in range(i + 1, len(specs)):
-            if check_simultaneous_halt(specs[i], specs[j]):
-                parent[find(i)] = find(j)
-    groups: dict[int, list[TimerSpec]] = {}
+    # co-halting is equality of halt signatures; a timer without one co-halts with nothing
+    groups: dict[object, list[TimerSpec]] = {}
     for i, spec in enumerate(specs):
-        groups.setdefault(find(i), []).append(spec)
-    classes = []
-    for members in groups.values():
-        durations = {m.duration for m in members}
-        if len(durations) != 1:
-            raise ModelError("co-halting members disagree on duration")
-        classes.append(
-            TimerClass(durations.pop(), tuple(sorted(members, key=lambda m: m.name)))
-        )
+        k = _halt_signature(spec)
+        groups.setdefault(("alone", i) if k is None else k, []).append(spec)
+    classes = [
+        TimerClass(members[0].duration, tuple(sorted(members, key=lambda m: m.name)))
+        for members in groups.values()
+    ]
     return tuple(sorted(classes, key=lambda c: c.duration))
 
 
 def check_synchrony(c: TimerSpec) -> bool:
-    """Two isolated copies started alike stay alike.
+    """Twins prepared in the same starting attribute co-halt.
 
-    Walks every diagonal joint state of the pair (c, fresh copy of c) for
-    a full recurrence horizon and checks it never leaves the diagonal.
+    Equal to check_simultaneous_halt(c, c): every starting state first
+    reaches completion at one common step.
     """
-    twin = clone_substrate(c.substrate)
-    horizon = recurrence_horizon(c)
-    for s in c.substrate.states:
-        x, y = s, s
-        for _ in range(horizon):
-            x, y = c.substrate.step[x], twin.step[y]
-            if x != y:
-                return False
-    return True
+    return _halt_signature(c) is not None
 
 
 _CHECKS = (
@@ -380,9 +349,7 @@ def validate_null_constructor(c: TimerSpec, horizon: int | None = None) -> NullC
         )
     else:
         checks["completed-static-for-horizon"] = False
-    checks["halt-distinguishable"] = bool(c.halt_flag.members) and not (
-        c.halt_flag.members & (set(c.substrate.states) - c.halt_flag.members)
-    )
+    checks["halt-distinguishable"] = bool(c.halt_flag.members)
     if c.duration is None:
         checks["halt-at-completion"] = False
     else:

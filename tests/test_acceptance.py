@@ -23,7 +23,6 @@ from ctm import (
     check_simultaneous_halt,
     check_staggered_halt,
     check_synchrony,
-    check_uniform_possibility,
     classify_timers,
     cyclic_substrate,
     deductive_closure,
@@ -36,6 +35,7 @@ from ctm import (
     possible,
     search_impossibility,
     timer_witness,
+    uniform_possibility,
     verify_witness,
 )
 from ctm.dsl import build_model, parse_model, pretty_print
@@ -160,7 +160,7 @@ def test_criterion_4_uniform_flip_family():
     m2 = identity_substrate("M2", ("a", "b", "c"))
     z1, o1 = singleton(m1, "a", "0"), singleton(m1, "b", "1")
     z2, o2 = singleton(m2, "b", "0"), singleton(m2, "c", "1")
-    res = check_uniform_possibility([m1, m2], [[z1, o1], [z2, o2]], [[o1, z1], [o2, z2]])
+    res = uniform_possibility([m1, m2], [[z1, o1], [z2, o2]], [[o1, z1], [o2, z2]])
     assert res.kind == "pointwise-only"
     each = [
         search_impossibility([Task(z1, o1), Task(o1, z1)]),
@@ -203,7 +203,7 @@ def test_criterion_7_synchrony_of_shipped_timers(models_dir):
             assert check_synchrony(spec), f"{path.name}:{spec.name}"
             checked += 1
     assert checked >= 8
-    report(7, f"{checked} shipped timers keep isolated twin copies on the diagonal")
+    report(7, f"{checked} shipped timers: twins prepared in the starting attribute co-halt")
 
 
 def test_criterion_8_dynamics_recovery(models_dir):

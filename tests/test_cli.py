@@ -87,6 +87,24 @@ def test_check_degenerate_fixture_confirms_declared_law(capsys, models_dir):
     ]
 
 
+def test_check_skewed_timer_fails_synchrony(capsys, tmp_path):
+    skewed = tmp_path / "skewed.ctm"
+    skewed.write_text(
+        "substrate S8 { states s0 s1 s2 s3 s4 s5 s6 s7 ; step (s0 s1 s2 s3 s4 s5 s6 s7) }\n"
+        "attribute z on S8 { s0 s1 }\n"
+        "attribute r on S8 { s2 }\n"
+        "attribute o on S8 { s3 s4 s5 s6 }\n"
+        "timer custom K on S8 { start z ; running r ; done o }\n"
+    )
+    status, report = run_json(capsys, "check", str(skewed))
+    assert status == 1
+    entry = report["files"][0]
+    assert entry["status"] == "refuted"
+    assert entry["synchrony"] == [
+        {"timer": "K", "synchrony_ok": False, "validation_ok": True, "recurrence_horizon": 8}
+    ]
+
+
 # classify ----------------------------------------------------------------------
 
 

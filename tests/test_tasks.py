@@ -13,7 +13,6 @@ from ctm import (
     Possibility,
     Task,
     check_consistency,
-    check_uniform_possibility,
     cyclic_substrate,
     deductive_closure,
     identity_substrate,
@@ -22,6 +21,7 @@ from ctm import (
     possible,
     premise_chain,
     serial_compose,
+    uniform_possibility,
 )
 from conftest import singleton
 
@@ -230,7 +230,7 @@ def flip_family():
 
 def test_flip_family_is_pointwise_only():
     m1, m2, z1, o1, z2, o2 = flip_family()
-    res = check_uniform_possibility(
+    res = uniform_possibility(
         [m1, m2], [[z1, o1], [z2, o2]], [[o1, z1], [o2, z2]]
     )
     assert res.kind == "pointwise-only"
@@ -240,26 +240,26 @@ def test_flip_family_is_pointwise_only():
 
 def test_singleton_family_reduces_to_plain_possibility():
     m1, _, z1, o1, _, _ = flip_family()
-    res = check_uniform_possibility([m1], [z1], [o1])
+    res = uniform_possibility([m1], [z1], [o1])
     assert res.kind == "uniformly-possible"
 
 
 def test_identity_task_uniform_with_identity_witness():
     m1, m2, z1, _, z2, _ = flip_family()
-    res = check_uniform_possibility([m1, m2], [z1, z2], [z1, z2])
+    res = uniform_possibility([m1, m2], [z1, z2], [z1, z2])
     assert res.kind == "uniformly-possible"
     assert res.action == {"a": "a", "b": "b", "c": "c"}
 
 
 def test_uniform_implies_pointwise():
     m1, m2, z1, o1, z2, o2 = flip_family()
-    res = check_uniform_possibility([m1, m2], [z1, z2], [o1, o2])
+    res = uniform_possibility([m1, m2], [z1, z2], [o1, o2])
     if res.kind == "uniformly-possible":
         for member, i, o in ((m1, z1, o1), (m2, z2, o2)):
-            alone = check_uniform_possibility([member], [i], [o])
+            alone = uniform_possibility([member], [i], [o])
             assert alone.kind == "uniformly-possible"
 
 
 def test_empty_family_rejected():
     with pytest.raises(ModelError, match="non-empty"):
-        check_uniform_possibility([], [], [])
+        uniform_possibility([], [], [])

@@ -151,7 +151,7 @@ def test_simultaneous_halt_examples():
     assert check_simultaneous_halt(c45, make_counter_timer(6, 5))
     assert not check_simultaneous_halt(c45, make_counter_timer(4, 6))
     assert check_simultaneous_halt(c45, make_counter_timer(4, 5))
-    assert check_simultaneous_halt(c45, c45)  # same instance handled by cloning
+    assert check_simultaneous_halt(c45, c45)  # each timer runs on its own step map
 
 
 def test_small_duration_truth_table():
@@ -214,13 +214,26 @@ def test_synchrony_of_isolated_copies():
         assert check_synchrony(spec)
 
 
-def test_synchrony_diagonal_oracle():
-    spec = make_counter_timer(4, 5)
-    for start in spec.substrate.states:
-        x = y = start
-        for _ in range(recurrence_horizon(spec)):
-            x, y = spec.substrate.step[x], spec.substrate.step[y]
-            assert x == y
+def skewed_timer(name="K"):
+    """8-cycle timer whose two starting states first complete at steps 3 and 2."""
+    sub = cyclic_substrate("S8", tuple(f"s{i}" for i in range(8)))
+    return make_timer(
+        name,
+        sub,
+        Attribute(sub, frozenset({"s0", "s1"}), name="0"),
+        Attribute(sub, frozenset({"s2"}), name="R"),
+        Attribute(sub, frozenset({"s3", "s4", "s5", "s6"}), name="1"),
+    )
+
+
+def test_synchrony_is_self_co_halt():
+    skewed = skewed_timer()
+    assert validate_null_constructor(skewed).passed
+    assert skewed.duration == 3
+    assert not check_synchrony(skewed)
+    assert not check_simultaneous_halt(skewed, skewed)
+    for spec in (make_counter_timer(4, 5), make_particle_timer(64, 2, 10)):
+        assert check_synchrony(spec) == check_simultaneous_halt(spec, spec)
 
 
 # validation -----------------------------------------------------------------------
@@ -304,6 +317,11 @@ def test_recurrence_horizons():
     assert recurrence_horizon(make_particle_timer(64, 2, 10)) == 32
 
 
+def test_recurrence_horizon_waits_for_the_representative():
+    # the walk from s0 reaches s1, also a starting state, after one step
+    assert recurrence_horizon(skewed_timer()) == 8
+
+
 def test_halt_step_equals_duration_oracle():
     for spec in (make_counter_timer(4, 5), make_particle_timer(64, 2, 10)):
         assert naive_halt_step(spec, next(iter(spec.attr0.members))) == spec.duration
@@ -344,3 +362,37 @@ def test_simultaneous_halt_is_an_equivalence_relation():
             for k in range(n):
                 if rel[(i, j)] and rel[(j, k)]:
                     assert rel[(i, k)]
+
+
+def union_find_classes(catalog):
+    """Oracle: union-find over pairwise check_simultaneous_halt, classes as name lists."""
+    parent = list(range(len(catalog)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(catalog)):
+        for j in range(i + 1, len(catalog)):
+            if check_simultaneous_halt(catalog[i], catalog[j]):
+                parent[find(i)] = find(j)
+    groups = {}
+    for i, spec in enumerate(catalog):
+        groups.setdefault(find(i), []).append(spec)
+    classes = [(group[0].duration, sorted(m.name for m in group)) for group in groups.values()]
+    return sorted(classes, key=lambda c: c[0])
+
+
+def test_classify_matches_pairwise_union_find():
+    for seed in range(20):
+        rng = random.Random(seed)
+        catalog = random_catalog(rng, size=rng.randrange(1, 9))
+        shared = make_counter_timer(4, 5, name="shared5")
+        threshold = rng.randrange(2, 9)
+        catalog.append(make_counter_timer(4, threshold, substrate=shared.substrate, name="shared"))
+        catalog.append(shared)
+        catalog += [skewed_timer(f"k{i}") for i in range(rng.randrange(0, 3))]
+        rng.shuffle(catalog)
+        got = [(c.duration, [m.name for m in c.members]) for c in classify_timers(catalog)]
+        assert got == union_find_classes(catalog), seed
