@@ -9,6 +9,8 @@ provenance kept on every derived fact.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -130,11 +132,11 @@ class LawSet:
 
     def substrates(self) -> tuple[Substrate, ...]:
         """Substrates mentioned by any statement, in first-mention order."""
-        seen: list[Substrate] = []
+        seen: dict[int, Substrate] = {}
         for st in self.statements:
-            if isinstance(st.task, Task) and not any(st.task.substrate is s for s in seen):
-                seen.append(st.task.substrate)
-        return tuple(seen)
+            if isinstance(st.task, Task):
+                seen.setdefault(id(st.task.substrate), st.task.substrate)
+        return tuple(seen.values())
 
     def facts(self) -> dict[tuple[TaskLike, Possibility], LawStatement]:
         return {(st.task, st.status): st for st in self.statements}
@@ -192,10 +194,32 @@ def deductive_closure(laws: LawSet) -> LawSet:
     itself are not paired again, which keeps the attribute universe (and
     hence the run) finite.  Every derived statement records its rule and
     premises.
+
+    The result is that of the naive fixpoint, which in every round tries
+    each ordered pair of distinct possible facts, then each fact with
+    itself, in list order.  Three kinds of pair are skipped, each of which
+    the naive loop tries to no effect:
+
+    * Pairs already tried (semi-naive evaluation).  Facts are only ever
+      appended, so a round's facts are the previous round's plus a new
+      suffix, and a pair of two old facts was tried last round.
+      ``derive_pair`` depends only on the two tasks and the composite
+      cache, whose entries never change, so trying it again either
+      rebuilds a task already in ``facts`` or raises
+      ``CompositionUndefined``: it adds nothing.
+    * Pairs that no rule applies to: facts on two different substrates
+      that are not both declared ones.
+    * Once the null task is a fact, serial pairs whose intermediate
+      attributes differ: disjoint ones give the null task again and
+      partially overlapping ones are undefined.  Serial partners are then
+      looked up by input attribute.
+
+    The remaining pairs are tried in the same lexicographic order, so the
+    same statements are derived in the same order from the same premises.
     """
     facts = dict(laws.facts())
     order: list[LawStatement] = list(laws.statements)
-    base = laws.substrates()
+    base = {id(s) for s in laws.substrates()}
     composites: dict[tuple[int, int], Substrate] = dict(laws.composites)
 
     def add(task: TaskLike, rule: str, premises: tuple[LawStatement, ...]) -> bool:
@@ -215,25 +239,43 @@ def deductive_closure(laws: LawSet) -> LawSet:
             except CompositionUndefined:
                 return False
             return add(composed, "serial", (s1, s2))
-        if any(t1.substrate is b for b in base) and any(t2.substrate is b for b in base):
+        if id(t1.substrate) in base and id(t2.substrate) in base:
             key = (id(t1.substrate), id(t2.substrate))
             if key not in composites:
                 composites[key] = compose_substrates(t1.substrate, t2.substrate)
             return add(parallel_compose(t1, t2, composites[key]), "parallel", (s1, s2))
         return False
 
+    # positions in `possibles`, ascending: by substrate, and by (substrate, input members)
+    possibles: list[LawStatement] = []
+    by_substrate: dict[int, list[int]] = {}
+    joins: dict[tuple[int, frozenset], list[int]] = {}
+    scanned = 0
     changed = True
     while changed:
         changed = False
-        possibles = [
-            st for st in order if st.status is Possibility.POSSIBLE and isinstance(st.task, Task)
-        ]
+        old = len(possibles)
+        for st in order[scanned:]:
+            if st.status is Possibility.POSSIBLE and isinstance(st.task, Task):
+                sid = id(st.task.substrate)
+                by_substrate.setdefault(sid, []).append(len(possibles))
+                joins.setdefault((sid, st.task.input.members), []).append(len(possibles))
+                possibles.append(st)
+        scanned = len(order)
         # distinct pairs first, so derived facts carry the more informative trace
-        for s1 in possibles:
-            for s2 in possibles:
-                if s1 is not s2:
-                    changed |= derive_pair(s1, s2)
-        for s1 in possibles:
+        for i, s1 in enumerate(possibles):
+            sid = id(s1.task.substrate)
+            if (NULL_TASK, Possibility.POSSIBLE) in facts:
+                partners = joins.get((sid, s1.task.output.members), [])
+            else:
+                partners = by_substrate[sid]
+            if sid in base:  # add the parallel partners, on the other declared substrates
+                others = (by_substrate.get(b, []) for b in base if b != sid)
+                partners = sorted(chain(partners, *others))
+            for j in partners[bisect_left(partners, 0 if i >= old else old):]:
+                if possibles[j] is not s1:
+                    changed |= derive_pair(s1, possibles[j])
+        for s1 in possibles[old:]:
             changed |= derive_pair(s1, s1)
     return LawSet(tuple(order), composites=composites, closed=True)
 

@@ -267,8 +267,11 @@ class TimerClass:
 def classify_timers(catalog: Sequence[TimerSpec]) -> tuple[TimerClass, ...]:
     """Partition a catalog by the simultaneous-halt relation.
 
-    Classes come out sorted by duration and members by name, so the result
-    does not depend on catalog order.  Any member failing validation is
+    Classes come out sorted by duration and members by name.  Classes of
+    equal duration keep the catalog order of their first members (a timer
+    without a halt signature is a class of its own), so a caller wanting a
+    result independent of catalog order sorts the catalog first, as
+    ``ctm classify`` does by name.  Any member failing validation is
     rejected up front.
     """
     specs = list(catalog)

@@ -396,3 +396,11 @@ def test_classify_matches_pairwise_union_find():
         rng.shuffle(catalog)
         got = [(c.duration, [m.name for m in c.members]) for c in classify_timers(catalog)]
         assert got == union_find_classes(catalog), seed
+
+
+def test_classify_equal_durations_keep_catalog_order():
+    skewed, counter = skewed_timer(), make_counter_timer(4, 3)
+    assert skewed.duration == counter.duration == 3
+    for catalog in ([skewed, counter], [counter, skewed]):
+        got = [[m.name for m in c.members] for c in classify_timers(catalog)]
+        assert got == [[spec.name] for spec in catalog]
