@@ -259,29 +259,14 @@ def cmd_classify(args) -> tuple[dict, int]:
             continue
         for name, spec in model.timers.items():
             if name in pool:
-                diagnostics.append(
-                    {
-                        "severity": "error",
-                        "line": 0,
-                        "column": 0,
-                        "message": f"timer {name!r} declared in more than one file",
-                        "suggestion": None,
-                        "path": path,
-                    }
-                )
+                message = f"timer {name!r} declared in more than one file"
+                diagnostics.append(_diag_dict(Diagnostic("error", 0, 0, message)) | {"path": path})
                 status = EXIT_INPUT
             else:
                 pool[name] = spec
         if not model.timers:
             diagnostics.append(
-                {
-                    "severity": "error",
-                    "line": 0,
-                    "column": 0,
-                    "message": "no timers declared",
-                    "suggestion": None,
-                    "path": path,
-                }
+                _diag_dict(Diagnostic("error", 0, 0, "no timers declared")) | {"path": path}
             )
             status = EXIT_INPUT
     report: dict = {"diagnostics": diagnostics}
@@ -292,14 +277,7 @@ def cmd_classify(args) -> tuple[dict, int]:
             report["classes"] = []
             report["timing"] = {"checks_run": 0}
             diagnostics.append(
-                {
-                    "severity": "error",
-                    "line": 0,
-                    "column": 0,
-                    "message": str(e),
-                    "suggestion": None,
-                    "path": args.models[0],
-                }
+                _diag_dict(Diagnostic("error", 0, 0, str(e))) | {"path": args.models[0]}
             )
             return report, EXIT_INPUT
         report["classes"] = [
@@ -324,13 +302,15 @@ def cmd_dynamics(args) -> tuple[dict, int]:
         return report, EXIT_INPUT
     if args.variable not in model.trajectories:
         report["diagnostics"].append(
-            {
-                "severity": "error",
-                "line": 0,
-                "column": 0,
-                "message": f"no variable named {args.variable!r} in {path!r}",
-                "suggestion": f"declared variables: {sorted(model.trajectories) or 'none'}",
-            }
+            _diag_dict(
+                Diagnostic(
+                    "error",
+                    0,
+                    0,
+                    f"no variable named {args.variable!r} in {path!r}",
+                    f"declared variables: {sorted(model.trajectories) or 'none'}",
+                )
+            )
         )
         return report, EXIT_INPUT
     try:
@@ -338,14 +318,16 @@ def cmd_dynamics(args) -> tuple[dict, int]:
         at = Fraction(args.at)
     except ValueError as e:
         report["diagnostics"].append(
-            {
-                "severity": "error",
-                "line": 0,
-                "column": 0,
-                "message": f"bad argument: {e}",
-                "suggestion": "schedule is a comma-separated decreasing list, e.g. 8,4,2,1; "
-                "--at is a rational like 0 or 3/2",
-            }
+            _diag_dict(
+                Diagnostic(
+                    "error",
+                    0,
+                    0,
+                    f"bad argument: {e}",
+                    "schedule is a comma-separated decreasing list, e.g. 8,4,2,1; "
+                    "--at is a rational like 0 or 3/2",
+                )
+            )
         )
         return report, EXIT_INPUT
     trajectory = model.trajectories[args.variable]
@@ -365,9 +347,7 @@ def cmd_dynamics(args) -> tuple[dict, int]:
         report["advance_failure"] = {"lam": str(e.lam), "dlam": str(e.dlam)}
         return report, EXIT_REFUTED
     except ModelError as e:
-        report["diagnostics"].append(
-            {"severity": "error", "line": 0, "column": 0, "message": str(e), "suggestion": None}
-        )
+        report["diagnostics"].append(_diag_dict(Diagnostic("error", 0, 0, str(e))))
         return report, EXIT_INPUT
     residual_max = max(abs(r) for r in est.residuals)
     report.update(

@@ -49,6 +49,9 @@ class Substrate:
     space: StateSpace
     step: Mapping[State, State]
     children: tuple["Substrate", ...] = ()
+    # every state lies on exactly one cycle: the cycles, and each state's (cycle, position)
+    cycles: tuple[tuple[State, ...], ...] = field(init=False, repr=False)
+    cycle_index: Mapping[State, tuple[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "step", dict(self.step))
@@ -57,6 +60,13 @@ class Substrate:
             raise ModelError(f"substrate {self.id!r}: step map domain != state set")
         if set(self.step.values()) != labels:
             raise ModelError(f"substrate {self.id!r}: step map is not a bijection")
+        cycles = cycle_decomposition(self.space.states, self.step)
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(
+            self,
+            "cycle_index",
+            {state: (c, i) for c, cyc in enumerate(cycles) for i, state in enumerate(cyc)},
+        )
 
     @property
     def id(self) -> str:
@@ -90,7 +100,7 @@ class Attribute:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", frozenset(self.members))
-        stray = self.members - set(self.substrate.states)
+        stray = self.members - self.substrate.step.keys()
         if stray:
             raise ModelError(
                 f"attribute {self.name or '?'}: members {sorted(map(repr, stray))} "
@@ -142,6 +152,29 @@ class Variable:
 
     def __contains__(self, lam) -> bool:
         return Fraction(lam) in self.entries
+
+
+def cycle_decomposition(
+    states: Iterable[State], step: Mapping[State, State]
+) -> tuple[tuple[State, ...], ...]:
+    """The cycles of a bijective step map, in the order of their earliest states.
+
+    Walks `states` in order and starts a new cycle at each state not yet
+    seen, so each cycle begins at its earliest member in that order.
+    """
+    seen: set = set()
+    cycles = []
+    for start in states:
+        if start in seen:
+            continue
+        cyc = [start]
+        cur = step[start]
+        while cur != start:
+            cyc.append(cur)
+            cur = step[cur]
+        seen.update(cyc)
+        cycles.append(tuple(cyc))
+    return tuple(cycles)
 
 
 def make_substrate(sid: str, states: Iterable[State], step: Mapping[State, State]) -> Substrate:
@@ -207,10 +240,9 @@ def evolve(s: Substrate, state: State, n: int) -> State:
         raise ModelError(f"unknown state {state!r} of substrate {s.id!r}")
     if n < 0:
         raise ModelError("step count must be non-negative")
-    cur = state
-    for _ in range(n):
-        cur = s.step[cur]
-    return cur
+    c, i = s.cycle_index[state]
+    cyc = s.cycles[c]
+    return cyc[(i + n) % len(cyc)]
 
 
 def first_entry(s: Substrate, state: State, members: frozenset, max_steps: int) -> int | None:
@@ -227,24 +259,13 @@ def orbit(s: Substrate, state: State) -> tuple[State, ...]:
     """The cycle through `state` under the step map, starting at `state`."""
     if state not in s.step:
         raise ModelError(f"unknown state {state!r} of substrate {s.id!r}")
-    out = [state]
-    cur = s.step[state]
-    while cur != state:
-        out.append(cur)
-        cur = s.step[cur]
-    return tuple(out)
+    c, i = s.cycle_index[state]
+    cyc = s.cycles[c]
+    return cyc[i:] + cyc[:i]
 
 
 def cycle_lengths(s: Substrate) -> tuple[int, ...]:
-    seen: set = set()
-    lengths = []
-    for st in s.states:
-        if st in seen:
-            continue
-        cyc = orbit(s, st)
-        seen.update(cyc)
-        lengths.append(len(cyc))
-    return tuple(lengths)
+    return tuple(len(cyc) for cyc in s.cycles)
 
 
 def recurrence_period(s: Substrate) -> int:
@@ -264,8 +285,13 @@ def is_static(x: Attribute) -> bool:
 
 def entry_states(x: Attribute) -> frozenset:
     """Members whose immediate predecessor lies outside the attribute."""
-    inv = {v: k for k, v in x.substrate.step.items()}
-    return frozenset(s for s in x.members if inv[s] not in x.members)
+    cycles, index = x.substrate.cycles, x.substrate.cycle_index
+    entries = set()
+    for s in x.members:
+        c, i = index[s]
+        if cycles[c][i - 1] not in x.members:
+            entries.add(s)
+    return frozenset(entries)
 
 
 def is_static_for_horizon(x: Attribute, h: int) -> bool:
@@ -280,14 +306,7 @@ def is_static_for_horizon(x: Attribute, h: int) -> bool:
     """
     if h < 0:
         raise ModelError("horizon must be non-negative")
-    step = x.substrate.step
-    for start in entry_states(x):
-        cur = start
-        for _ in range(h):
-            cur = step[cur]
-            if cur not in x.members:
-                return False
-    return True
+    return static_horizon(x, cap=h) >= h
 
 
 def static_horizon(x: Attribute, cap: int | None = None) -> int:

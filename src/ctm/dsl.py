@@ -27,7 +27,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .core import Attribute, ModelError, Substrate, Variable, is_static, make_substrate
+from .core import (
+    Attribute,
+    ModelError,
+    Substrate,
+    Variable,
+    cycle_decomposition,
+    is_static,
+    make_substrate,
+)
 from .dynamics import TrajectoryModel
 from .tasks import LawSet, Task, impossible, possible
 from .timers import (
@@ -351,7 +359,8 @@ class _Parser:
                 cycle_tok,
                 suggestion=f"add ({missing[0]}) for a fixed point",
             )
-        stray = [s for s in step if s not in set(states)]
+        labels = set(states)
+        stray = [s for s in step if s not in labels]
         if stray:
             self.fail(f"step map mentions unknown state {stray[0]!r}", cycle_tok)
         self.expect("rbrace", "'}'")
@@ -730,27 +739,6 @@ def load_model(text: str) -> tuple[BuiltModel, list[Diagnostic]]:
 # -------------------------------------------------------------- pretty-printer
 
 
-def _canonical_cycles(states: tuple[str, ...], step: Mapping[str, str]) -> str:
-    order = {s: i for i, s in enumerate(states)}
-    seen: set = set()
-    cycles = []
-    for s in states:
-        if s in seen:
-            continue
-        cyc = [s]
-        seen.add(s)
-        cur = step[s]
-        while cur != s:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = step[cur]
-        pivot = min(range(len(cyc)), key=lambda i: order[cyc[i]])
-        cyc = cyc[pivot:] + cyc[:pivot]
-        cycles.append(cyc)
-    cycles.sort(key=lambda c: order[c[0]])
-    return "".join("(" + " ".join(c) + ")" for c in cycles)
-
-
 def _fmt_number(x: float) -> str:
     return repr(float(x))
 
@@ -760,10 +748,8 @@ def pretty_print(decl: ModelDecl) -> str:
     lines: list[str] = []
     for name in sorted(decl.substrates):
         d = decl.substrates[name]
-        lines.append(
-            f"substrate {d.name} {{ states {' '.join(d.states)} ; "
-            f"step {_canonical_cycles(d.states, d.step)} }}"
-        )
+        cycles = "".join("(" + " ".join(c) + ")" for c in cycle_decomposition(d.states, d.step))
+        lines.append(f"substrate {d.name} {{ states {' '.join(d.states)} ; step {cycles} }}")
     for name in sorted(decl.attributes):
         d = decl.attributes[name]
         members = " ".join(sorted(d.members))

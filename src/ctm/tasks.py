@@ -131,10 +131,15 @@ class LawSet:
         return LawSet(tuple(out))
 
     def substrates(self) -> tuple[Substrate, ...]:
-        """Substrates mentioned by any statement, in first-mention order."""
+        """Substrates mentioned by any statement, in first-mention order, except cached composites.
+
+        The composites an earlier closure built stay out, so closing a
+        closed set pairs the same substrates as the first closure did.
+        """
+        built = {id(c) for c in self.composites.values()}
         seen: dict[int, Substrate] = {}
         for st in self.statements:
-            if isinstance(st.task, Task):
+            if isinstance(st.task, Task) and id(st.task.substrate) not in built:
                 seen.setdefault(id(st.task.substrate), st.task.substrate)
         return tuple(seen.values())
 

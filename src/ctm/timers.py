@@ -25,6 +25,7 @@ from .core import (
     first_entry,
     is_static,
     make_substrate,
+    orbit,
     pair_attribute,
     recurrence_period,
     retarget,
@@ -40,7 +41,9 @@ class TimerSpec:
 
     duration is None when the starting attribute never fully reaches the
     completed one within a recurrence period (such specs are constructible
-    so that validation can describe what is wrong with them).
+    so that validation can describe what is wrong with them).  halt_step
+    is the first step into completion shared by every starting state, or
+    None when they differ; when it exists it equals the duration.
     """
 
     name: str
@@ -52,24 +55,10 @@ class TimerSpec:
     duration: int | None
     static_horizon: int
     recurrence: int
+    halt_step: int | None
 
     def __repr__(self) -> str:
         return f"TimerSpec({self.name!r}, duration={self.duration})"
-
-
-def _full_entry_step(substrate: Substrate, attr0: Attribute, target: Attribute, cap: int) -> int | None:
-    """First k with every attr0 state inside target after k steps."""
-    entries = []
-    for s in attr0.members:
-        k = first_entry(substrate, s, target.members, cap)
-        if k is None:
-            return None
-        entries.append(k)
-    k = max(entries)
-    # all states must sit in target simultaneously at k
-    if all(evolve(substrate, s, k) in target.members for s in attr0.members):
-        return k
-    return None
 
 
 def make_timer(
@@ -80,7 +69,7 @@ def make_timer(
     attr1: Attribute,
     halt_flag: Attribute | None = None,
 ) -> TimerSpec:
-    """Assemble a TimerSpec, deriving duration and the completed-static horizon."""
+    """Assemble a TimerSpec, deriving duration, halt step and the completed-static horizon."""
     for a in (attr0, attrR, attr1):
         if a.substrate is not substrate:
             raise ModelError(f"timer {name!r}: attribute {a.name!r} is on a different substrate")
@@ -89,9 +78,20 @@ def make_timer(
     if halt_flag is None:
         halt_flag = attr1
     rec = recurrence_period(substrate)
-    duration = _full_entry_step(substrate, attr0, attr1, rec)
+    # a first entry, if any, happens within the recurrence period
+    firsts = [first_entry(substrate, s, attr1.members, rec) for s in attr0.members]
+    duration = halt_step = None
+    if None not in firsts:
+        k = max(firsts)
+        # the duration is the first step with every starting state inside at once
+        if all(evolve(substrate, s, k) in attr1.members for s in attr0.members):
+            duration = k
+        if min(firsts) == k:
+            halt_step = k
     horizon = static_horizon(attr1, cap=rec) if attr1.members else 0
-    return TimerSpec(name, substrate, attr0, attrR, attr1, halt_flag, duration, horizon, rec)
+    return TimerSpec(
+        name, substrate, attr0, attrR, attr1, halt_flag, duration, horizon, rec, halt_step
+    )
 
 
 def make_counter_timer(
@@ -179,14 +179,13 @@ def composite_timer(c1: TimerSpec, c2: TimerSpec, name: str | None = None) -> Ti
 
 
 def recurrence_horizon(c: TimerSpec) -> int:
-    """Least k > 0 after which the starting attribute's representative recurs."""
-    rep = min(c.attr0.members, key=lambda s: c.substrate.states.index(s))
-    cur = c.substrate.step[rep]
-    k = 1
-    while cur != rep:
-        cur = c.substrate.step[cur]
-        k += 1
-    return k
+    """Least k > 0 after which the starting attribute's representative recurs.
+
+    The representative is the starting state that comes first in the
+    substrate's state order, so the result does not depend on set order.
+    """
+    rep = min(c.attr0.members, key=c.substrate.states.index)
+    return len(orbit(c.substrate, rep))
 
 
 def check_staggered_halt(c1: TimerSpec, c2: TimerSpec) -> bool:
@@ -219,25 +218,14 @@ def check_staggered_halt(c1: TimerSpec, c2: TimerSpec) -> bool:
     return True
 
 
-def _halt_signature(c: TimerSpec) -> int | None:
-    """The first step into completion shared by every starting state, or None when they differ.
-
-    A first entry, if any, happens within the recurrence period, so that
-    period caps the walk.  When it exists it equals the timer's duration.
-    """
-    firsts = {first_entry(c.substrate, s, c.attr1.members, c.recurrence) for s in c.attr0.members}
-    return firsts.pop() if len(firsts) == 1 else None
-
-
 def check_simultaneous_halt(c1: TimerSpec, c2: TimerSpec) -> bool:
     """True iff both timers first reach completion at the same step from every joint start.
 
     This is the operational success of the (0,0) -> (1,1) task on the
-    pair, and it holds exactly when the durations coincide.  Each timer is
-    simulated on its own step map, so the two may share a substrate.
+    pair, and it holds exactly when the durations coincide.  Each timer's
+    halt step was found on its own step map, so the two may share a substrate.
     """
-    k = _halt_signature(c1)
-    return k is not None and k == _halt_signature(c2)
+    return c1.halt_step is not None and c1.halt_step == c2.halt_step
 
 
 def _distinct(c1: TimerSpec, c2: TimerSpec) -> TimerSpec:
@@ -255,6 +243,7 @@ def _distinct(c1: TimerSpec, c2: TimerSpec) -> TimerSpec:
         c2.duration,
         c2.static_horizon,
         c2.recurrence,
+        c2.halt_step,
     )
 
 
@@ -269,7 +258,7 @@ def classify_timers(catalog: Sequence[TimerSpec]) -> tuple[TimerClass, ...]:
 
     Classes come out sorted by duration and members by name.  Classes of
     equal duration keep the catalog order of their first members (a timer
-    without a halt signature is a class of its own), so a caller wanting a
+    without a halt step is a class of its own), so a caller wanting a
     result independent of catalog order sorts the catalog first, as
     ``ctm classify`` does by name.  Any member failing validation is
     rejected up front.
@@ -281,10 +270,10 @@ def classify_timers(catalog: Sequence[TimerSpec]) -> tuple[TimerClass, ...]:
         report = validate_null_constructor(spec)
         if not report.passed:
             raise ModelError(f"timer {spec.name!r} fails validation: {report.failures()}")
-    # co-halting is equality of halt signatures; a timer without one co-halts with nothing
+    # co-halting is equality of halt steps; a timer without one co-halts with nothing
     groups: dict[object, list[TimerSpec]] = {}
     for i, spec in enumerate(specs):
-        k = _halt_signature(spec)
+        k = spec.halt_step
         groups.setdefault(("alone", i) if k is None else k, []).append(spec)
     classes = [
         TimerClass(members[0].duration, tuple(sorted(members, key=lambda m: m.name)))
@@ -299,7 +288,7 @@ def check_synchrony(c: TimerSpec) -> bool:
     Equal to check_simultaneous_halt(c, c): every starting state first
     reaches completion at one common step.
     """
-    return _halt_signature(c) is not None
+    return c.halt_step is not None
 
 
 _CHECKS = (
@@ -348,7 +337,7 @@ def validate_null_constructor(c: TimerSpec, horizon: int | None = None) -> NullC
         warnings.append("running attribute is empty (duration-1 degenerate timer)")
     if c.attr1.members:
         checks["completed-static-for-horizon"] = (
-            c.duration is not None and static_horizon(c.attr1, cap=c.recurrence) >= h
+            c.duration is not None and c.static_horizon >= h
         )
     else:
         checks["completed-static-for-horizon"] = False

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Callable, Mapping, Sequence, Union
 
-from .core import Attribute, ModelError, Substrate, make_substrate
+from .core import Attribute, ModelError, Substrate, first_entry, make_substrate
 from .tasks import Task
 
 MAX_SEARCH_STATES = 6
@@ -134,15 +134,9 @@ def _distance(substrate: Substrate, state, members: frozenset) -> float:
     A target that the state's cycle never visits gets the maximal value 1.0,
     keeping the measure total and deterministic.
     """
-    if state in members:
-        return 0.0
     n = len(substrate.states)
-    cur = state
-    for j in range(1, n + 1):
-        cur = substrate.step[cur]
-        if cur in members:
-            return j / n
-    return 1.0
+    k = first_entry(substrate, state, members, n)
+    return 1.0 if k is None else k / n
 
 
 def accuracy(w: ConstructorWitness, t: Task) -> float | None:

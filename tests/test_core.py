@@ -22,6 +22,7 @@ from ctm import (
     recurrence_period,
     static_horizon,
 )
+from ctm.core import entry_states
 from conftest import singleton
 
 
@@ -188,6 +189,91 @@ def test_static_attributes_are_unions_of_cycles(s, data):
             cycles.append(cyc)
     is_union = all((cyc <= attr.members) or not (cyc & attr.members) for cyc in cycles)
     assert is_static(attr) == is_union
+
+
+# cycle index against step-by-step walks -------------------------------------------
+
+
+def shuffled_bijections(max_size=12):
+    """Random bijection whose state order is a shuffle of its labels."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(min_value=1, max_value=max_size))
+        labels = tuple(draw(st.permutations([f"q{i}" for i in range(n)])))
+        image = draw(st.permutations(labels))
+        return make_substrate("rand", labels, dict(zip(labels, image)))
+
+    return build()
+
+
+def walk(s, state, n):
+    for _ in range(n):
+        state = s.step[state]
+    return state
+
+
+def walk_orbit(s, state):
+    out = [state]
+    cur = s.step[state]
+    while cur != state:
+        out.append(cur)
+        cur = s.step[cur]
+    return tuple(out)
+
+
+def walk_cycles(s):
+    seen, cycles = set(), []
+    for state in s.states:
+        if state not in seen:
+            cycles.append(walk_orbit(s, state))
+            seen.update(cycles[-1])
+    return tuple(cycles)
+
+
+def walk_period(s):
+    period = 1
+    while any(walk(s, x, period) != x for x in s.states):
+        period += 1
+    return period
+
+
+def walk_entry_states(attr):
+    inverse = {v: k for k, v in attr.substrate.step.items()}
+    return frozenset(x for x in attr.members if inverse[x] not in attr.members)
+
+
+def walk_static_for_horizon(attr, h):
+    return all(
+        walk(attr.substrate, start, k) in attr.members
+        for start in walk_entry_states(attr)
+        for k in range(1, h + 1)
+    )
+
+
+def walk_static_horizon(attr, cap):
+    return max(h for h in range(cap + 1) if walk_static_for_horizon(attr, h))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_bijections(), st.data())
+def test_cycle_index_matches_step_walks(s, data):
+    assert s.cycles == walk_cycles(s)
+    assert cycle_lengths(s) == tuple(map(len, walk_cycles(s)))
+    period = walk_period(s)
+    assert recurrence_period(s) == period
+    for x in s.states:
+        assert orbit(s, x) == walk_orbit(s, x)
+        for n in range(2 * len(s.states) + 2):
+            assert evolve(s, x, n) == walk(s, x, n)
+    attr = Attribute(s, frozenset(data.draw(st.sets(st.sampled_from(s.states)))))
+    assert entry_states(attr) == walk_entry_states(attr)
+    for h in range(period + 2):
+        assert is_static_for_horizon(attr, h) == walk_static_for_horizon(attr, h)
+        assert static_horizon(attr, cap=h) == walk_static_horizon(attr, h)
+    assert static_horizon(attr) == walk_static_horizon(attr, period)
+    with pytest.raises(ModelError, match="non-negative"):
+        is_static_for_horizon(attr, -1)
 
 
 # distinguishability ---------------------------------------------------------

@@ -246,6 +246,45 @@ def test_round_trip_property(seed):
     assert reparsed.ok and reparsed.model == decl
 
 
+def canonical_cycles(states, step):
+    """Oracle for the printed step map: each cycle from its earliest state, cycles by that state."""
+    order = {s: i for i, s in enumerate(states)}
+    seen = set()
+    cycles = []
+    for s in states:
+        if s in seen:
+            continue
+        cyc = [s]
+        seen.add(s)
+        cur = step[s]
+        while cur != s:
+            cyc.append(cur)
+            seen.add(cur)
+            cur = step[cur]
+        pivot = min(range(len(cyc)), key=lambda i: order[cyc[i]])
+        cyc = cyc[pivot:] + cyc[:pivot]
+        cycles.append(cyc)
+    cycles.sort(key=lambda c: order[c[0]])
+    return "".join("(" + " ".join(c) + ")" for c in cycles)
+
+
+@st.composite
+def shuffled_step_maps(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    states = tuple(draw(st.permutations([f"s{i}" for i in range(n)])))
+    return states, dict(zip(states, draw(st.permutations(states))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_step_maps())
+def test_pretty_print_cycles_match_oracle(drawn):
+    states, step = drawn
+    printed = pretty_print(ModelDecl(substrates={"S": SubstrateDecl("S", states, step)}))
+    cycles = canonical_cycles(states, step)
+    assert printed == f"substrate S {{ states {' '.join(states)} ; step {cycles} }}\n"
+    assert parse_ok(printed).substrates["S"].step == step
+
+
 # fuzzing -----------------------------------------------------------------------
 
 

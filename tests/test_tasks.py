@@ -168,6 +168,21 @@ def test_closure_idempotent(s4):
     assert once.closed and twice.closed
 
 
+def test_reclosing_parallel_facts_derives_nothing_new():
+    # the first closure's composite substrate is not a declared one to pair again
+    left = cyclic_substrate("L", ("s0", "s1", "s2"))
+    right = cyclic_substrate("R", ("s0", "s1", "s2"))
+    a, b = attrs(left, "a", "b")
+    c, d = attrs(right, "c", "d")
+    laws = LawSet.of(possible(Task(a, b)), possible(Task(c, d)))
+    sizes = []
+    for _ in range(3):
+        laws = deductive_closure(laws)
+        sizes.append(len(laws.statements))
+    assert sizes == [5, 5, 5]
+    assert laws.substrates() == (left, right)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_closure_monotone(data):

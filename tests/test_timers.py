@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ctm import timers
 from ctm import (
     Attribute,
     ModelError,
@@ -119,6 +120,9 @@ def test_composite_self_pair_clones_the_substrate():
     a = make_counter_timer(4, 5)
     comp = composite_timer(a, a)
     assert comp.duration == 5
+    copy = timers._distinct(a, a)
+    assert copy.substrate is not a.substrate
+    assert (copy.duration, copy.halt_step, copy.static_horizon) == (5, 5, 10)
 
 
 def test_composite_requires_faster_first():
@@ -384,18 +388,50 @@ def union_find_classes(catalog):
     return sorted(classes, key=lambda c: c[0])
 
 
+def seeded_catalog(seed):
+    """Random timers plus two sharing one substrate and some skewed ones, shuffled."""
+    rng = random.Random(seed)
+    catalog = random_catalog(rng, size=rng.randrange(1, 9))
+    shared = make_counter_timer(4, 5, name="shared5")
+    threshold = rng.randrange(2, 9)
+    catalog.append(make_counter_timer(4, threshold, substrate=shared.substrate, name="shared"))
+    catalog.append(shared)
+    catalog += [skewed_timer(f"k{i}") for i in range(rng.randrange(0, 3))]
+    rng.shuffle(catalog)
+    return catalog
+
+
 def test_classify_matches_pairwise_union_find():
     for seed in range(20):
-        rng = random.Random(seed)
-        catalog = random_catalog(rng, size=rng.randrange(1, 9))
-        shared = make_counter_timer(4, 5, name="shared5")
-        threshold = rng.randrange(2, 9)
-        catalog.append(make_counter_timer(4, threshold, substrate=shared.substrate, name="shared"))
-        catalog.append(shared)
-        catalog += [skewed_timer(f"k{i}") for i in range(rng.randrange(0, 3))]
-        rng.shuffle(catalog)
+        catalog = seeded_catalog(seed)
         got = [(c.duration, [m.name for m in c.members]) for c in classify_timers(catalog)]
         assert got == union_find_classes(catalog), seed
+
+
+def walked_halt_step(spec):
+    """Oracle: walk each starting state into completion; the common first step, else None."""
+    firsts = set()
+    for start in spec.attr0.members:
+        state, first = start, None
+        for k in range(len(spec.substrate.states) + 1):
+            if state in spec.attr1.members:
+                first = k
+                break
+            state = spec.substrate.step[state]
+        firsts.add(first)
+    return firsts.pop() if len(firsts) == 1 else None
+
+
+def test_halt_step_matches_per_start_walk():
+    skewed, counter = skewed_timer(), make_counter_timer(4, 5)
+    specs = [skewed, composite_timer(counter, make_particle_timer(64, 2, 14))]
+    specs.append(composite_timer(skewed, counter))
+    specs.append(composite_timer(counter, counter))
+    for seed in range(20):
+        specs += seeded_catalog(seed)
+    for spec in specs:
+        assert spec.halt_step == walked_halt_step(spec), spec
+    assert [spec.halt_step for spec in specs[:4]] == [None, 5, None, 5]
 
 
 def test_classify_equal_durations_keep_catalog_order():
