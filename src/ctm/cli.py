@@ -39,7 +39,7 @@ from .timers import (
     recurrence_horizon,
     validate_null_constructor,
 )
-from .witnesses import MAX_DEVICE_BUDGET, MAX_SEARCH_STATES, search_impossibility
+from .witnesses import MAX_SEARCH_STATES, search_impossibility
 
 SCHEMA = "ctm-report/1"
 ENV_MODEL_ROOT = "CTM_MODEL_ROOT"
@@ -47,6 +47,10 @@ ENV_MODEL_ROOT = "CTM_MODEL_ROOT"
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INPUT = 2
+
+# --budget has no effect on any verdict; it is still accepted, range-checked
+# and echoed in options.budget because ctm-report/1 carries it.
+MAX_BUDGET = 4
 
 
 def _resolve(path: str) -> str:
@@ -106,15 +110,15 @@ def _load_file(path: str) -> tuple[BuiltModel | None, list[Diagnostic]]:
     return analyze_model(parsed.model)
 
 
-def _check_laws(model: BuiltModel, budget: int) -> tuple[list[dict], bool]:
-    """Confirm declared laws by exhaustive witness search where feasible."""
+def _check_laws(model: BuiltModel) -> tuple[list[dict], bool]:
+    """Confirm declared laws by permutation-witness search where feasible."""
     results = []
     refuted = False
     for st in model.laws.statements:
         task = st.task
         entry = {"task": _task_label(task), "declared": st.status.value}
         if isinstance(task, Task) and len(task.substrate.states) <= MAX_SEARCH_STATES:
-            res = search_impossibility(task, device_budget=budget)
+            res = search_impossibility(task)
             entry["candidates"] = res.candidates
             found = res.found
             expected = st.status is Possibility.POSSIBLE
@@ -232,7 +236,7 @@ def cmd_check(args) -> tuple[dict, int]:
             None,
         )
         entry["null_task"] = _stmt_dict(null_stmt) if null_stmt else None
-        law_checks, law_refuted = _check_laws(model, args.budget)
+        law_checks, law_refuted = _check_laws(model)
         pair_checks, synchrony, timer_failed = _check_timers(model, args.horizon)
         entry["law_checks"] = law_checks
         entry["timer_checks"] = pair_checks
@@ -392,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--budget", type=int, default=1, help="witness-search device budget")
+        p.add_argument("--budget", type=int, default=1, help="accepted for ctm-report/1; no effect")
         p.add_argument("--horizon", type=int, default=None, help="static-horizon override")
         p.add_argument("--tol", type=float, default=0.05, help="tolerance for fit checks")
 
@@ -421,8 +425,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 1 <= args.budget <= MAX_DEVICE_BUDGET:
-        parser.error(f"--budget must be in 1..{MAX_DEVICE_BUDGET}")
+    if not 1 <= args.budget <= MAX_BUDGET:
+        parser.error(f"--budget must be in 1..{MAX_BUDGET}")
     report, status = args.func(args)
     report["schema"] = SCHEMA
     report["engine"] = {"name": "ctm", "version": __version__}

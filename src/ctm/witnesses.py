@@ -4,27 +4,30 @@ A constructor witness is a finite device coupled to a substrate through a
 joint bijection.  Verification runs the joint evolution from every input
 state, watches for the first raise of the halt flag, and checks the output
 and the device's return to its ready attribute.  Accuracy, reliability and
-possible-in-the-limit checks quantify approximate witnesses; bounded
-exhaustive search certifies the absence of a witness within a budget.
+possible-in-the-limit checks quantify approximate witnesses.
 
-In this classical model every reachable input-to-output action of a
-device-controlled joint step composes to a single permutation of the
-substrate's states, so the exhaustive search ranges over those
-permutations and wraps any hit in a canonical two-state device.
+The witness search decides whether some permutation of the substrate's
+states, realized as the canonical two-state witness, maps each input into
+its output.  That is a bipartite perfect-matching question (Hall's
+theorem), answered with Kuhn's augmenting paths.  A hit is the first
+permutation in lexicographic order (by state order), and its candidates
+count is its rank: how many permutations an enumeration in that order
+would try, or n! when there is no hit.  "No witness" speaks for permutation witnesses
+only; it does not cover a device whose halt step or final microstate
+depends on the input, which verify_witness accepts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 from typing import Callable, Mapping, Sequence, Union
 
 from .core import Attribute, ModelError, Substrate, first_entry, make_substrate
 from .tasks import Task
 
 MAX_SEARCH_STATES = 6
-MAX_DEVICE_BUDGET = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,7 +319,6 @@ class SearchResult:
     witness: ConstructorWitness | None
     action: Mapping | None
     candidates: int
-    device_budget: int
     note: str
 
     @property
@@ -324,51 +326,89 @@ class SearchResult:
         return "witness-found" if self.found else "no-witness-within-budget"
 
 
-def _check_budget(substrate: Substrate, device_budget: int) -> None:
-    if device_budget < 1 or device_budget > MAX_DEVICE_BUDGET:
-        raise ModelError(f"device budget must be in 1..{MAX_DEVICE_BUDGET}")
+def _check_size(substrate: Substrate) -> None:
     if len(substrate.states) > MAX_SEARCH_STATES:
         raise ModelError(
-            f"substrate has {len(substrate.states)} states; exhaustive search is capped at "
+            f"substrate has {len(substrate.states)} states; the witness search is capped at "
             f"{MAX_SEARCH_STATES}"
         )
 
 
-def _satisfies(action: Mapping, pairs: Sequence[Task]) -> bool:
-    return all(action[s] in t.output.members for t in pairs for s in t.input.members)
+def _allowed_images(states: Sequence, pairs: Sequence[Task]) -> dict:
+    """Each state's admissible images: the outputs of every pair whose input holds it."""
+    allowed = {s: frozenset(states) for s in states}
+    for t in pairs:
+        for s in t.input.members:
+            allowed[s] &= t.output.members
+    return allowed
 
 
-def search_impossibility(
-    tasks: Union[Task, Sequence[Task]], device_budget: int = 1, max_steps: int = 4
-) -> SearchResult:
-    """Exhaust all substrate permutations for a witness of the given task pairs.
+def _matchable(rows: Sequence, allowed: Mapping, free: set) -> bool:
+    """Can each state in rows take a distinct admissible image from free?
 
-    Larger devices only compose permutations into other permutations, so
-    the enumeration below is exhaustive for every budget within the caps;
-    the certificate records the enumerated space.  A sequence of task
-    pairs is read conjunctively: one witness must realize every pair.
+    Kuhn's augmenting paths: each row in turn claims an image, displacing
+    an earlier owner only if that owner can be rematched elsewhere.
+    """
+    owner: dict = {}
+
+    def augment(s, seen: set) -> bool:
+        for c in allowed[s] & free:
+            if c not in seen:
+                seen.add(c)
+                if c not in owner or augment(owner[c], seen):
+                    owner[c] = s
+                    return True
+        return False
+
+    return all(augment(s, set()) for s in rows)
+
+
+def _first_permutation(states: Sequence, allowed: Mapping) -> tuple[dict | None, int]:
+    """The lexicographically first hit among the permutations of states, and its 1-based rank.
+
+    A hit maps every state into its admissible images.  Each state, in
+    state order, takes the first unused image (in state order) that leaves
+    the later states matchable; that greedy choice is exactly the
+    lexicographically first hit, and the position of each choice among the
+    unused images is its Lehmer digit.  With no hit (no perfect matching,
+    by Hall's theorem) the result is (None, n!), the size of the space an
+    enumeration would exhaust.
+    """
+    n = len(states)
+    free = list(states)
+    action = {}
+    rank = 0
+    for i, s in enumerate(states):
+        for j, c in enumerate(free):
+            if c in allowed[s] and _matchable(states[i + 1 :], allowed, set(free) - {c}):
+                break
+        else:
+            return None, math.factorial(n)
+        action[s] = free.pop(j)
+        rank += j * math.factorial(n - 1 - i)
+    return action, rank + 1
+
+
+def search_impossibility(tasks: Union[Task, Sequence[Task]], max_steps: int = 4) -> SearchResult:
+    """Decide whether some substrate permutation performs the given task pairs.
+
+    That is, whether a permutation of the substrate's states, realized as
+    the canonical two-state witness, maps each pair's input into its
+    output; a sequence of pairs is read conjunctively.  candidates is the
+    first hit's lexicographic rank, i.e. how many permutations an
+    enumeration would try, or n! when there is no hit.  A negative answer
+    covers permutation witnesses only (see the module docstring).
     """
     pairs = _as_pairs(tasks)
     substrate = pairs[0].substrate
-    _check_budget(substrate, device_budget)
+    _check_size(substrate)
     states = substrate.states
-    count = 0
-    for image in permutations(states):
-        count += 1
-        action = dict(zip(states, image))
-        if _satisfies(action, pairs):
-            witness = wrap_permutation(substrate, action, max_steps)
-            return SearchResult(
-                True, witness, action, count, device_budget, "first hit in lexicographic order"
-            )
-    return SearchResult(
-        False,
-        None,
-        None,
-        count,
-        device_budget,
-        f"all {math.factorial(len(states))} substrate permutations exhausted",
-    )
+    action, count = _first_permutation(states, _allowed_images(states, pairs))
+    if action is None:
+        note = f"none of the {count} substrate permutations fits"
+        return SearchResult(False, None, None, count, note)
+    witness = wrap_permutation(substrate, action, max_steps)
+    return SearchResult(True, witness, action, count, "first hit in lexicographic order")
 
 
 @dataclass(frozen=True)
@@ -392,7 +432,6 @@ def uniform_possibility(
     family: Sequence[Substrate],
     in_attrs: Sequence,
     out_attrs: Sequence,
-    device_budget: int = 1,
     max_steps: int = 4,
 ) -> UniformPossibilityResult:
     """Does one witness serve every family member, or only one per member?
@@ -401,6 +440,8 @@ def uniform_possibility(
     constructor sees bare states, not which member it was handed).  Each
     member's task may be a single attribute pair or a list of pairs read
     conjunctively; the bit-flip family needs the two-pair form.
+    candidates adds the rank of the search over every member's pairs and,
+    when that fails, the candidates of each member's own search.
     """
     members = list(family)
     if not members:
@@ -410,27 +451,24 @@ def uniform_possibility(
     labels = set(members[0].states)
     if any(set(m.states) != labels for m in members):
         raise ModelError("family members must share one state-label set")
-    for m in members:
-        _check_budget(m, device_budget)
+    _check_size(members[0])
     tasks = [_member_pairs(m, i, o) for m, i, o in zip(members, in_attrs, out_attrs)]
     for m, pairs in zip(members, tasks):
         if any(t.substrate is not m for t in pairs):
             raise ModelError("attributes must live on their own family member")
 
     states = members[0].states
-    count = 0
-    for image in permutations(states):
-        count += 1
-        action = dict(zip(states, image))
-        if all(_satisfies(action, pairs) for pairs in tasks):
-            witness = wrap_permutation(members[0], action, max_steps, name="uniform-witness")
-            return UniformPossibilityResult(
-                "uniformly-possible", witness, action, (action,) * len(members), count
-            )
+    every_pair = [t for pairs in tasks for t in pairs]
+    action, count = _first_permutation(states, _allowed_images(states, every_pair))
+    if action is not None:
+        witness = wrap_permutation(members[0], action, max_steps, name="uniform-witness")
+        return UniformPossibilityResult(
+            "uniformly-possible", witness, action, (action,) * len(members), count
+        )
 
     member_actions: list[Mapping | None] = []
     for pairs in tasks:
-        res = search_impossibility(pairs, device_budget, max_steps)
+        res = search_impossibility(pairs, max_steps)
         count += res.candidates
         member_actions.append(res.action)
     kind = "pointwise-only" if all(a is not None for a in member_actions) else "impossible"

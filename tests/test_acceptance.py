@@ -170,7 +170,7 @@ def test_criterion_4_uniform_flip_family():
     assert each[0].action == {"a": "b", "b": "a", "c": "c"}
     assert each[1].action == {"a": "a", "b": "c", "c": "b"}
     done()
-    report(4, "flip family pointwise-only after exhausting all 6 bijections; each member found")
+    report(4, "flip family pointwise-only: none of the 6 bijections serves both; each member found")
 
 
 def test_criterion_5_static_attribute_vs_external_constructor(models_dir):

@@ -243,6 +243,24 @@ def test_reports_byte_identical_across_runs(capsys, models_dir):
     assert c1 == c2
 
 
+@pytest.mark.parametrize("model", sorted(p.name for p in (REPO_ROOT / "models").glob("*.ctm")))
+def test_budget_changes_only_the_echoed_option(capsys, models_dir, model):
+    path = str(models_dir / model)
+    status_low, low = run_json(capsys, "check", path, "--budget", "1")
+    status_high, high = run_json(capsys, "check", path, "--budget", "4")
+    assert status_low == status_high
+    assert (low["options"].pop("budget"), high["options"].pop("budget")) == (1, 4)
+    assert low == high
+
+
+@pytest.mark.parametrize("budget", ["0", "5"])
+def test_budget_out_of_range_exits_two(capsys, models_dir, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(models_dir / "timers.ctm"), "--budget", budget])
+    assert exc.value.code == 2
+    assert "--budget must be in 1..4" in capsys.readouterr().err
+
+
 def test_model_root_env_var(capsys, models_dir, monkeypatch):
     monkeypatch.setenv("CTM_MODEL_ROOT", str(models_dir))
     status, report = run_json(capsys, "classify", "timers.ctm")

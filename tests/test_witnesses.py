@@ -1,6 +1,9 @@
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctm import (
     ApproximateConstructor,
@@ -18,6 +21,7 @@ from ctm import (
     reliability,
     search_impossibility,
     timer_witness,
+    uniform_possibility,
     verify_witness,
     wrap_permutation,
 )
@@ -277,9 +281,6 @@ def test_search_budget_limits():
     big = identity_substrate("BIG", tuple(range(7)))
     with pytest.raises(ModelError, match="capped"):
         search_impossibility(Task(singleton(big, 0), singleton(big, 1)))
-    small = identity_substrate("S", ("a", "b"))
-    with pytest.raises(ModelError, match="budget"):
-        search_impossibility(Task(singleton(small, "a"), singleton(small, "b")), device_budget=5)
 
 
 def test_search_soundness_random_sampling(abc):
@@ -305,3 +306,101 @@ def test_search_deterministic(abc):
     second = search_impossibility(t)
     assert first.action == second.action
     assert repr(first.action) == repr(second.action)
+
+
+# search against the enumeration it replaces ------------------------------------------
+
+
+def enumerate_first_hit(states, pairs):
+    """Oracle: walk itertools.permutations(states) to the first action realizing every pair."""
+    count = 0
+    for image in permutations(states):
+        count += 1
+        action = dict(zip(states, image))
+        if all(action[s] in t.output.members for t in pairs for s in t.input.members):
+            return action, count
+    return None, count
+
+
+def assert_search_matches_oracle(pairs):
+    action, count = enumerate_first_hit(pairs[0].substrate.states, pairs)
+    res = search_impossibility(pairs)
+    assert (res.found, res.action, res.candidates) == (action is not None, action, count)
+
+
+def subsets(states):
+    return [
+        frozenset(s for k, s in enumerate(states) if mask >> k & 1)
+        for mask in range(2 ** len(states))
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_search_matches_enumeration_on_every_small_task(n):
+    # labels out of sorted order, so a scan by label instead of by state order shows
+    sub = identity_substrate("S", ("c", "a", "d", "b")[:n])
+    for ins in subsets(sub.states):
+        for outs in subsets(sub.states):
+            assert_search_matches_oracle([Task(Attribute(sub, ins), Attribute(sub, outs))])
+
+
+@st.composite
+def conjunctive_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    labels = tuple(draw(st.permutations([f"q{i}" for i in range(n)])))
+    sub = identity_substrate("R", labels)
+    members = st.frozensets(st.sampled_from(labels))
+    count = draw(st.integers(min_value=1, max_value=3))
+    return [
+        Task(Attribute(sub, draw(members)), Attribute(sub, draw(members))) for _ in range(count)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(conjunctive_pairs())
+def test_search_matches_enumeration_on_conjunctive_pairs(pairs):
+    assert_search_matches_oracle(pairs)
+
+
+def random_family(rng):
+    n = rng.randint(1, 5)
+    labels = [f"q{i}" for i in range(n)]
+    members, ins, outs = [], [], []
+    for m in range(rng.randint(2, 3)):
+        rng.shuffle(labels)
+        member = identity_substrate(f"M{m}", tuple(labels))
+        picks = [
+            (
+                Attribute(member, frozenset(rng.sample(labels, rng.randint(0, n)))),
+                Attribute(member, frozenset(rng.sample(labels, rng.randint(1, n)))),
+            )
+            for _ in range(rng.randint(1, 2))
+        ]
+        members.append(member)
+        ins.append([i for i, _ in picks])
+        outs.append([o for _, o in picks])
+    return members, ins, outs
+
+
+def test_uniform_possibility_matches_enumeration():
+    rng = random.Random(20261018)
+    kinds = set()
+    for _ in range(400):
+        members, ins, outs = random_family(rng)
+        tasks = [[Task(i, o) for i, o in zip(i_s, o_s)] for i_s, o_s in zip(ins, outs)]
+        action, count = enumerate_first_hit(members[0].states, [t for ts in tasks for t in ts])
+        if action is not None:
+            expected = ("uniformly-possible", action, (action,) * len(members), count)
+        else:
+            member_actions = []
+            for member, ts in zip(members, tasks):
+                member_action, member_count = enumerate_first_hit(member.states, ts)
+                member_actions.append(member_action)
+                count += member_count
+            pointwise = all(a is not None for a in member_actions)
+            kind = "pointwise-only" if pointwise else "impossible"
+            expected = (kind, None, tuple(member_actions), count)
+        res = uniform_possibility(members, ins, outs)
+        assert (res.kind, res.action, res.member_actions, res.candidates) == expected
+        kinds.add(res.kind)
+    assert kinds == {"uniformly-possible", "pointwise-only", "impossible"}
