@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -378,10 +379,14 @@ def cmd_dynamics(args) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
+def _dump(report: dict) -> str:
+    """The report as JSON; a NaN or infinity raises instead of printing invalid JSON."""
+    return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
+
+
 def _render_text(report: dict, elapsed_ms: float) -> str:
     lines = [f"ctm {report['command']} (engine {report['engine']['version']})"]
-    body = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False)
-    lines.append(body)
+    lines.append(_dump(report))
     lines.append(f"elapsed: {elapsed_ms:.1f} ms")
     lines.append(f"exit: {report['exit_status']}")
     return "\n".join(lines) + "\n"
@@ -398,7 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--budget", type=int, default=1, help="accepted for ctm-report/1; no effect")
         p.add_argument("--horizon", type=int, default=None, help="static-horizon override")
-        p.add_argument("--tol", type=float, default=0.05, help="tolerance for fit checks")
+        p.add_argument(
+            "--tol", type=float, default=0.05, help="tolerance for fit checks, finite and >= 0"
+        )
 
     p_check = sub.add_parser("check", help="closure, consistency, and operational confirmation")
     p_check.add_argument("models", nargs="+")
@@ -427,6 +434,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if not 1 <= args.budget <= MAX_BUDGET:
         parser.error(f"--budget must be in 1..{MAX_BUDGET}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        parser.error("--tol must be finite and >= 0")
     report, status = args.func(args)
     report["schema"] = SCHEMA
     report["engine"] = {"name": "ctm", "version": __version__}
@@ -439,7 +448,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     report["exit_status"] = status
     if args.format == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
+        sys.stdout.write(_dump(report) + "\n")
     else:
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         sys.stdout.write(_render_text(report, elapsed_ms))

@@ -100,7 +100,9 @@ class Attribute:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", frozenset(self.members))
-        stray = self.members - self.substrate.step.keys()
+        step = self.substrate.step
+        # per-member lookups: `members - step.keys()` would walk every state
+        stray = [s for s in self.members if s not in step]
         if stray:
             raise ModelError(
                 f"attribute {self.name or '?'}: members {sorted(map(repr, stray))} "
@@ -123,12 +125,16 @@ class Variable:
     substrate: Substrate
     entries: Mapping[Fraction, Attribute]
     allow_static: bool = False
+    # the parameter values in increasing order
+    domain: tuple[Fraction, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         normal = {Fraction(k): v for k, v in self.entries.items()}
         object.__setattr__(self, "entries", normal)
+        object.__setattr__(self, "domain", tuple(sorted(normal)))
         seen: set = set()
-        for lam, attr in sorted(normal.items()):
+        for lam in self.domain:
+            attr = normal[lam]
             if attr.substrate is not self.substrate:
                 raise ModelError(f"variable entry {lam}: attribute on a different substrate")
             if attr.members & seen:
@@ -139,10 +145,6 @@ class Variable:
                     f"variable entry {lam}: attribute is static "
                     "(pass allow_static=True to permit)"
                 )
-
-    @property
-    def domain(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(self.entries))
 
     def attribute(self, lam) -> Attribute:
         key = Fraction(lam)

@@ -1,8 +1,10 @@
-"""The `.ctm` model format: parser, validator, pretty-printer, builder.
+"""The `.ctm` model format: lexer, parser, analysis, pretty-printer.
 
-Line-oriented keyword grammar; `#` starts a comment.  Step maps are
-written in cycle notation and must mention every state exactly once, so a
-well-formed step map is a bijection by construction.
+Line-oriented keyword grammar; `#` starts a comment.  The lexer makes a
+single pass over the text: one regex match per token, with blanks and
+comments absorbed into the match.  Step maps are written in cycle
+notation and must mention every state exactly once, so a well-formed
+step map is a bijection by construction.
 
     substrate NAME { states L1 L2 ... ; step (L1 L2)(L3) }
     attribute NAME on SUBSTRATE { L1 L2 ... }
@@ -22,10 +24,10 @@ the parser resynchronizes at the next top-level keyword.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .core import (
     Attribute,
@@ -172,31 +174,36 @@ class ModelDecl:
 
 # ---------------------------------------------------------------------- lexer
 
+# One match per token.  The prefix absorbs blanks and comments, so they cost
+# no Python-level step; the final `bad` group catches any other character
+# and the empty `\Z` branch ends the text after trailing blanks.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
-  | (?P<arrow>->)
-  | (?P<float>-?\d+\.\d+(?:[eE][+-]?\d+)?|-?\d+[eE][+-]?\d+)
-  | (?P<int>-?\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<lbrace>\{)
-  | (?P<rbrace>\})
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<semi>;)
-  | (?P<colon>:)
-  | (?P<at>@)
-  | (?P<check>✓)
-  | (?P<cross>✗)
+    (?:[ \t\r]|\#[^\n]*)*
+    (?:
+      (?P<nl>\n)
+    | (?P<arrow>->)
+    | (?P<float>-?\d+\.\d+(?:[eE][+-]?\d+)?|-?\d+[eE][+-]?\d+)
+    | (?P<int>-?\d+)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<lbrace>\{)
+    | (?P<rbrace>\})
+    | (?P<lparen>\()
+    | (?P<rparen>\))
+    | (?P<semi>;)
+    | (?P<colon>:)
+    | (?P<at>@)
+    | (?P<check>✓)
+    | (?P<cross>✗)
+    | (?P<bad>.)
+    | \Z
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -204,31 +211,21 @@ class _Token:
 
 
 def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
+    """Tokens with 1-based (line, column) spans, in one pass over `text`."""
     tokens: list[_Token] = []
     diags: list[Diagnostic] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            diags.append(
-                Diagnostic("error", line, col, f"unexpected character {text[pos]!r}")
-            )
-            pos += 1
-            col += 1
-            continue
-        kind = m.lastgroup or ""
-        tok = m.group()
+    line, line_start = 1, 0  # line_start: offset of the current line's first character
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
         if kind == "nl":
             line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(tok)
-        else:
-            tokens.append(_Token(kind, tok, line, col))
-            col += len(tok)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+            line_start = m.end()
+        elif kind == "bad":
+            column = m.start(kind) - line_start + 1
+            diags.append(Diagnostic("error", line, column, f"unexpected character {m[kind]!r}"))
+        elif kind is not None:
+            tokens.append(_Token(kind, m[kind], line, m.start(kind) - line_start + 1))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens, diags
 
 
@@ -271,44 +268,52 @@ class _Parser:
         self.diags.append(Diagnostic("error", tok.line, tok.column, message, suggestion))
         raise _Recover()
 
+    # a token that matched an expected kind or word is not eof, so the methods
+    # below step past it with `pos += 1` instead of `advance()`
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
             self.fail(f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}")
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def expect_word(self, word: str) -> _Token:
         tok = self.peek()
         if tok.kind != "ident" or tok.text != word:
             self.fail(f"expected {word!r}, found {tok.text!r}" if tok.text else f"expected {word!r}")
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def accept_word(self, word: str) -> bool:
         tok = self.peek()
         if tok.kind == "ident" and tok.text == word:
-            self.advance()
+            self.pos += 1
             return True
         return False
 
     def name(self, what: str) -> str:
         return self.expect("ident", what).text
 
-    def label(self) -> str:
-        tok = self.peek()
-        if tok.kind in ("ident", "int"):
-            return self.advance().text
-        self.fail(f"expected a state label, found {tok.text!r}")
-        raise AssertionError  # unreachable
+    def labels(self, stop: str | None = None) -> list[str]:
+        """The run of state labels (identifiers or integers) up to the word `stop`."""
+        run = []
+        while (tok := self.peek()).kind in ("ident", "int") and tok.text != stop:
+            run.append(tok.text)
+            self.pos += 1
+        return run
 
     def integer(self, what: str) -> int:
         return int(self.expect("int", what).text)
 
     def number(self, what: str) -> float:
         tok = self.peek()
-        if tok.kind in ("int", "float"):
-            return float(self.advance().text)
-        self.fail(f"expected {what}, found {tok.text!r}")
-        raise AssertionError
+        if tok.kind not in ("int", "float"):
+            self.fail(f"expected {what}, found {tok.text!r}")
+        value = float(tok.text)
+        if not math.isfinite(value):
+            self.fail(f"{what} must be finite, found {tok.text!r}")
+        self.pos += 1
+        return value
 
     def sync(self) -> None:
         """Skip to the next top-level keyword (or EOF)."""
@@ -331,9 +336,7 @@ class _Parser:
         name = self.name("substrate name")
         self.expect("lbrace", "'{'")
         self.expect_word("states")
-        states: list[str] = []
-        while self.peek().kind in ("ident", "int") and self.peek().text != "step":
-            states.append(self.label())
+        states = self.labels(stop="step")
         if not states:
             self.fail("substrate needs at least one state")
         self.expect("semi", "';'")
@@ -342,9 +345,7 @@ class _Parser:
         cycle_tok = self.peek()
         while self.peek().kind == "lparen":
             self.advance()
-            cyc: list[str] = []
-            while self.peek().kind in ("ident", "int"):
-                cyc.append(self.label())
+            cyc = self.labels()
             self.expect("rparen", "')'")
             for i, lab in enumerate(cyc):
                 if lab in step:
@@ -371,9 +372,7 @@ class _Parser:
         self.expect_word("on")
         substrate = self.name("substrate name")
         self.expect("lbrace", "'{'")
-        members: list[str] = []
-        while self.peek().kind in ("ident", "int"):
-            members.append(self.label())
+        members = self.labels()
         self.expect("rbrace", "'}'")
         return AttributeDecl(name, substrate, frozenset(members), span)
 
@@ -691,8 +690,8 @@ def analyze_model(decl: ModelDecl) -> tuple[BuiltModel | None, list[Diagnostic]]
                 err(d.span, f"variable {d.name!r}: attribute {attr_name!r} is on another substrate")
                 bad = True
                 break
-            entries[Fraction(lam)] = attr
-            readings[Fraction(lam)] = reading
+            entries[lam] = attr
+            readings[lam] = reading
         if bad:
             continue
         try:
@@ -700,20 +699,14 @@ def analyze_model(decl: ModelDecl) -> tuple[BuiltModel | None, list[Diagnostic]]
         except ModelError as e:
             err(d.span, f"variable {d.name!r}: {e}")
             continue
-        for lam, attr in sorted(entries.items()):
-            if is_static(attr):
+        for lam in variable.domain:
+            if is_static(variable.entries[lam]):
                 warn(d.span, f"variable {d.name!r}: attribute at λ={lam} is static")
         trajectories[d.name] = TrajectoryModel(variable, readings, name=d.name)
 
     if any(x.severity == "error" for x in diags):
         return None, diags
     return BuiltModel(substrates, attributes, timers, tasks, laws, trajectories), diags
-
-
-def validate_model(decl: ModelDecl) -> list[Diagnostic]:
-    """Semantic diagnostics: name resolution, bijectivity, timer well-formedness."""
-    _, diags = analyze_model(decl)
-    return diags
 
 
 def build_model(decl: ModelDecl) -> BuiltModel:
@@ -723,17 +716,6 @@ def build_model(decl: ModelDecl) -> BuiltModel:
         first = next(d for d in diags if d.severity == "error")
         raise ModelError(str(first))
     return model
-
-
-def load_model(text: str) -> tuple[BuiltModel, list[Diagnostic]]:
-    """Parse, validate and build in one step (raises ModelError on any error)."""
-    parsed = parse_model(text)
-    if parsed.model is None:
-        raise ModelError("; ".join(str(d) for d in parsed.diagnostics) or "empty parse")
-    model, diags = analyze_model(parsed.model)
-    if model is None:
-        raise ModelError("; ".join(str(d) for d in diags if d.severity == "error"))
-    return model, diags
 
 
 # -------------------------------------------------------------- pretty-printer

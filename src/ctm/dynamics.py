@@ -143,7 +143,8 @@ def estimate_derivative(
     timers).  The extrapolated value is the intercept of the least-squares
     line ratio = L + c * Δλ; the convergence order is the log-log slope of
     the residuals against the step sizes (None when the fit is exact, as
-    for linear readings).
+    for linear readings).  Ratios or an extrapolation that overflow to a
+    non-finite value raise ModelError.
     """
     steps = [int(d) for d in schedule]
     if len(steps) < 3:
@@ -157,6 +158,8 @@ def estimate_derivative(
         ratios.append(incremental_ratio(m, lam, d, timer))
     extrapolated, _ = _ols([float(d) for d in steps], ratios)
     residuals = tuple(r - extrapolated for r in ratios)
+    if not all(math.isfinite(x) for x in (*ratios, extrapolated, *residuals)):
+        raise ModelError(f"ratios at λ={lam} overflow: readings too large for a finite fit")
     pts = [
         (math.log(d), math.log(abs(r)))
         for d, r in zip(steps, residuals)

@@ -17,9 +17,13 @@ def run_cli(capsys, *argv):
     return status, out
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def run_json(capsys, *argv):
     status, out = run_cli(capsys, *argv)
-    report = json.loads(out)
+    report = json.loads(out, parse_constant=reject_constant)
     jsonschema.validate(report, SCHEMA)
     assert report["exit_status"] == status
     return status, report
@@ -228,6 +232,63 @@ def test_dynamics_unparseable_at_exits_two(capsys, models_dir):
     )
     assert status == 2
     assert any("bad argument" in d["message"] for d in report["diagnostics"])
+
+
+RING8 = (
+    "substrate R { states r0 r1 r2 r3 r4 r5 r6 r7 ; step (r0 r1 r2 r3 r4 r5 r6 r7) }\n"
+    + "".join(f"attribute a{i} on R {{ r{i} }}\n" for i in range(8))
+)
+
+
+def ring_variable(readings):
+    entries = " ; ".join(f"{i} : a{i} @ {r}" for i, r in enumerate(readings))
+    return RING8 + f"variable v on R {{ {entries} }}\n"
+
+
+@pytest.mark.parametrize("reading", ["1e999", "-1e999", "9" * 400], ids=["inf", "-inf", "huge-int"])
+def test_dynamics_non_finite_reading_exits_two(capsys, tmp_path, reading):
+    text = ring_variable(["0.0", reading, "2.0", "3.0", "4.0"])
+    model = tmp_path / "huge.ctm"
+    model.write_text(text)
+    status, report = run_json(
+        capsys, "dynamics", str(model), "--variable", "v", "--schedule", "4,2,1"
+    )
+    assert status == 2
+    [diag] = report["diagnostics"]
+    lines = text.splitlines()
+    assert diag["line"] == len(lines)
+    assert diag["column"] == lines[-1].index(reading) + 1
+    assert "must be finite" in diag["message"]
+
+
+@pytest.mark.parametrize(
+    "readings",
+    [
+        ["-1.5e308", "1.5e308", "1.5e308", "1.5e308", "1.5e308"],  # the ratios overflow
+        ["0.0", "1.7e308", "1.7e308", "1.7e308", "1.7e308"],  # only their mean does
+    ],
+    ids=["ratios", "mean"],
+)
+def test_dynamics_overflowing_estimate_exits_two(capsys, tmp_path, readings):
+    model = tmp_path / "overflow.ctm"
+    model.write_text(ring_variable(readings))
+    status, report = run_json(
+        capsys, "dynamics", str(model), "--variable", "v", "--schedule", "4,2,1"
+    )
+    assert status == 2
+    assert "ratios" not in report and "extrapolated" not in report
+    assert any("overflow" in d["message"] for d in report["diagnostics"])
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-0.5"])
+def test_tol_must_be_finite_and_non_negative(capsys, models_dir, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["dynamics", str(models_dir / "linear.ctm"), "--variable", "pos",
+              "--schedule", "4,2,1", f"--tol={tol}"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--tol must be finite and >= 0" in err
 
 
 # determinism and plumbing -----------------------------------------------------------

@@ -60,6 +60,14 @@ def test_attribute_members_must_be_states(counter16):
     with pytest.raises(ModelError):
         Attribute(counter16, frozenset({99}))
     assert Attribute(counter16, frozenset()).members == frozenset()
+    s = make_substrate("S", ("a", "b", 3), {"a": "b", "b": 3, 3: "a"})
+    with pytest.raises(ModelError) as exc:
+        Attribute(s, frozenset({"a", "x", 7, 3}), name="odd")
+    assert str(exc.value) == """attribute odd: members ["'x'", '7'] not states of 'S'"""
+    with pytest.raises(ModelError) as exc:
+        Attribute(s, {"zz"})
+    assert str(exc.value) == "attribute ?: members [\"'zz'\"] not states of 'S'"
+    assert Attribute(s, frozenset(s.states)).members == {"a", "b", 3}
 
 
 # composition ----------------------------------------------------------------
@@ -295,7 +303,7 @@ def test_distinguishability_examples(counter16):
 
 def test_variable_requires_disjoint_nonstatic_entries():
     ring = cyclic_substrate("ring", tuple(range(8)))
-    entries = {k: singleton(ring, k) for k in range(4)}
+    entries = {k: singleton(ring, k) for k in (2, 0, 3, 1)}
     v = Variable(ring, entries)
     assert [int(x) for x in v.domain] == [0, 1, 2, 3]
     assert v.attribute(2).members == {2}

@@ -1,4 +1,5 @@
 import random
+import re
 import string
 
 import pytest
@@ -10,17 +11,19 @@ from ctm.dsl import (
     AttributeDecl,
     CounterTimerDecl,
     CustomTimerDecl,
+    Diagnostic,
     LawDecl,
     ModelDecl,
     ParticleTimerDecl,
     SubstrateDecl,
     TaskDecl,
     VariableDecl,
+    analyze_model,
     build_model,
     parse_model,
     pretty_print,
-    validate_model,
 )
+from ctm.dsl import _lex
 
 
 def parse_ok(text):
@@ -50,7 +53,7 @@ def test_empty_file_is_empty_model():
 
 def test_unresolved_law_reference_gets_diagnostic_with_span():
     model = parse_ok("law possible task F on P")
-    diags = validate_model(model)
+    diags = analyze_model(model)[1]
     assert diags and diags[0].severity == "error"
     assert diags[0].line == 1 and diags[0].column == 1
     assert "unknown task 'F'" in diags[0].message
@@ -131,7 +134,7 @@ def test_shipped_fixtures_round_trip(models_dir):
 def test_shipped_fixtures_validate_clean(models_dir):
     for path in fixture_texts(models_dir):
         model = parse_ok(path.read_text())
-        errors = [d for d in validate_model(model) if d.severity == "error"]
+        errors = [d for d in analyze_model(model)[1] if d.severity == "error"]
         assert errors == [], path
 
 
@@ -313,6 +316,91 @@ def test_fuzz_parser_total_on_arbitrary_text(text):
     assert result.ok or result.diagnostics
 
 
+# lexer oracle ------------------------------------------------------------------
+
+
+SEED_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<nl>\n)
+  | (?P<arrow>->)
+  | (?P<float>-?\d+\.\d+(?:[eE][+-]?\d+)?|-?\d+[eE][+-]?\d+)
+  | (?P<int>-?\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<lbrace>\{)
+  | (?P<rbrace>\})
+  | (?P<lparen>\()
+  | (?P<rparen>\))
+  | (?P<semi>;)
+  | (?P<colon>:)
+  | (?P<at>@)
+  | (?P<check>✓)
+  | (?P<cross>✗)
+    """,
+    re.VERBOSE,
+)
+
+
+def seed_lex(text):
+    """Oracle: the original match-at-position lexer, one step per token, blank or comment."""
+    tokens = []
+    diags = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = SEED_TOKEN_RE.match(text, pos)
+        if m is None:
+            diags.append(
+                Diagnostic("error", line, col, f"unexpected character {text[pos]!r}")
+            )
+            pos += 1
+            col += 1
+            continue
+        kind = m.lastgroup or ""
+        tok = m.group()
+        if kind == "nl":
+            line += 1
+            col = 1
+        elif kind in ("ws", "comment"):
+            col += len(tok)
+        else:
+            tokens.append((kind, tok, line, col))
+            col += len(tok)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens, diags
+
+
+def assert_lex_matches_seed(text):
+    tokens, diags = _lex(text)
+    want_tokens, want_diags = seed_lex(text)
+    assert [(t.kind, t.text, t.line, t.column) for t in tokens] == want_tokens, text
+    assert diags == want_diags, text
+
+
+LEX_PIECES = list(FUZZ_ALPHABET) + ["\t", "\r", "\f", "✓", "✗", "->", "1e5", "-3.5", "€"]
+
+
+def test_lex_matches_seed_on_fixtures(models_dir):
+    for path in fixture_texts(models_dir):
+        assert_lex_matches_seed(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "-", "a b  \t ", "x # trailing comment", "\tx\t€ y", "a\r\n\t-\f b\n  ", "# only\n#"],
+)
+def test_lex_matches_seed_on_edge_cases(text):
+    assert_lex_matches_seed(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(LEX_PIECES), max_size=60).map("".join), st.text()))
+def test_lex_matches_seed_on_generated_text(text):
+    assert_lex_matches_seed(text)
+
+
 # validation / build ---------------------------------------------------------------
 
 
@@ -322,7 +410,7 @@ def test_validate_flags_static_starting_attribute():
         "attribute z on F { f0 }\nattribute r on F { f1 }\nattribute o on F { f2 }\n"
         "timer custom K on F { start z ; running r ; done o }"
     )
-    diags = validate_model(parse_ok(text))
+    diags = analyze_model(parse_ok(text))[1]
     assert any(
         d.severity == "error" and "not a well-formed null constructor" in d.message
         for d in diags
@@ -331,7 +419,7 @@ def test_validate_flags_static_starting_attribute():
 
 def test_validate_flags_attribute_outside_substrate():
     text = "substrate S { states a ; step (a) }\nattribute x on S { zz }"
-    diags = validate_model(parse_ok(text))
+    diags = analyze_model(parse_ok(text))[1]
     assert any("not states of" in d.message for d in diags)
 
 
@@ -343,16 +431,15 @@ def test_build_wires_laws_and_variables(models_dir):
 
 
 def test_degenerate_counter_warned_not_rejected():
-    diags = validate_model(parse_ok("timer counter C { bits 3 ; threshold 1 }"))
+    diags = analyze_model(parse_ok("timer counter C { bits 3 ; threshold 1 }"))[1]
     assert any(d.severity == "warning" and "empty" in d.message for d in diags)
     assert not any(d.severity == "error" for d in diags)
 
 
-def test_load_model_one_step():
+def test_parse_then_build():
     from ctm import ModelError
-    from ctm.dsl import load_model
 
-    model, diags = load_model("timer counter C { bits 4 ; threshold 5 }")
+    model = build_model(parse_ok("timer counter C { bits 4 ; threshold 5 }"))
     assert model.timers["C"].duration == 5
     with pytest.raises(ModelError):
-        load_model("timer counter C { bits 3 ; threshold 9 }")
+        build_model(parse_ok("timer counter C { bits 3 ; threshold 9 }"))
