@@ -65,7 +65,6 @@ from .witnesses import (
     wrap_permutation,
 )
 from .timers import (
-    NullConstructorReport,
     TimerClass,
     TimerSpec,
     check_simultaneous_halt,
@@ -79,7 +78,6 @@ from .timers import (
     make_timer,
     recurrence_horizon,
     timer_witness,
-    validate_null_constructor,
 )
 from .dynamics import (
     AdvanceCheckFailed,

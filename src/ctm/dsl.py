@@ -45,7 +45,6 @@ from .timers import (
     make_counter_timer,
     make_particle_timer,
     make_timer,
-    validate_null_constructor,
 )
 
 MAX_COUNTER_BITS = 12
@@ -619,13 +618,7 @@ def analyze_model(decl: ModelDecl) -> tuple[BuiltModel | None, list[Diagnostic]]
                 spec = make_timer(
                     d.name, sub, parts["start"], parts["running"], parts["done"], parts["halt"]
                 )
-            report = validate_null_constructor(spec)
-            if not report.passed:
-                raise ModelError(
-                    f"timer {d.name!r} is not a well-formed null constructor: "
-                    + ", ".join(report.failures())
-                )
-            for w in report.warnings:
+            for w in spec.warnings:
                 warn(d.span, f"timer {d.name!r}: {w}")
             timers[d.name] = spec
         except ModelError as e:

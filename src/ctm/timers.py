@@ -37,13 +37,13 @@ from .witnesses import ConstructorWitness
 
 @dataclass(frozen=True, eq=False)
 class TimerSpec:
-    """A substrate with designated 0 / R / 1 attributes and a halt flag.
+    """A well-formed null constructor: 0 / R / 1 attributes and a halt flag.
 
-    duration is None when the starting attribute never fully reaches the
-    completed one within a recurrence period (such specs are constructible
-    so that validation can describe what is wrong with them).  halt_step
-    is the first step into completion shared by every starting state, or
-    None when they differ; when it exists it equals the duration.
+    Only make_timer builds one, so every spec has passed the checks there
+    and its duration is defined.  halt_step is the first step into
+    completion shared by every starting state, or None when they differ;
+    when it exists it equals the duration.  warnings holds make_timer's
+    notes on a legal but degenerate structure.
     """
 
     name: str
@@ -52,10 +52,11 @@ class TimerSpec:
     attrR: Attribute
     attr1: Attribute
     halt_flag: Attribute
-    duration: int | None
+    duration: int
     static_horizon: int
     recurrence: int
     halt_step: int | None
+    warnings: tuple[str, ...]
 
     def __repr__(self) -> str:
         return f"TimerSpec({self.name!r}, duration={self.duration})"
@@ -69,7 +70,14 @@ def make_timer(
     attr1: Attribute,
     halt_flag: Attribute | None = None,
 ) -> TimerSpec:
-    """Assemble a TimerSpec, deriving duration, halt step and the completed-static horizon."""
+    """Assemble a TimerSpec, deriving duration, halt step and the completed-static horizon.
+
+    Raises ModelError naming each failed null-constructor check.  The
+    completed attribute passes its static check once every starting state
+    lies in it at one step: it is then static for the computed horizon.
+    An empty running attribute (a duration-1 timer) and a horizon shorter
+    than four durations are legal and recorded as warnings.
+    """
     for a in (attr0, attrR, attr1):
         if a.substrate is not substrate:
             raise ModelError(f"timer {name!r}: attribute {a.name!r} is on a different substrate")
@@ -80,17 +88,38 @@ def make_timer(
     rec = recurrence_period(substrate)
     # a first entry, if any, happens within the recurrence period
     firsts = [first_entry(substrate, s, attr1.members, rec) for s in attr0.members]
-    duration = halt_step = None
-    if None not in firsts:
-        k = max(firsts)
-        # the duration is the first step with every starting state inside at once
-        if all(evolve(substrate, s, k) in attr1.members for s in attr0.members):
-            duration = k
-        if min(firsts) == k:
-            halt_step = k
-    horizon = static_horizon(attr1, cap=rec) if attr1.members else 0
+    k = None if None in firsts else max(firsts)
+    # the duration is the first step with every starting state inside at once
+    complete = k is not None and all(
+        evolve(substrate, s, k) in attr1.members for s in attr0.members
+    )
+    flags = [first_entry(substrate, s, halt_flag.members, rec) for s in attr0.members]
+    sizes = len(attr0.members) + len(attrR.members) + len(attr1.members)
+    checks = (
+        ("starting-non-static", not is_static(attr0)),
+        ("running-non-static", not attrR.members or not is_static(attrR)),
+        ("completed-static-for-horizon", complete),
+        ("halt-distinguishable", bool(halt_flag.members)),
+        ("halt-at-completion", complete and flags == firsts),
+        ("attributes-disjoint", len(attr0.members | attrR.members | attr1.members) == sizes),
+    )
+    failed = [check for check, ok in checks if not ok]
+    if failed:
+        raise ModelError(
+            f"timer {name!r} is not a well-formed null constructor: " + ", ".join(failed)
+        )
+    horizon = static_horizon(attr1, cap=rec)
+    warnings = []
+    if not attrR.members:
+        warnings.append("running attribute is empty (duration-1 degenerate timer)")
+    if horizon < 4 * k:
+        warnings.append(
+            f"completed attribute stays static for {horizon} steps, "
+            f"less than four durations ({4 * k})"
+        )
+    halt_step = k if min(firsts) == k else None
     return TimerSpec(
-        name, substrate, attr0, attrR, attr1, halt_flag, duration, horizon, rec, halt_step
+        name, substrate, attr0, attrR, attr1, halt_flag, k, horizon, rec, halt_step, tuple(warnings)
     )
 
 
@@ -155,10 +184,9 @@ def composite_timer(c1: TimerSpec, c2: TimerSpec, name: str | None = None) -> Ti
     Requires duration(c1) <= duration(c2).  The completion attribute is
     (1, R) when the durations differ and (1, 1) when they coincide; the
     halt flag is the first timer's flag, raised regardless of the second
-    component.
+    component.  make_timer rejects a pair that is no well-formed timer,
+    such as two skewed timers whose flag rises before joint completion.
     """
-    if c1.duration is None or c2.duration is None:
-        raise ModelError("composite timer needs both durations defined")
     if c1.duration > c2.duration:
         raise ModelError("compose the shorter-duration timer first")
     second = _distinct(c1, c2)
@@ -192,29 +220,18 @@ def check_staggered_halt(c1: TimerSpec, c2: TimerSpec) -> bool:
     """The strictly faster timer halts while the slower one still runs.
 
     Requires duration(c1) < duration(c2).  True iff from every joint
-    starting state the pair never shows joint completion up to and
-    including the halt step, and at the halt step shows exactly
-    (completed, running).  Operationally this is the failure of the
+    starting state the pair shows (completed, running) at the faster
+    timer's halt step.  A timer first shows completion when its flag is
+    raised, and running is disjoint from completed, so no step up to the
+    halt shows joint completion.  Operationally this is the failure of the
     (0,0) -> (1,1) task on the pair.
     """
-    if c1.duration is None or c2.duration is None:
-        raise ModelError("both timers need a defined duration")
     if c1.duration >= c2.duration:
         raise ModelError("staggered-halt check requires duration(c1) < duration(c2)")
-    bound = max(c1.recurrence, c2.recurrence)
-    for s0 in c1.attr0.members:
-        h = first_entry(c1.substrate, s0, c1.halt_flag.members, bound)
-        if h is None:
+    for s in c1.attr0.members:
+        h = first_entry(c1.substrate, s, c1.halt_flag.members, c1.recurrence)
+        if not all(evolve(c2.substrate, t, h) in c2.attrR.members for t in c2.attr0.members):
             return False
-        for t0 in c2.attr0.members:
-            x, y = s0, t0
-            for k in range(h + 1):
-                if x in c1.attr1.members and y in c2.attr1.members:
-                    return False
-                if k < h:
-                    x, y = c1.substrate.step[x], c2.substrate.step[y]
-            if x not in c1.attr1.members or y not in c2.attrR.members:
-                return False
     return True
 
 
@@ -244,6 +261,7 @@ def _distinct(c1: TimerSpec, c2: TimerSpec) -> TimerSpec:
         c2.static_horizon,
         c2.recurrence,
         c2.halt_step,
+        c2.warnings,
     )
 
 
@@ -260,16 +278,11 @@ def classify_timers(catalog: Sequence[TimerSpec]) -> tuple[TimerClass, ...]:
     equal duration keep the catalog order of their first members (a timer
     without a halt step is a class of its own), so a caller wanting a
     result independent of catalog order sorts the catalog first, as
-    ``ctm classify`` does by name.  Any member failing validation is
-    rejected up front.
+    ``ctm classify`` does by name.
     """
     specs = list(catalog)
     if not specs:
         raise ModelError("catalog must be non-empty")
-    for spec in specs:
-        report = validate_null_constructor(spec)
-        if not report.passed:
-            raise ModelError(f"timer {spec.name!r} fails validation: {report.failures()}")
     # co-halting is equality of halt steps; a timer without one co-halts with nothing
     groups: dict[object, list[TimerSpec]] = {}
     for i, spec in enumerate(specs):
@@ -289,79 +302,6 @@ def check_synchrony(c: TimerSpec) -> bool:
     reaches completion at one common step.
     """
     return c.halt_step is not None
-
-
-_CHECKS = (
-    "starting-preparable",
-    "starting-non-static",
-    "running-non-static",
-    "completed-static-for-horizon",
-    "halt-distinguishable",
-    "halt-at-completion",
-    "attributes-disjoint",
-)
-
-
-@dataclass(frozen=True)
-class NullConstructorReport:
-    """Per-check outcomes for the timer attribute structure."""
-
-    checks: dict
-    warnings: tuple[str, ...]
-    horizon: int
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
-    def failures(self) -> tuple[str, ...]:
-        return tuple(k for k, ok in self.checks.items() if not ok)
-
-
-def validate_null_constructor(c: TimerSpec, horizon: int | None = None) -> NullConstructorReport:
-    """Check the 0 / R / 1 / halt-flag structure, reporting each item separately.
-
-    The completed attribute is required static for the given horizon
-    (default: the timer's own computed horizon).  An empty running
-    attribute is degenerate but legal for duration-1 timers and is
-    reported as a warning, as is a horizon shorter than four durations.
-    """
-    warnings: list[str] = []
-    h = c.static_horizon if horizon is None else horizon
-    checks = dict.fromkeys(_CHECKS, True)
-    checks["starting-preparable"] = bool(c.attr0.members)
-    checks["starting-non-static"] = bool(c.attr0.members) and not is_static(c.attr0)
-    if c.attrR.members:
-        checks["running-non-static"] = not is_static(c.attrR)
-    else:
-        warnings.append("running attribute is empty (duration-1 degenerate timer)")
-    if c.attr1.members:
-        checks["completed-static-for-horizon"] = (
-            c.duration is not None and c.static_horizon >= h
-        )
-    else:
-        checks["completed-static-for-horizon"] = False
-    checks["halt-distinguishable"] = bool(c.halt_flag.members)
-    if c.duration is None:
-        checks["halt-at-completion"] = False
-    else:
-        for s in c.attr0.members:
-            flag_at = first_entry(c.substrate, s, c.halt_flag.members, c.recurrence)
-            done_at = first_entry(c.substrate, s, c.attr1.members, c.recurrence)
-            if flag_at is None or flag_at != done_at:
-                checks["halt-at-completion"] = False
-                break
-    seen: set = set()
-    for a in (c.attr0, c.attrR, c.attr1):
-        if a.members & seen:
-            checks["attributes-disjoint"] = False
-        seen |= a.members
-    if c.duration is not None and c.static_horizon < 4 * c.duration:
-        warnings.append(
-            f"completed attribute stays static for {c.static_horizon} steps, "
-            f"less than four durations ({4 * c.duration})"
-        )
-    return NullConstructorReport(checks, tuple(warnings), h)
 
 
 def timer_witness(c: TimerSpec, max_steps: int | None = None) -> ConstructorWitness:

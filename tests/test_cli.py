@@ -109,6 +109,57 @@ def test_check_skewed_timer_fails_synchrony(capsys, tmp_path):
     ]
 
 
+def test_check_pins_malformed_timer_diagnostics(capsys, tmp_path):
+    bad = tmp_path / "malformed.ctm"
+    bad.write_text(
+        "substrate C4 { states c0 c1 c2 c3 ; step (c0 c1 c2 c3) }\n"
+        "attribute z on C4 { c0 }\n"
+        "attribute r on C4 { c1 }\n"
+        "attribute o on C4 { c2 c3 }\n"
+        "attribute e on C4 { }\n"
+        "timer custom Early on C4 { start z ; running r ; done o ; halt r }\n"
+        "timer custom Blank on C4 { start z ; running o ; done o ; halt e }\n"
+        "substrate F { states f0 f1 f2 ; step (f0)(f1)(f2) }\n"
+        "attribute fz on F { f0 }\n"
+        "attribute fr on F { f1 }\n"
+        "attribute fo on F { f2 }\n"
+        "timer custom Stuck on F { start fz ; running fr ; done fo }\n"
+        "timer counter W { bits 1 ; threshold 1 }\n"
+    )
+    status, report = run_json(capsys, "check", str(bad))
+    assert status == 2
+    [entry] = report["files"]
+    assert entry["status"] == "input-error"
+
+    def diag(severity, line, message):
+        return {"severity": severity, "line": line, "column": 1, "message": message,
+                "suggestion": None}
+
+    malformed = "is not a well-formed null constructor"
+    assert entry["diagnostics"] == [
+        diag("error", 6, f"timer 'Early' {malformed}: halt-at-completion"),
+        diag(
+            "error",
+            7,
+            f"timer 'Blank' {malformed}: halt-distinguishable, halt-at-completion, "
+            "attributes-disjoint",
+        ),
+        diag(
+            "error",
+            12,
+            f"timer 'Stuck' {malformed}: starting-non-static, running-non-static, "
+            "completed-static-for-horizon, halt-at-completion",
+        ),
+        diag("warning", 13, "timer 'W': running attribute is empty (duration-1 degenerate timer)"),
+        diag(
+            "warning",
+            13,
+            "timer 'W': completed attribute stays static for 0 steps, "
+            "less than four durations (4)",
+        ),
+    ]
+
+
 # classify ----------------------------------------------------------------------
 
 
@@ -219,19 +270,20 @@ def test_dynamics_unknown_variable_exits_two(capsys, models_dir):
 
 
 def test_dynamics_unparseable_at_exits_two(capsys, models_dir):
-    status, report = run_json(
-        capsys,
-        "dynamics",
-        str(models_dir / "linear.ctm"),
-        "--variable",
-        "pos",
-        "--at",
-        "zero",
-        "--schedule",
-        "4,2,1",
-    )
-    assert status == 2
-    assert any("bad argument" in d["message"] for d in report["diagnostics"])
+    for at in ("zero", "1/0"):
+        status, report = run_json(
+            capsys,
+            "dynamics",
+            str(models_dir / "linear.ctm"),
+            "--variable",
+            "pos",
+            "--at",
+            at,
+            "--schedule",
+            "4,2,1",
+        )
+        assert status == 2
+        assert any("bad argument" in d["message"] for d in report["diagnostics"])
 
 
 RING8 = (
@@ -289,6 +341,16 @@ def test_tol_must_be_finite_and_non_negative(capsys, models_dir, tol):
     out, err = capsys.readouterr()
     assert out == ""
     assert "--tol must be finite and >= 0" in err
+
+
+@pytest.mark.parametrize("horizon", ["-1", "-10"])
+def test_horizon_must_be_non_negative(capsys, models_dir, horizon):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(models_dir / "timers.ctm"), f"--horizon={horizon}"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--horizon must be >= 0" in err
 
 
 # determinism and plumbing -----------------------------------------------------------

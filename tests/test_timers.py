@@ -1,8 +1,20 @@
+import functools
+import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from ctm import timers
+from ctm.cli import main
+from ctm.core import (
+    evolve,
+    first_entry,
+    is_static,
+    make_substrate,
+    recurrence_period,
+    static_horizon,
+)
 from ctm import (
     Attribute,
     ModelError,
@@ -18,7 +30,6 @@ from ctm import (
     make_particle_timer,
     make_timer,
     recurrence_horizon,
-    validate_null_constructor,
 )
 
 
@@ -49,9 +60,7 @@ def test_counter_timer_shape():
 def test_counter_threshold_one_is_degenerate_but_legal():
     spec = make_counter_timer(4, 1)
     assert spec.attrR.members == set()
-    report = validate_null_constructor(spec)
-    assert report.passed
-    assert any("empty" in w for w in report.warnings)
+    assert any("empty" in w for w in spec.warnings)
 
 
 def test_counter_threshold_out_of_range():
@@ -198,16 +207,20 @@ def test_one_substrate_two_attribute_choices_lands_in_two_classes():
 
 
 def test_classify_rejects_invalid_member():
+    # an invalid member never reaches the catalog: building it raises
     frozen = identity_substrate("F", ("f0", "f1", "f2"))
-    bad = make_timer(
-        "bad",
-        frozen,
-        Attribute(frozen, frozenset({"f0"}), name="0"),
-        Attribute(frozen, frozenset({"f1"}), name="R"),
-        Attribute(frozen, frozenset({"f2"}), name="1"),
-    )
-    with pytest.raises(ModelError, match="validation"):
-        classify_timers([bad])
+    with pytest.raises(ModelError, match="not a well-formed null constructor"):
+        classify_timers(
+            [
+                make_timer(
+                    "bad",
+                    frozen,
+                    Attribute(frozen, frozenset({"f0"}), name="0"),
+                    Attribute(frozen, frozenset({"f1"}), name="R"),
+                    Attribute(frozen, frozenset({"f2"}), name="1"),
+                )
+            ]
+        )
 
 
 # synchrony -----------------------------------------------------------------------
@@ -231,8 +244,8 @@ def skewed_timer(name="K"):
 
 
 def test_synchrony_is_self_co_halt():
-    skewed = skewed_timer()
-    assert validate_null_constructor(skewed).passed
+    skewed = skewed_timer()  # well formed: make_timer accepts it
+    assert seed_validate(skewed).passed
     assert skewed.duration == 3
     assert not check_synchrony(skewed)
     assert not check_simultaneous_halt(skewed, skewed)
@@ -243,12 +256,35 @@ def test_synchrony_is_self_co_halt():
 # validation -----------------------------------------------------------------------
 
 
-def test_validate_counter_passes_at_declared_horizon():
-    report = validate_null_constructor(make_counter_timer(4, 5), horizon=10)
-    assert report.passed
+def c16_timer_file(tmp_path, done):
+    """A custom timer on the 16-cycle: start {0}, running 1..4, the given completed states."""
+    path = tmp_path / "c16.ctm"
+    path.write_text(
+        "substrate C16 { states "
+        + " ".join(f"c{i}" for i in range(16))
+        + " ; step ("
+        + " ".join(f"c{i}" for i in range(16))
+        + ") }\n"
+        "attribute z on C16 { c0 }\n"
+        "attribute r on C16 { c1 c2 c3 c4 }\n"
+        f"attribute o on C16 {{ {' '.join(f'c{i}' for i in done)} }}\n"
+        "timer custom T on C16 { start z ; running r ; done o }\n"
+    )
+    return str(path)
 
 
-def test_validate_catches_eroded_completion_attribute():
+def check_at_horizon_10(capsys, path):
+    status = main(["check", path, "--horizon", "10"])
+    [entry] = json.loads(capsys.readouterr().out)["files"]
+    return status, entry["synchrony"][0]["validation_ok"]
+
+
+def test_validate_counter_passes_at_declared_horizon(capsys, tmp_path):
+    assert make_counter_timer(4, 5).static_horizon == 10
+    assert check_at_horizon_10(capsys, c16_timer_file(tmp_path, range(5, 16))) == (0, True)
+
+
+def test_validate_catches_eroded_completion_attribute(capsys, tmp_path):
     sub = cyclic_substrate("c16", tuple(range(16)))
     spec = make_timer(
         "eroded",
@@ -257,40 +293,39 @@ def test_validate_catches_eroded_completion_attribute():
         Attribute(sub, frozenset(range(1, 5)), name="R"),
         Attribute(sub, frozenset(range(5, 15)), name="1"),  # 15 excluded: exits early
     )
-    report = validate_null_constructor(spec, horizon=10)
-    assert not report.passed
-    assert "completed-static-for-horizon" in report.failures()
+    assert spec.static_horizon < 10
+    assert check_at_horizon_10(capsys, c16_timer_file(tmp_path, range(5, 15))) == (1, False)
 
 
 def test_validate_catches_flag_raised_before_completion():
     sub = cyclic_substrate("c16", tuple(range(16)))
     attrR = Attribute(sub, frozenset(range(1, 5)), name="R")
-    spec = make_timer(
-        "early-flag",
-        sub,
-        Attribute(sub, frozenset({0}), name="0"),
-        attrR,
-        Attribute(sub, frozenset(range(5, 16)), name="1"),
-        halt_flag=attrR,
-    )
-    report = validate_null_constructor(spec)
-    assert not report.passed
-    assert "halt-at-completion" in report.failures()
+    with pytest.raises(ModelError, match="halt-at-completion"):
+        make_timer(
+            "early-flag",
+            sub,
+            Attribute(sub, frozenset({0}), name="0"),
+            attrR,
+            Attribute(sub, frozenset(range(5, 16)), name="1"),
+            halt_flag=attrR,
+        )
 
 
 def test_validate_rejects_static_starting_attribute():
     frozen = identity_substrate("F", ("f0", "f1", "f2"))
-    spec = make_timer(
-        "stuck",
-        frozen,
-        Attribute(frozen, frozenset({"f0"}), name="0"),
-        Attribute(frozen, frozenset({"f1"}), name="R"),
-        Attribute(frozen, frozenset({"f2"}), name="1"),
+    # never completing, the timer also fails both checks that need a duration
+    failed = (
+        "starting-non-static, running-non-static, completed-static-for-horizon, "
+        "halt-at-completion"
     )
-    report = validate_null_constructor(spec)
-    assert not report.passed
-    assert "starting-non-static" in report.failures()
-    assert spec.duration is None
+    with pytest.raises(ModelError, match=failed):
+        make_timer(
+            "stuck",
+            frozen,
+            Attribute(frozen, frozenset({"f0"}), name="0"),
+            Attribute(frozen, frozenset({"f1"}), name="R"),
+            Attribute(frozen, frozenset({"f2"}), name="1"),
+        )
 
 
 def test_every_shipped_style_timer_validates():
@@ -301,8 +336,14 @@ def test_every_shipped_style_timer_validates():
         make_particle_timer(64, 1, 5),
         make_particle_timer(64, 2, 10),
     ):
-        assert validate_null_constructor(spec).passed
+        assert seed_validate(spec).passed
         assert are_distinguishable([spec.attr0, spec.attrR, spec.attr1])
+
+
+def test_composite_of_skewed_timers_is_rejected():
+    # each skewed start completes, and raises the pair's flag, at its own step
+    with pytest.raises(ModelError, match="halt-at-completion"):
+        composite_timer(skewed_timer("K1"), skewed_timer("K2"))
 
 
 def test_composite_lands_in_faster_timers_class():
@@ -440,3 +481,219 @@ def test_classify_equal_durations_keep_catalog_order():
     for catalog in ([skewed, counter], [counter, skewed]):
         got = [[m.name for m in c.members] for c in classify_timers(catalog)]
         assert got == [[spec.name] for spec in catalog]
+
+
+# construction-time validation against the seed validator ------------------------------
+
+
+def seed_spec(name, substrate, attr0, attrR, attr1, halt_flag=None):
+    """The seed make_timer: the derived fields, unvalidated (duration None if never complete)."""
+    for a in (attr0, attrR, attr1):
+        if a.substrate is not substrate:
+            raise ModelError(f"timer {name!r}: attribute {a.name!r} is on a different substrate")
+    if not attr0.members:
+        raise ModelError(f"timer {name!r}: starting attribute must be non-empty")
+    rec = recurrence_period(substrate)
+    firsts = [first_entry(substrate, s, attr1.members, rec) for s in attr0.members]
+    duration = None
+    if None not in firsts:
+        k = max(firsts)
+        if all(evolve(substrate, s, k) in attr1.members for s in attr0.members):
+            duration = k
+    return SimpleNamespace(
+        substrate=substrate,
+        attr0=attr0,
+        attrR=attrR,
+        attr1=attr1,
+        halt_flag=attr1 if halt_flag is None else halt_flag,
+        duration=duration,
+        static_horizon=static_horizon(attr1, cap=rec) if attr1.members else 0,
+        recurrence=rec,
+    )
+
+
+SEED_CHECKS = (
+    "starting-preparable",
+    "starting-non-static",
+    "running-non-static",
+    "completed-static-for-horizon",
+    "halt-distinguishable",
+    "halt-at-completion",
+    "attributes-disjoint",
+)
+
+
+def seed_validate(c, horizon=None):
+    """The seed validate_null_constructor: each check of the 0 / R / 1 / halt structure."""
+    warnings = []
+    h = c.static_horizon if horizon is None else horizon
+    checks = dict.fromkeys(SEED_CHECKS, True)
+    checks["starting-preparable"] = bool(c.attr0.members)
+    checks["starting-non-static"] = bool(c.attr0.members) and not is_static(c.attr0)
+    if c.attrR.members:
+        checks["running-non-static"] = not is_static(c.attrR)
+    else:
+        warnings.append("running attribute is empty (duration-1 degenerate timer)")
+    if c.attr1.members:
+        checks["completed-static-for-horizon"] = c.duration is not None and c.static_horizon >= h
+    else:
+        checks["completed-static-for-horizon"] = False
+    checks["halt-distinguishable"] = bool(c.halt_flag.members)
+    if c.duration is None:
+        checks["halt-at-completion"] = False
+    else:
+        for s in c.attr0.members:
+            flag_at = first_entry(c.substrate, s, c.halt_flag.members, c.recurrence)
+            done_at = first_entry(c.substrate, s, c.attr1.members, c.recurrence)
+            if flag_at is None or flag_at != done_at:
+                checks["halt-at-completion"] = False
+                break
+    seen = set()
+    for a in (c.attr0, c.attrR, c.attr1):
+        if a.members & seen:
+            checks["attributes-disjoint"] = False
+        seen |= a.members
+    if c.duration is not None and c.static_horizon < 4 * c.duration:
+        warnings.append(
+            f"completed attribute stays static for {c.static_horizon} steps, "
+            f"less than four durations ({4 * c.duration})"
+        )
+    failures = tuple(k for k, ok in checks.items() if not ok)
+    return SimpleNamespace(passed=not failures, failures=failures, warnings=tuple(warnings))
+
+
+def seed_staggered(c1, c2):
+    """The seed check_staggered_halt: simulate the pair step by step up to c1's halt."""
+    bound = max(c1.recurrence, c2.recurrence)
+    for s0 in c1.attr0.members:
+        h = first_entry(c1.substrate, s0, c1.halt_flag.members, bound)
+        if h is None:
+            return False
+        for t0 in c2.attr0.members:
+            x, y = s0, t0
+            for k in range(h + 1):
+                if x in c1.attr1.members and y in c2.attr1.members:
+                    return False
+                if k < h:
+                    x, y = c1.substrate.step[x], c2.substrate.step[y]
+            if x not in c1.attr1.members or y not in c2.attrR.members:
+                return False
+    return True
+
+
+def decision(parts):
+    """make_timer's verdict on a structure: its derived fields and warnings, or its error."""
+    try:
+        spec = make_timer(*parts)
+    except ModelError as e:
+        return str(e)
+    return spec.duration, spec.static_horizon, spec.recurrence, spec.warnings
+
+
+def seed_decision(parts):
+    """The seed's verdict: construct, then validate as its model analysis did."""
+    try:
+        spec = seed_spec(*parts)
+    except ModelError as e:
+        return str(e)
+    report = seed_validate(spec)
+    if not report.passed:
+        failed = ", ".join(report.failures)
+        return f"timer {parts[0]!r} is not a well-formed null constructor: {failed}"
+    return spec.duration, spec.static_horizon, spec.recurrence, report.warnings
+
+
+def composite_parts(c1, c2):
+    """The structure composite_timer hands to make_timer, before any check."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(timers, "make_timer", lambda *parts: parts)
+        return composite_timer(c1, c2)
+
+
+def random_parts(rng, i):
+    """A random custom timer structure on a 3-9-state substrate, often malformed."""
+    n = rng.randrange(3, 10)
+    states = tuple(f"s{j}" for j in range(n))
+    if rng.random() < 0.5:
+        images = rng.sample(states, n)
+        sub = make_substrate(f"R{i}", states, dict(zip(states, images)))
+    else:
+        sub = cyclic_substrate(f"R{i}", tuple(rng.sample(states, n)))
+    roles = {s: rng.choice("00RR11-") for s in states}
+    attr0, attrR, attr1 = (
+        Attribute(sub, frozenset(s for s in states if roles[s] == role), name=role)
+        for role in "0R1"
+    )
+    if rng.random() < 0.3:
+        attr1 = Attribute(sub, attr1.members | {rng.choice(states)}, name="1")
+    halt = None
+    if rng.random() < 0.3:
+        halt = Attribute(sub, frozenset(rng.sample(states, rng.randrange(0, n))), name="h")
+    return f"r{i}", sub, attr0, attrR, attr1, halt
+
+
+def random_timer_parts(count=3000):
+    rng = random.Random(2025)
+    return [random_parts(rng, i) for i in range(count)]
+
+
+@functools.cache
+def catalog_composite_parts():
+    """The composite structure of every ordered pair, faster first, of each seeded catalog."""
+    pairs = []
+    for seed in range(20):
+        catalog = seeded_catalog(seed)
+        pairs += [
+            (seed, composite_parts(c1, c2))
+            for c1 in catalog
+            for c2 in catalog
+            if c1.duration <= c2.duration
+        ]
+    return pairs
+
+
+def test_make_timer_matches_seed_validation_on_catalogs():
+    for seed in range(20):
+        for spec in seeded_catalog(seed):
+            parts = (spec.name, spec.substrate, spec.attr0, spec.attrR, spec.attr1, spec.halt_flag)
+            assert decision(parts) == seed_decision(parts), (seed, spec)
+
+
+def test_make_timer_matches_seed_validation_on_composites():
+    pairs = catalog_composite_parts()
+    for seed, parts in pairs:
+        assert decision(parts) == seed_decision(parts), (seed, parts[0])
+    # the seed built every pair; 90 of them, each with a skewed timer, were malformed
+    rejected = [parts[0] for _, parts in pairs if isinstance(decision(parts), str)]
+    assert (len(pairs), len(rejected)) == (798, 90)
+    assert all("k" in name for name in rejected)
+
+
+def test_make_timer_matches_seed_validation_on_random_structures():
+    verdicts = [(decision(parts), seed_decision(parts)) for parts in random_timer_parts()]
+    for mine, seed in verdicts:
+        assert mine == seed
+    assert sum(not isinstance(mine, str) for mine, _ in verdicts) == 501
+
+
+def valid_timer_groups():
+    """Groups of well-formed timers: each seeded catalog with its composites, then random ones."""
+    groups = [seeded_catalog(seed) for seed in range(20)]
+    for seed, parts in catalog_composite_parts():
+        if not isinstance(decision(parts), str):
+            groups[seed].append(make_timer(*parts))
+    valid = [
+        make_timer(*parts) for parts in random_timer_parts() if not isinstance(decision(parts), str)
+    ]
+    return groups + [valid[i : i + 25] for i in range(0, len(valid), 25)]
+
+
+def test_staggered_halt_matches_pair_simulation():
+    staggered = []
+    for group in valid_timer_groups():
+        for c1 in group:
+            for c2 in group:
+                if c1.duration < c2.duration:
+                    staggered.append(seed_staggered(c1, c2))
+                    assert check_staggered_halt(c1, c2) == staggered[-1], (c1, c2)
+    assert (len(staggered), sum(staggered)) == (19771, 16605)
