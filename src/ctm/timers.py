@@ -78,13 +78,13 @@ def make_timer(
     An empty running attribute (a duration-1 timer) and a horizon shorter
     than four durations are legal and recorded as warnings.
     """
-    for a in (attr0, attrR, attr1):
+    if halt_flag is None:
+        halt_flag = attr1
+    for a in (attr0, attrR, attr1, halt_flag):
         if a.substrate is not substrate:
             raise ModelError(f"timer {name!r}: attribute {a.name!r} is on a different substrate")
     if not attr0.members:
         raise ModelError(f"timer {name!r}: starting attribute must be non-empty")
-    if halt_flag is None:
-        halt_flag = attr1
     rec = recurrence_period(substrate)
     # a first entry, if any, happens within the recurrence period
     firsts = [first_entry(substrate, s, attr1.members, rec) for s in attr0.members]

@@ -91,6 +91,32 @@ def test_check_degenerate_fixture_confirms_declared_law(capsys, models_dir):
     ]
 
 
+def ring_laws(n, second):
+    states = " ".join(f"r{i}" for i in range(n))
+    return (
+        f"substrate R {{ states {states} ; step ({states}) }}\n"
+        "attribute x on R { r0 r1 }\n"
+        "attribute y on R { r2 r3 r4 }\n"
+        "law possible x -> y on R\n"
+        f"law {second} y -> x on R\n"
+    )
+
+
+@pytest.mark.parametrize("n", [6, 7, 2048])
+@pytest.mark.parametrize(
+    "second, status, verdict", [("impossible", 0, "confirmed"), ("possible", 1, "refuted")]
+)
+def test_check_decides_laws_at_any_ring_size(capsys, tmp_path, n, second, status, verdict):
+    model = tmp_path / "ring.ctm"
+    model.write_text(ring_laws(n, second))
+    got, report = run_json(capsys, "check", str(model))
+    assert got == status
+    checks = report["files"][0]["law_checks"]
+    assert [c["verdict"] for c in checks] == ["confirmed", verdict]
+    # candidates, a permutation rank, is reported only up to 6 states
+    assert all(("candidates" in c) == (n <= 6) for c in checks)
+
+
 def test_check_skewed_timer_fails_synchrony(capsys, tmp_path):
     skewed = tmp_path / "skewed.ctm"
     skewed.write_text(

@@ -483,6 +483,17 @@ def test_classify_equal_durations_keep_catalog_order():
         assert got == [[spec.name] for spec in catalog]
 
 
+def test_make_timer_rejects_halt_flag_on_another_substrate():
+    # a foreign flag would be read by state label on a substrate the timer never steps
+    a = cyclic_substrate("A", range(8))
+    b = cyclic_substrate("B", range(8))
+    attr0, attrR, attr1 = (Attribute(a, frozenset(m)) for m in ({0}, {1, 2}, range(3, 8)))
+    flag = Attribute(b, frozenset(range(3, 8)), name="flag")
+    assert make_timer("x", a, attr0, attrR, attr1).duration == 3
+    with pytest.raises(ModelError, match="attribute 'flag' is on a different substrate"):
+        make_timer("x", a, attr0, attrR, attr1, halt_flag=flag)
+
+
 # construction-time validation against the seed validator ------------------------------
 
 
