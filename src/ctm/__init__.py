@@ -58,8 +58,6 @@ from .witnesses import (
     WitnessFamily,
     accuracy,
     check_possible_in_limit,
-    first_permutation_rank,
-    permutation_possible,
     reliability,
     search_impossibility,
     uniform_possibility,

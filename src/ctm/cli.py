@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import os
@@ -39,7 +38,12 @@ from .timers import (
     classify_timers,
     recurrence_horizon,
 )
-from .witnesses import MAX_SEARCH_STATES, first_permutation_rank, permutation_possible
+from .witnesses import (
+    MAX_SEARCH_STATES,
+    _allowed_images,
+    _first_permutation,
+    permutation_possible,
+)
 
 SCHEMA = "ctm-report/1"
 ENV_MODEL_ROOT = "CTM_MODEL_ROOT"
@@ -115,17 +119,23 @@ def _check_laws(model: BuiltModel) -> tuple[list[dict], bool]:
 
     A law is one (input, output) pair, and a substrate permutation performs
     it iff |input| <= |output| (permutation_possible).  candidates, the
-    rank of the first hit a permutation enumeration would find, is reported
-    only for substrates of at most MAX_SEARCH_STATES states.
+    rank of the first hit a permutation enumeration would find (n! when
+    there is none), is reported only for substrates of at most
+    MAX_SEARCH_STATES states; only a possible law needs the matching.
     """
     results = []
     refuted = False
     for st in model.laws.statements:
         task = st.task
         entry = {"task": _task_label(task), "declared": st.status.value}
-        if len(task.substrate.states) <= MAX_SEARCH_STATES:
-            entry["candidates"] = first_permutation_rank(task)
         found = permutation_possible(task)
+        states = task.substrate.states
+        if len(states) <= MAX_SEARCH_STATES:
+            entry["candidates"] = (
+                _first_permutation(states, _allowed_images(states, (task,)))[1]
+                if found
+                else math.factorial(len(states))
+            )
         expected = st.status is Possibility.POSSIBLE
         if found == expected:
             entry["verdict"] = "confirmed"
@@ -424,13 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# building the parser costs more than checking a small model, so main builds it once
-_parser = functools.cache(build_parser)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
-    parser = _parser()
+    parser = build_parser()
     args = parser.parse_args(argv)
     if not 1 <= args.budget <= MAX_BUDGET:
         parser.error(f"--budget must be in 1..{MAX_BUDGET}")

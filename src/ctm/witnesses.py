@@ -12,9 +12,9 @@ its output.  That is a bipartite perfect-matching question (Hall's
 theorem), answered with Kuhn's augmenting paths.  A hit is the first
 permutation in lexicographic order (by state order), and its candidates
 count is its rank: how many permutations an enumeration in that order
-would try, or n! when there is no hit.  For a single pair both have a
-closed form (permutation_possible, first_permutation_rank), valid at any
-substrate size.  "No witness" speaks for permutation witnesses
+would try, or n! when there is no hit.  For a single pair the decision
+is a cardinality test (permutation_possible), valid at any substrate
+size.  "No witness" speaks for permutation witnesses
 only; it does not cover a device whose halt step or final microstate
 depends on the input, which verify_witness accepts.
 """
@@ -405,43 +405,6 @@ def permutation_possible(t: Task) -> bool:
     search_impossibility(t).found at any substrate size.
     """
     return len(t.input.members) <= len(t.output.members)
-
-
-def first_permutation_rank(t: Task) -> int:
-    """search_impossibility(t).candidates in closed form: the first hit's 1-based rank, or n!.
-
-    The search gives each state, in state order, the first free image (in
-    state order) that leaves the later states matchable.  Later states are
-    matchable iff the free outputs are at least the inputs still to place:
-    those inputs need distinct outputs, and every other state takes
-    whatever is left, which has exactly as many states as remain (Hall's
-    condition, as in permutation_possible).  So an input state takes the
-    first free output; any other state takes the first free state, unless
-    that is an output and taking it would leave fewer free outputs than
-    inputs to place, when it takes the first free non-output.  If the
-    choice for state i sits at position j_i of the free list, the rank is
-    the Lehmer sum of j_i * (n-1-i)!, plus 1.
-    """
-    states = t.substrate.states
-    n = len(states)
-    ins, outs = t.input.members, t.output.members
-    if not permutation_possible(t):
-        return math.factorial(n)
-    free = list(states)
-    free_outs = len(outs)
-    ins_left = len(ins)
-    rank = 0
-    for i, s in enumerate(states):
-        if s in ins:
-            ins_left -= 1
-            j = next(j for j, c in enumerate(free) if c in outs)
-        elif free[0] in outs and free_outs - 1 < ins_left:
-            j = next(j for j, c in enumerate(free) if c not in outs)
-        else:
-            j = 0
-        free_outs -= free.pop(j) in outs
-        rank += j * math.factorial(n - 1 - i)
-    return rank + 1
 
 
 def search_impossibility(tasks: Union[Task, Sequence[Task]], max_steps: int = 4) -> SearchResult:
