@@ -118,18 +118,38 @@ class Attribute:
         return f"Attribute({self.name or sorted(map(repr, self.members))} on {self.substrate.id!r})"
 
 
+def parameter_key(lam) -> int | Fraction:
+    """The canonical form of a rational parameter value: an int when whole, else a Fraction.
+
+    `lam` is anything `Fraction` accepts (an int, a Fraction, a float, or a
+    string such as "3/2").  A whole value equals, and hashes like, its
+    Fraction, so a table keyed by parameter_key answers lookups by either;
+    keeping the DSL's integer parameters as ints lets hashing, sorting and
+    comparison run in C instead of in Fraction's Python methods.
+    """
+    if type(lam) is int:
+        return lam
+    q = Fraction(lam)
+    return q.numerator if q.denominator == 1 else q
+
+
 @dataclass(frozen=True, eq=False)
 class Variable:
-    """Disjoint attributes of one substrate indexed by a rational parameter."""
+    """Disjoint attributes of one substrate indexed by a rational parameter.
+
+    The parameter values are kept as `parameter_key` gives them: whole values
+    as ints, the others as Fractions.  `attribute` and `in` accept any value
+    `Fraction` accepts.
+    """
 
     substrate: Substrate
-    entries: Mapping[Fraction, Attribute]
+    entries: Mapping[int | Fraction, Attribute]
     allow_static: bool = False
     # the parameter values in increasing order
-    domain: tuple[Fraction, ...] = field(init=False, repr=False)
+    domain: tuple[int | Fraction, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        normal = {Fraction(k): v for k, v in self.entries.items()}
+        normal = {parameter_key(k): v for k, v in self.entries.items()}
         object.__setattr__(self, "entries", normal)
         object.__setattr__(self, "domain", tuple(sorted(normal)))
         seen: set = set()
@@ -147,13 +167,13 @@ class Variable:
                 )
 
     def attribute(self, lam) -> Attribute:
-        key = Fraction(lam)
+        key = parameter_key(lam)
         if key not in self.entries:
             raise ModelError(f"parameter {lam} outside the variable's domain")
         return self.entries[key]
 
     def __contains__(self, lam) -> bool:
-        return Fraction(lam) in self.entries
+        return parameter_key(lam) in self.entries
 
 
 def cycle_decomposition(

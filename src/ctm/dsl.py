@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .core import (
     Attribute,
@@ -202,15 +202,16 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
+# A token is an exact tuple (kind, text, line, column), with a 1-based
+# (line, column) span.  The garbage collector stops tracking a tuple whose
+# items are all str and int at its first collection, so a loaded file's tokens
+# are not walked again by every later collection; a NamedTuple subclass would
+# stay tracked, and its Python-level constructor costs a call per token.
+_Token = tuple[str, str, int, int]
 
 
 def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
-    """Tokens with 1-based (line, column) spans, in one pass over `text`."""
+    """Tokens `(kind, text, line, column)`, in one pass over `text`."""
     tokens: list[_Token] = []
     diags: list[Diagnostic] = []
     line, line_start = 1, 0  # line_start: offset of the current line's first character
@@ -223,8 +224,8 @@ def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
             column = m.start(kind) - line_start + 1
             diags.append(Diagnostic("error", line, column, f"unexpected character {m[kind]!r}"))
         elif kind is not None:
-            tokens.append(_Token(kind, m[kind], line, m.start(kind) - line_start + 1))
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+            tokens.append((kind, m[kind], line, m.start(kind) - line_start + 1))
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
     return tokens, diags
 
 
@@ -258,59 +259,59 @@ class _Parser:
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
     def fail(self, message: str, tok: _Token | None = None, suggestion: str | None = None):
         tok = tok or self.peek()
-        self.diags.append(Diagnostic("error", tok.line, tok.column, message, suggestion))
+        self.diags.append(Diagnostic("error", tok[2], tok[3], message, suggestion))
         raise _Recover()
 
     # a token that matched an expected kind or word is not eof, so the methods
     # below step past it with `pos += 1` instead of `advance()`
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}")
+        if tok[0] != kind:
+            self.fail(f"expected {what}, found {tok[1]!r}" if tok[1] else f"expected {what}")
         self.pos += 1
         return tok
 
     def expect_word(self, word: str) -> _Token:
         tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            self.fail(f"expected {word!r}, found {tok.text!r}" if tok.text else f"expected {word!r}")
+        if tok[0] != "ident" or tok[1] != word:
+            self.fail(f"expected {word!r}, found {tok[1]!r}" if tok[1] else f"expected {word!r}")
         self.pos += 1
         return tok
 
     def accept_word(self, word: str) -> bool:
         tok = self.peek()
-        if tok.kind == "ident" and tok.text == word:
+        if tok[0] == "ident" and tok[1] == word:
             self.pos += 1
             return True
         return False
 
     def name(self, what: str) -> str:
-        return self.expect("ident", what).text
+        return self.expect("ident", what)[1]
 
     def labels(self, stop: str | None = None) -> list[str]:
         """The run of state labels (identifiers or integers) up to the word `stop`."""
         run = []
-        while (tok := self.peek()).kind in ("ident", "int") and tok.text != stop:
-            run.append(tok.text)
+        while (tok := self.peek())[0] in ("ident", "int") and tok[1] != stop:
+            run.append(tok[1])
             self.pos += 1
         return run
 
     def integer(self, what: str) -> int:
-        return int(self.expect("int", what).text)
+        return int(self.expect("int", what)[1])
 
     def number(self, what: str) -> float:
         tok = self.peek()
-        if tok.kind not in ("int", "float"):
-            self.fail(f"expected {what}, found {tok.text!r}")
-        value = float(tok.text)
+        if tok[0] not in ("int", "float"):
+            self.fail(f"expected {what}, found {tok[1]!r}")
+        value = float(tok[1])
         if not math.isfinite(value):
-            self.fail(f"{what} must be finite, found {tok.text!r}")
+            self.fail(f"{what} must be finite, found {tok[1]!r}")
         self.pos += 1
         return value
 
@@ -319,13 +320,13 @@ class _Parser:
         depth = 0
         while True:
             tok = self.peek()
-            if tok.kind == "eof":
+            if tok[0] == "eof":
                 return
-            if tok.kind == "lbrace":
+            if tok[0] == "lbrace":
                 depth += 1
-            elif tok.kind == "rbrace":
+            elif tok[0] == "rbrace":
                 depth = max(0, depth - 1)
-            elif depth == 0 and tok.kind == "ident" and tok.text in _KEYWORDS:
+            elif depth == 0 and tok[0] == "ident" and tok[1] in _KEYWORDS:
                 return
             self.advance()
 
@@ -342,7 +343,7 @@ class _Parser:
         self.expect_word("step")
         step: dict = {}
         cycle_tok = self.peek()
-        while self.peek().kind == "lparen":
+        while self.peek()[0] == "lparen":
             self.advance()
             cyc = self.labels()
             self.expect("rparen", "')'")
@@ -414,7 +415,7 @@ class _Parser:
             self.expect_word("done")
             done = self.name("attribute name")
             halt = None
-            if self.peek().kind == "semi":
+            if self.peek()[0] == "semi":
                 self.advance()
                 self.expect_word("halt")
                 halt = self.name("attribute name")
@@ -435,14 +436,14 @@ class _Parser:
 
     def parse_law(self, span: Span) -> LawDecl:
         tok = self.peek()
-        if tok.kind == "check":
+        if tok[0] == "check":
             status = "possible"
             self.advance()
-        elif tok.kind == "cross":
+        elif tok[0] == "cross":
             status = "impossible"
             self.advance()
-        elif tok.kind == "ident" and tok.text in ("possible", "impossible"):
-            status = self.advance().text
+        elif tok[0] == "ident" and tok[1] in ("possible", "impossible"):
+            status = self.advance()[1]
         else:
             self.fail("expected law status: 'possible', 'impossible', '✓' or '✗'", tok)
             raise AssertionError
@@ -465,7 +466,7 @@ class _Parser:
         substrate = self.name("substrate name")
         self.expect("lbrace", "'{'")
         entries: dict = {}
-        while self.peek().kind == "int":
+        while self.peek()[0] == "int":
             lam_tok = self.peek()
             lam = self.integer("parameter value")
             self.expect("colon", "':'")
@@ -475,7 +476,7 @@ class _Parser:
             if lam in entries:
                 self.fail(f"duplicate parameter value {lam}", lam_tok)
             entries[lam] = (attr, reading)
-            if self.peek().kind == "semi":
+            if self.peek()[0] == "semi":
                 self.advance()
             else:
                 break
@@ -505,17 +506,17 @@ class _Parser:
             else:
                 table[decl.name] = decl
 
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             tok = self.peek()
             try:
-                if tok.kind != "ident" or tok.text not in _KEYWORDS:
+                if tok[0] != "ident" or tok[1] not in _KEYWORDS:
                     self.fail(
-                        f"expected a declaration keyword, found {tok.text!r}",
+                        f"expected a declaration keyword, found {tok[1]!r}",
                         tok,
                         suggestion="one of: " + ", ".join(_KEYWORDS),
                     )
-                span = (tok.line, tok.column)
-                keyword = self.advance().text
+                span = (tok[2], tok[3])
+                keyword = self.advance()[1]
                 if keyword == "substrate":
                     store(substrates, self.parse_substrate(span), "substrate")
                 elif keyword == "attribute":

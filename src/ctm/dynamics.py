@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import ModelError, Substrate, Variable, evolve, first_entry, orbit
+from .core import ModelError, Substrate, Variable, evolve, first_entry, orbit, parameter_key
 from .timers import TimerClass, TimerSpec, make_counter_timer
 
 
@@ -31,14 +31,18 @@ class AdvanceCheckFailed(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryModel:
-    """A variable together with a numeric reading for each parameter value."""
+    """A variable together with a numeric reading for each parameter value.
+
+    Readings are keyed like the variable's entries, by `parameter_key`;
+    `reading` accepts any value `Fraction` accepts.
+    """
 
     variable: Variable
-    readings: Mapping[Fraction, float]
+    readings: Mapping[int | Fraction, float]
     name: str = ""
 
     def __post_init__(self) -> None:
-        normal = {Fraction(k): float(v) for k, v in self.readings.items()}
+        normal = {parameter_key(k): float(v) for k, v in self.readings.items()}
         object.__setattr__(self, "readings", normal)
         missing = [lam for lam in self.variable.domain if lam not in normal]
         if missing:
@@ -49,7 +53,7 @@ class TrajectoryModel:
         return self.variable.substrate
 
     def reading(self, lam) -> float:
-        key = Fraction(lam)
+        key = parameter_key(lam)
         if key not in self.readings:
             raise ModelError(f"no reading at parameter {lam}")
         return self.readings[key]
@@ -185,16 +189,15 @@ def recover_clock_pointer(m: TrajectoryModel, reference: Sequence[TimerClass]) -
     reported unmapped.  The recurrence period of the pointer bounds how far
     readings can go before wrapping.
     """
-    zero = Fraction(0)
-    if zero not in m.variable:
+    if 0 not in m.variable:
         raise ModelError("pointer recovery needs an entry at λ = 0")
-    v0 = m.variable.attribute(zero)
+    v0 = m.variable.attribute(0)
     period = math.lcm(*(len(orbit(m.substrate, s)) for s in v0.members))
     by_duration = {cls.duration: cls for cls in reference}
-    mapping: dict = {zero: 0}
+    mapping: dict = {0: 0}
     unmapped = []
     for lam in m.variable.domain:
-        if lam == zero:
+        if lam == 0:
             continue
         target = m.variable.attribute(lam)
         firsts = {

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,3 +22,10 @@ def counter16():
 
 def singleton(substrate, state, name=""):
     return Attribute(substrate, frozenset({state}), name=name or str(state))
+
+
+# parameter values written as an int, a whole Fraction, a non-whole Fraction
+# or a string, all distinct as numbers
+MIXED_LAMBDAS = (3, Fraction(1), Fraction(1, 2), "3/2", 0, "4", Fraction(-7, 3), Fraction(10, 5))
+# the same values and some outside them, in every form a lookup accepts
+LAMBDA_PROBES = (*MIXED_LAMBDAS, 2.0, 0.5, "2/1", 1, "1/2", Fraction(4), 5, "5/2", -1.5)

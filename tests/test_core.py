@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +24,8 @@ from ctm import (
     recurrence_period,
     static_horizon,
 )
-from ctm.core import entry_states
-from conftest import singleton
+from ctm.core import entry_states, parameter_key
+from conftest import LAMBDA_PROBES, MIXED_LAMBDAS, singleton
 
 
 def label_perm_substrates(max_size=8):
@@ -320,3 +322,39 @@ def test_variable_static_entries_need_flag():
     with pytest.raises(ModelError, match="static"):
         Variable(frozen, entries)
     assert Variable(frozen, entries, allow_static=True).domain
+
+
+@given(st.fractions())
+def test_parameter_key_is_the_number_as_an_int_when_whole(q):
+    forms = [q, str(q)] + ([q.numerator] if q.denominator == 1 else [])
+    for form in forms:
+        key = parameter_key(form)
+        assert key == q and hash(key) == hash(q)
+        assert type(key) is (int if q.denominator == 1 else Fraction)
+
+
+def mixed_variable():
+    ring = cyclic_substrate("r16", tuple(range(16)))
+    entries = {lam: singleton(ring, cell) for cell, lam in enumerate(MIXED_LAMBDAS)}
+    return entries, Variable(ring, entries)
+
+
+def test_variable_keys_whole_parameters_as_ints():
+    _, v = mixed_variable()
+    assert v.domain == tuple(sorted(Fraction(lam) for lam in MIXED_LAMBDAS))
+    for lam in v.entries:
+        assert type(lam) is (int if Fraction(lam).denominator == 1 else Fraction)
+
+
+def test_variable_lookups_match_a_fraction_keyed_reference():
+    entries, v = mixed_variable()
+    reference = {Fraction(lam): attr for lam, attr in entries.items()}
+    for probe in LAMBDA_PROBES:
+        want = reference.get(Fraction(probe))
+        assert (probe in v) == (want is not None), probe
+        if want is not None:
+            assert v.attribute(probe) is want
+        else:
+            with pytest.raises(ModelError) as err:
+                v.attribute(probe)
+            assert str(err.value) == f"parameter {probe} outside the variable's domain"

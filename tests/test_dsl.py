@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 import string
@@ -375,7 +376,7 @@ def seed_lex(text):
 def assert_lex_matches_seed(text):
     tokens, diags = _lex(text)
     want_tokens, want_diags = seed_lex(text)
-    assert [(t.kind, t.text, t.line, t.column) for t in tokens] == want_tokens, text
+    assert tokens == want_tokens, text
     assert diags == want_diags, text
 
 
@@ -399,6 +400,31 @@ def test_lex_matches_seed_on_edge_cases(text):
 @given(st.one_of(st.lists(st.sampled_from(LEX_PIECES), max_size=60).map("".join), st.text()))
 def test_lex_matches_seed_on_generated_text(text):
     assert_lex_matches_seed(text)
+
+
+def ring_pointer_text(cells):
+    """A ring pointer with one attribute per cell and a linear variable over them."""
+    states = " ".join(f"c{i}" for i in range(cells))
+    entries = " ; ".join(f"{i} : a{i} @ {i}.0" for i in range(cells))
+    return (
+        f"substrate P {{ states {states} ; step ({states}) }}\n"
+        + "".join(f"attribute a{i} on P {{ c{i} }}\n" for i in range(cells))
+        + f"variable v on P {{ {entries} }}\n"
+    )
+
+
+def test_lex_tokens_are_plain_tuples_the_collector_untracks(models_dir):
+    # a tuple of str and int leaves the collector's lists at its first
+    # collection; a tuple subclass such as a NamedTuple stays tracked, and
+    # every later collection would walk all of a loaded file's tokens again
+    texts = [path.read_text() for path in fixture_texts(models_dir)]
+    texts.append(ring_pointer_text(2048))
+    assert parse_model(texts[-1]).ok
+    for text in texts:
+        tokens, _ = _lex(text)
+        assert all(type(tok) is tuple for tok in tokens)
+        gc.collect()
+        assert not any(gc.is_tracked(tok) for tok in tokens)
 
 
 # validation / build ---------------------------------------------------------------

@@ -18,7 +18,7 @@ from ctm import (
     make_counter_timer,
     recover_clock_pointer,
 )
-from conftest import singleton
+from conftest import LAMBDA_PROBES, MIXED_LAMBDAS, singleton
 
 OMEGA = 2 * math.pi / 64
 
@@ -195,3 +195,60 @@ def test_pointer_recovery_needs_zero_entry():
     model = TrajectoryModel(var, {1: 1.0})
     with pytest.raises(ModelError, match="λ = 0"):
         recover_clock_pointer(model, reference_classes())
+
+
+# parameter values in mixed forms ------------------------------------------------
+
+
+def mixed_model(form):
+    """A 16-ring trajectory with λ = MIXED_LAMBDAS[i] at cell i, keys written by `form`."""
+    ring = cyclic_substrate("ring16", tuple(range(16)))
+    var = Variable(ring, {form(lam): singleton(ring, c) for c, lam in enumerate(MIXED_LAMBDAS)})
+    readings = {form(lam): 10.0 * c for c, lam in enumerate(MIXED_LAMBDAS)}
+    return TrajectoryModel(var, readings)
+
+
+KEY_FORMS = [lambda lam: lam, Fraction, str]
+
+
+@pytest.mark.parametrize("form", KEY_FORMS, ids=["mixed", "fraction", "str"])
+def test_readings_match_a_fraction_keyed_reference(form):
+    model = mixed_model(form)
+    reference = {Fraction(lam): 10.0 * c for c, lam in enumerate(MIXED_LAMBDAS)}
+    for lam in model.readings:
+        assert type(lam) is (int if Fraction(lam).denominator == 1 else Fraction)
+    for probe in LAMBDA_PROBES:
+        want = reference.get(Fraction(probe))
+        if want is not None:
+            assert model.reading(probe) == want
+        else:
+            with pytest.raises(ModelError) as err:
+                model.reading(probe)
+            assert str(err.value) == f"no reading at parameter {probe}"
+
+
+@pytest.mark.parametrize("form", KEY_FORMS, ids=["mixed", "fraction", "str"])
+def test_pointer_recovery_matches_a_fraction_keyed_reference(form):
+    # on a ring, v(0) first reaches v(λ) after the distance between their cells
+    cells = {Fraction(lam): c for c, lam in enumerate(MIXED_LAMBDAS)}
+    durations = range(1, 9)
+    mapping, unmapped = {Fraction(0): 0}, []
+    for lam in sorted(cells):
+        if lam != 0:
+            k = (cells[lam] - cells[Fraction(0)]) % 16
+            if k in durations:
+                mapping[lam] = k
+            else:
+                unmapped.append(lam)
+    rec = recover_clock_pointer(mixed_model(form), reference_classes(durations))
+    assert rec.mapping == mapping and rec.unmapped == tuple(unmapped)
+    assert mapping and unmapped  # the reference exercises both outcomes
+
+
+def test_missing_readings_are_listed_as_canonical_values():
+    ring = cyclic_substrate("ring8", tuple(range(8)))
+    entries = {0: singleton(ring, 0), Fraction(3): singleton(ring, 3), "5/2": singleton(ring, 5)}
+    var = Variable(ring, entries)
+    with pytest.raises(ModelError) as err:
+        TrajectoryModel(var, {0: 0.0})
+    assert str(err.value) == "readings missing for parameters [Fraction(5, 2), 3]"

@@ -39,6 +39,8 @@ GOLDEN = [
     ("classify models/timers.ctm --horizon 3", 0, "ad359e78e7d2d5d026a1ab39571aa8cde6aff25c0cf368957a3cf29664f60218"),
     ("dynamics models/rotation.ctm --variable theta --schedule 8,4,2,1", 0, "e2981aa467a64c9be1a7c5964fffc076be6008e988309a7aa4fd732fc4dd64a3"),
     ("dynamics models/linear.ctm --variable pos --schedule 8,4,2,1", 0, "334aff66169757c87e035c5212132875813db05b119038d9180d0b062a198167"),
+    # a non-whole λ on an integer variable is outside its domain: exit 2
+    ("dynamics models/linear.ctm --variable pos --at 3/2 --schedule 8,4,2,1", 2, "64eb48acccf51d9fd28e8fe9a5b8975787bb18b55a038b4b1ff751d8f9e4e516"),
 ]
 
 
