@@ -71,6 +71,21 @@ class Task:
 TaskLike = Union[Task, NullTask]
 
 
+_NULL_KEY = None
+
+
+def _task_key(task: TaskLike) -> tuple | None:
+    """What a task compares by: its substrate instance and its two member sets.
+
+    Names play no part, as in ``Task.__eq__``, and every null task has the
+    key ``_NULL_KEY``.  The tuple hashes in C: ``Substrate`` hashes by
+    identity and a frozenset caches its hash.
+    """
+    if isinstance(task, NullTask):
+        return _NULL_KEY
+    return (task.input.substrate, task.input.members, task.output.members)
+
+
 @dataclass(frozen=True)
 class Declared:
     note: str = ""
@@ -143,9 +158,6 @@ class LawSet:
                 seen.setdefault(id(st.task.substrate), st.task.substrate)
         return tuple(seen.values())
 
-    def facts(self) -> dict[tuple[TaskLike, Possibility], LawStatement]:
-        return {(st.task, st.status): st for st in self.statements}
-
     def statement_keys(self) -> frozenset:
         return frozenset((st.task, st.status) for st in self.statements)
 
@@ -165,10 +177,18 @@ def serial_compose(a: TaskLike, b: TaskLike) -> TaskLike:
         return NULL_TASK
     if a.substrate is not b.substrate:
         raise ModelError("serial composition needs both tasks on the same substrate")
+    return Task(a.input, b.output) if _chains(a, b) else NULL_TASK
+
+
+def _chains(a: Task, b: Task) -> bool:
+    """Whether a's output attribute is b's input (True) or disjoint from it (False).
+
+    Raises CompositionUndefined when the two overlap without being equal.
+    """
     if a.output.members == b.input.members:
-        return Task(a.input, b.output)
-    if not (a.output.members & b.input.members):
-        return NULL_TASK
+        return True
+    if a.output.members.isdisjoint(b.input.members):
+        return False
     raise CompositionUndefined(
         "composition undefined: intermediate attributes overlap without being equal"
     )
@@ -210,8 +230,8 @@ def deductive_closure(laws: LawSet) -> LawSet:
       suffix, and a pair of two old facts was tried last round.
       ``derive_pair`` depends only on the two tasks and the composite
       cache, whose entries never change, so trying it again either
-      rebuilds a task already in ``facts`` or raises
-      ``CompositionUndefined``: it adds nothing.
+      finds its task already known or raises ``CompositionUndefined``:
+      it adds nothing.
     * Pairs that no rule applies to: facts on two different substrates
       that are not both declared ones.
     * Once the null task is a fact, serial pairs whose intermediate
@@ -221,35 +241,61 @@ def deductive_closure(laws: LawSet) -> LawSet:
 
     The remaining pairs are tried in the same lexicographic order, so the
     same statements are derived in the same order from the same premises.
+
+    Two tables keep each tried pair cheap.  Known facts are keyed by value
+    (``_task_key``), a tuple that CPython hashes in C; a ``(Task,
+    Possibility)`` key would run the dataclass-generated ``__hash__`` of
+    the task and of both its attributes, and ``Enum.__hash__``, on every
+    lookup.  The key is computed before anything is built, so a pair that
+    derives a known fact builds no task and no statement.  And each
+    composite pair attribute is built once per run, then shared by every
+    task that uses it, so the parallel rule is ``parallel_compose`` without
+    a fresh product per pair (and without its argument checks, which hold
+    here by construction).  That memo is keyed by the identity of the
+    composite and of both component attributes, never by attribute
+    equality: equal attributes may carry different names, and a pair
+    attribute's name is made from its components' names.
     """
-    facts = dict(laws.facts())
+    known = {_task_key(st.task) for st in laws.statements if st.status is Possibility.POSSIBLE}
     order: list[LawStatement] = list(laws.statements)
     base = {id(s) for s in laws.substrates()}
     composites: dict[tuple[int, int], Substrate] = dict(laws.composites)
+    paired: dict[tuple[int, int, int], Attribute] = {}
 
-    def add(task: TaskLike, rule: str, premises: tuple[LawStatement, ...]) -> bool:
-        key = (task, Possibility.POSSIBLE)
-        if key in facts:
-            return False
-        st = LawStatement(task, Possibility.POSSIBLE, Derived(rule, premises))
-        facts[key] = st
-        order.append(st)
-        return True
+    def pair(composite: Substrate, left: Attribute, right: Attribute) -> Attribute:
+        key = (id(composite), id(left), id(right))
+        attr = paired.get(key)
+        if attr is None:
+            attr = paired[key] = pair_attribute(composite, left, right)
+        return attr
 
     def derive_pair(s1: LawStatement, s2: LawStatement) -> bool:
         t1, t2 = s1.task, s2.task
-        if t1.substrate is t2.substrate:
+        sub1, sub2 = t1.input.substrate, t2.input.substrate
+        if sub1 is sub2:
             try:
-                composed = serial_compose(t1, t2)
+                chained = _chains(t1, t2)
             except CompositionUndefined:
                 return False
-            return add(composed, "serial", (s1, s2))
-        if id(t1.substrate) in base and id(t2.substrate) in base:
-            key = (id(t1.substrate), id(t2.substrate))
-            if key not in composites:
-                composites[key] = compose_substrates(t1.substrate, t2.substrate)
-            return add(parallel_compose(t1, t2, composites[key]), "parallel", (s1, s2))
-        return False
+            key = (sub1, t1.input.members, t2.output.members) if chained else _NULL_KEY
+            if key in known:
+                return False
+            task = Task(t1.input, t2.output) if chained else NULL_TASK
+            rule = "serial"
+        elif id(sub1) in base and id(sub2) in base:
+            composite = composites.get((id(sub1), id(sub2)))
+            if composite is None:
+                composite = composites[id(sub1), id(sub2)] = compose_substrates(sub1, sub2)
+            inp, out = pair(composite, t1.input, t2.input), pair(composite, t1.output, t2.output)
+            key = (composite, inp.members, out.members)
+            if key in known:
+                return False
+            task, rule = Task(inp, out), "parallel"
+        else:
+            return False
+        known.add(key)
+        order.append(LawStatement(task, Possibility.POSSIBLE, Derived(rule, (s1, s2))))
+        return True
 
     # positions in `possibles`, ascending: by substrate, and by (substrate, input members)
     possibles: list[LawStatement] = []
@@ -262,15 +308,15 @@ def deductive_closure(laws: LawSet) -> LawSet:
         old = len(possibles)
         for st in order[scanned:]:
             if st.status is Possibility.POSSIBLE and isinstance(st.task, Task):
-                sid = id(st.task.substrate)
+                sid = id(st.task.input.substrate)
                 by_substrate.setdefault(sid, []).append(len(possibles))
                 joins.setdefault((sid, st.task.input.members), []).append(len(possibles))
                 possibles.append(st)
         scanned = len(order)
         # distinct pairs first, so derived facts carry the more informative trace
         for i, s1 in enumerate(possibles):
-            sid = id(s1.task.substrate)
-            if (NULL_TASK, Possibility.POSSIBLE) in facts:
+            sid = id(s1.task.input.substrate)
+            if _NULL_KEY in known:
                 partners = joins.get((sid, s1.task.output.members), [])
             else:
                 partners = by_substrate[sid]
@@ -305,25 +351,23 @@ def check_consistency(laws: LawSet) -> ConsistencyReport:
     """Report every task held both possible and impossible.
 
     Run after deductive_closure to catch derived contradictions; on an
-    unclosed set only declared clashes are visible.
+    unclosed set only declared clashes are visible.  Contradictions come in
+    the order their tasks are first mentioned; each names the task as first
+    mentioned and the last possible and last impossible statement on it.
     """
-    facts = laws.facts()
-    found = []
-    seen: set = set()
-    for (task, status), st in facts.items():
-        if task in seen:
-            continue
-        other = facts.get((task, _flip(status)))
-        if other is not None:
-            seen.add(task)
-            pos, neg = (st, other) if status is Possibility.POSSIBLE else (other, st)
-            found.append(Contradiction(task, pos, neg))
-    return ConsistencyReport(tuple(found))
-
-
-def _flip(status: Possibility) -> Possibility:
-    return (
-        Possibility.IMPOSSIBLE if status is Possibility.POSSIBLE else Possibility.POSSIBLE
+    first: dict = {}  # task key -> the task as first mentioned
+    possibles: dict = {}  # task key -> the last possible statement on it
+    impossibles: dict = {}
+    for st in laws.statements:
+        key = _task_key(st.task)
+        first.setdefault(key, st.task)
+        (possibles if st.status is Possibility.POSSIBLE else impossibles)[key] = st
+    return ConsistencyReport(
+        tuple(
+            Contradiction(task, possibles[key], impossibles[key])
+            for key, task in first.items()
+            if key in possibles and key in impossibles
+        )
     )
 
 

@@ -218,7 +218,7 @@ def test_null_task_derivable_whenever_intermediates_disjoint(data):
 
 def naive_closure(laws):
     """Oracle: every round tries every ordered pair of possible facts, then each with itself."""
-    facts, order = dict(laws.facts()), list(laws.statements)
+    facts, order = {(s.task, s.status): s for s in laws.statements}, list(laws.statements)
     base, composites = laws.substrates(), dict(laws.composites)
 
     def derive_pair(s1, s2):
@@ -343,6 +343,29 @@ def test_closure_of_four_rings_with_four_laws_each():
     assert elapsed < 5
 
 
+def test_closure_names_parallel_tasks_after_their_own_premises():
+    # x and x2 (u and u2) pick out the same state under different names, so
+    # equal pair attributes are built from differently named components
+    tasks = []
+    for sid, (a, a2, b) in (("L", ("x", "x2", "y")), ("R", ("u", "u2", "v"))):
+        sub = cyclic_substrate(sid, ("s0", "s1", "s2"))
+        first, again = singleton(sub, "s0", a), singleton(sub, "s0", a2)
+        other = singleton(sub, "s1", b)
+        tasks += [Task(first, other), Task(other, again)]
+    laws = LawSet.of(*map(possible, tasks))
+    closed = deductive_closure(laws)
+    assert signature(closed) == signature(naive_closure(laws))
+    parallel = [
+        s for s in closed.statements
+        if isinstance(s.provenance, Derived) and s.provenance.rule == "parallel"
+    ]
+    assert len(parallel) == 28
+    for s in parallel:
+        left, right = (p.task for p in s.provenance.premises)
+        assert s.task.input.name == f"({left.input.name},{right.input.name})"
+        assert s.task.output.name == f"({left.output.name},{right.output.name})"
+
+
 # consistency -------------------------------------------------------------------
 
 
@@ -365,6 +388,60 @@ def test_contradiction_detected_with_trace(s4):
 def test_empty_law_set_consistent():
     report = check_consistency(deductive_closure(LawSet.of()))
     assert report.consistent
+
+
+def brute_force_contradictions(laws):
+    """Oracle: scan every pair of statements for each task, taken in order of first mention.
+
+    A contradiction names the task as first mentioned and the last possible
+    and last impossible statement on an equal task.
+    """
+    found = []
+    for i, a in enumerate(laws.statements):
+        if any(b.task == a.task for b in laws.statements[:i]):
+            continue
+        on_task = [b for b in laws.statements if b.task == a.task]
+        pos = [b for b in on_task if b.status is Possibility.POSSIBLE]
+        neg = [b for b in on_task if b.status is Possibility.IMPOSSIBLE]
+        if pos and neg:
+            found.append((a.task, pos[-1], neg[-1]))
+    return found
+
+
+def assert_same_contradictions(laws):
+    # identity, not equality: equal tasks and statements may carry different names
+    got = [(c.task, c.possible, c.impossible) for c in check_consistency(laws).contradictions]
+    want = brute_force_contradictions(laws)
+    assert [tuple(map(id, c)) for c in got] == [tuple(map(id, c)) for c in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(law_sets())
+def test_consistency_matches_brute_force_scan(laws):
+    assert_same_contradictions(laws)
+    assert_same_contradictions(deductive_closure(laws))
+
+
+def test_consistency_matches_brute_force_scan_on_renamed_duplicates(s4):
+    x, y, z = attrs(s4, "x", "y", "z")
+    x2, y2 = singleton(s4, "s0", "x2"), singleton(s4, "s1", "y2")
+    # built directly, so equal (task, status) pairs are kept under both names
+    laws = LawSet((
+        possible(Task(x, y)),
+        impossible(Task(y, z)),
+        impossible(Task(x2, y2)),
+        possible(Task(y2, z)),
+        possible(Task(x2, y)),
+        impossible(Task(x, y2)),
+        possible(Task(z, x)),
+    ))
+    named = [
+        (repr(c.task), c.possible.task.input.name, c.impossible.task.output.name)
+        for c in check_consistency(laws).contradictions
+    ]
+    assert named == [("Task(x -> y on S4)", "x2", "y2"), ("Task(y -> z on S4)", "y2", "z")]
+    assert_same_contradictions(laws)
+    assert_same_contradictions(deductive_closure(laws))
 
 
 # uniform possibility -----------------------------------------------------------
