@@ -29,7 +29,7 @@ from .tasks import (
     NullTask,
     Possibility,
     check_consistency,
-    deductive_closure,
+    closure_summary,
 )
 from .timers import (
     check_simultaneous_halt,
@@ -229,9 +229,8 @@ def cmd_check(args) -> tuple[dict, int]:
             files.append(entry)
             status = EXIT_INPUT
             continue
-        closed = deductive_closure(model.laws)
+        closed, entry["closure_size"] = closure_summary(model.laws)
         consistency = check_consistency(closed)
-        entry["closure_size"] = len(closed.statements)
         entry["contradictions"] = [
             {
                 "task": _task_label(c.task),

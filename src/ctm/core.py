@@ -109,11 +109,6 @@ class Attribute:
                 f"not states of {self.substrate.id!r}"
             )
 
-    @property
-    def complement(self) -> "Attribute":
-        rest = frozenset(self.substrate.states) - self.members
-        return Attribute(self.substrate, rest, name=f"not-{self.name}" if self.name else "")
-
     def __repr__(self) -> str:
         return f"Attribute({self.name or sorted(map(repr, self.members))} on {self.substrate.id!r})"
 

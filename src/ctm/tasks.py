@@ -132,7 +132,6 @@ class LawSet:
     composites: Mapping[tuple[int, int], Substrate] = field(
         default_factory=dict, compare=False, repr=False
     )
-    closed: bool = False
 
     @staticmethod
     def of(*statements: LawStatement) -> "LawSet":
@@ -157,12 +156,6 @@ class LawSet:
             if isinstance(st.task, Task) and id(st.task.substrate) not in built:
                 seen.setdefault(id(st.task.substrate), st.task.substrate)
         return tuple(seen.values())
-
-    def statement_keys(self) -> frozenset:
-        return frozenset((st.task, st.status) for st in self.statements)
-
-    def holds(self, task: TaskLike, status: Possibility) -> bool:
-        return any(st.task == task and st.status is status for st in self.statements)
 
 
 def serial_compose(a: TaskLike, b: TaskLike) -> TaskLike:
@@ -220,6 +213,10 @@ def deductive_closure(laws: LawSet) -> LawSet:
     hence the run) finite.  Every derived statement records its rule and
     premises.
 
+    This is the library entry point, and the oracle for ``closure_summary``:
+    ``ctm check`` runs the same loop without the parallel rule and counts
+    the composite facts in closed form, so it builds no composite substrate.
+
     The result is that of the naive fixpoint, which in every round tries
     each ordered pair of distinct possible facts, then each fact with
     itself, in list order.  Three kinds of pair are skipped, each of which
@@ -256,9 +253,16 @@ def deductive_closure(laws: LawSet) -> LawSet:
     equality: equal attributes may carry different names, and a pair
     attribute's name is made from its components' names.
     """
+    return _close(laws, parallel=True)
+
+
+def _close(laws: LawSet, parallel: bool) -> LawSet:
+    """The closure loop of ``deductive_closure``; with ``parallel`` false, the serial rule only."""
     known = {_task_key(st.task) for st in laws.statements if st.status is Possibility.POSSIBLE}
     order: list[LawStatement] = list(laws.statements)
-    base = {id(s) for s in laws.substrates()}
+    # the substrates the parallel rule pairs; with none, neither derive_pair's
+    # parallel branch nor the parallel-partner merge below ever runs
+    base = {id(s) for s in laws.substrates()} if parallel else set()
     composites: dict[tuple[int, int], Substrate] = dict(laws.composites)
     paired: dict[tuple[int, int, int], Attribute] = {}
 
@@ -328,7 +332,71 @@ def deductive_closure(laws: LawSet) -> LawSet:
                     changed |= derive_pair(s1, possibles[j])
         for s1 in possibles[old:]:
             changed |= derive_pair(s1, s1)
-    return LawSet(tuple(order), composites=composites, closed=True)
+    return LawSet(tuple(order), composites=composites)
+
+
+def closure_summary(laws: LawSet) -> tuple[LawSet, int]:
+    """The serial-rule closure of ``laws``, and ``len(deductive_closure(laws).statements)``.
+
+    ``laws`` must cache no composite substrate, as a loaded model's laws do.
+
+    *The serial closure is the full closure less its composite facts.*  In
+    the full loop a fact on a composite pairs only with facts on the same
+    composite (a composite is not a substrate the parallel rule pairs), and
+    two facts on declared substrates derive a composite fact only by the
+    parallel rule.  So dropping that rule drops exactly the composite facts,
+    and every other pair is tried in the same relative order.  No composite
+    fact is the null task or contradicts a declared law: a serial pair on a
+    composite with disjoint intermediates y1 × y2 and z1 × z2 has y1, z1 or
+    y2, z2 disjoint, so its component facts give the null task first, and
+    declared laws are on declared substrates only.
+
+    *The count.*  Key a product X × Y by ``(X, Y)``, or by EMPTY (``None``)
+    when X or Y is empty; two products are equal sets exactly when their
+    keys are equal, since products of non-empty factors determine their
+    factors.  For an ordered pair (A, B) of distinct declared substrates, let
+    P hold (in1 × in2, out1 × out2) for each possible fact in1 -> out1 of A's
+    serial closure and in2 -> out2 of B's.  The parallel rule derives P,
+    then the serial rule closes P on the composite; the claim is that the
+    result is S = P ∪ E, E = {(x, z) : (x, EMPTY) ∈ P, (EMPTY, z) ∈ P}.
+
+    * S is derivable: E's pairs chain through the equal intermediate EMPTY.
+    * S is closed.  Chain (x, y), (y, z) in S.  An element of E with EMPTY
+      on one side is in P already.
+      - y is EMPTY: (x, EMPTY) and (EMPTY, z) lie in P, so (x, z) ∈ E.
+      - y is not EMPTY, both in P: y = out1 × out2 = in1' × in2' gives
+        out1 = in1' and out2 = in2', and A's and B's serial closures are
+        transitively closed, so (x, z) ∈ P.
+      - y is not EMPTY, (y, z) ∈ E: (y, EMPTY) ∈ P, so (x, EMPTY) ∈ P (by
+        the case above, or from (x, y) ∈ E), and (EMPTY, z) ∈ P: (x, z) ∈ E.
+      - y is not EMPTY, (x, y) ∈ E, (y, z) ∈ P: likewise (EMPTY, z) ∈ P and
+        (x, EMPTY) ∈ P, so (x, z) ∈ E.
+
+    So the composite facts on (A, B) number |S|, and the closure has that
+    many statements beyond the serial closure's, summed over all (A, B).
+    """
+    if laws.composites:
+        raise ModelError("closure_summary needs a law set that caches no composite substrate")
+    serial = _close(laws, parallel=False)
+    facts: dict[int, set[tuple[frozenset, frozenset]]] = {}
+    for st in serial.statements:
+        task = st.task
+        if st.status is Possibility.POSSIBLE and isinstance(task, Task):
+            fact = (task.input.members, task.output.members)
+            facts.setdefault(id(task.substrate), set()).add(fact)
+
+    def product(x: frozenset, y: frozenset) -> tuple | None:
+        return (x, y) if x and y else None
+
+    size = len(serial.statements)
+    for a in facts.values():
+        for b in facts.values():
+            if a is not b:
+                p = {(product(i1, i2), product(o1, o2)) for i1, o1 in a for i2, o2 in b}
+                into = [x for x, y in p if y is None]
+                out_of = [z for y, z in p if y is None]
+                size += len(p.union((x, z) for x in into for z in out_of))
+    return serial, size
 
 
 @dataclass(frozen=True)
@@ -350,10 +418,12 @@ class ConsistencyReport:
 def check_consistency(laws: LawSet) -> ConsistencyReport:
     """Report every task held both possible and impossible.
 
-    Run after deductive_closure to catch derived contradictions; on an
-    unclosed set only declared clashes are visible.  Contradictions come in
-    the order their tasks are first mentioned; each names the task as first
-    mentioned and the last possible and last impossible statement on it.
+    Run on a closed set to catch derived contradictions: the serial closure
+    of ``closure_summary`` suffices, as no composite fact can contradict a
+    declared law.  On an unclosed set only declared clashes are visible.
+    Contradictions come in the order their tasks are first mentioned; each
+    names the task as first mentioned and the last possible and last
+    impossible statement on it.
     """
     first: dict = {}  # task key -> the task as first mentioned
     possibles: dict = {}  # task key -> the last possible statement on it

@@ -5,6 +5,7 @@ import sys
 import jsonschema
 import pytest
 
+import ctm.tasks
 from ctm.cli import main
 from conftest import REPO_ROOT
 
@@ -115,6 +116,31 @@ def test_check_decides_laws_at_any_ring_size(capsys, tmp_path, n, second, status
     assert [c["verdict"] for c in checks] == ["confirmed", verdict]
     # candidates, a permutation rank, is reported only up to 6 states
     assert all(("candidates" in c) == (n <= 6) for c in checks)
+
+
+@pytest.mark.parametrize("n", [600, 2048])
+def test_check_builds_no_composite_substrate(capsys, tmp_path, monkeypatch, n):
+    # the full closure would pair the two rings into an n*n-state composite
+    def refuse(*args, **kwargs):
+        raise AssertionError("ctm check built a composite substrate")
+
+    monkeypatch.setattr(ctm.tasks, "compose_substrates", refuse)
+    monkeypatch.setattr(ctm.tasks, "pair_attribute", refuse)
+    states = " ".join(f"r{i}" for i in range(n))
+    model = tmp_path / "rings.ctm"
+    model.write_text(
+        "".join(
+            f"substrate {sid} {{ states {states} ; step ({states}) }}\n"
+            f"attribute x{sid} on {sid} {{ r0 }}\n"
+            f"attribute y{sid} on {sid} {{ r1 r2 }}\n"
+            f"law possible x{sid} -> y{sid} on {sid}\n"
+            for sid in "AB"
+        )
+    )
+    status, report = run_json(capsys, "check", str(model))
+    assert status == 0
+    # the two laws, the null task, and one composite fact on each of (A, B) and (B, A)
+    assert report["files"][0]["closure_size"] == 5
 
 
 def test_check_skewed_timer_fails_synchrony(capsys, tmp_path):

@@ -28,6 +28,7 @@ from ctm import (
     serial_compose,
     uniform_possibility,
 )
+from ctm.tasks import closure_summary
 from conftest import singleton
 
 
@@ -142,6 +143,14 @@ def test_parallel_with_identity_task_preserved_under_closure(s4):
 # closure ----------------------------------------------------------------------
 
 
+def statement_keys(laws):
+    return frozenset((s.task, s.status) for s in laws.statements)
+
+
+def holds(laws, task, status):
+    return any(s.task == task and s.status is status for s in laws.statements)
+
+
 def test_closure_derives_null_task_with_two_premises(s4):
     a, b, c, d = attrs(s4, "a", "b", "c", "d")
     laws = LawSet.of(possible(Task(a, b)), possible(Task(c, d)))
@@ -157,15 +166,15 @@ def test_closure_derives_null_task_with_two_premises(s4):
 def test_closure_derives_transitive_chain(s4):
     x, y, z = attrs(s4, "x", "y", "z")
     closed = deductive_closure(LawSet.of(possible(Task(x, y)), possible(Task(y, z))))
-    assert closed.holds(Task(x, z), Possibility.POSSIBLE)
+    assert holds(closed, Task(x, z), Possibility.POSSIBLE)
 
 
 def test_closure_idempotent(s4):
     a, b, c, d = attrs(s4, "a", "b", "c", "d")
     once = deductive_closure(LawSet.of(possible(Task(a, b)), possible(Task(c, d))))
     twice = deductive_closure(once)
-    assert twice.statement_keys() == once.statement_keys()
-    assert once.closed and twice.closed
+    assert statement_keys(twice) == statement_keys(once)
+    assert len(twice.statements) == len(once.statements)
 
 
 def test_reclosing_parallel_facts_derives_nothing_new():
@@ -195,7 +204,7 @@ def test_closure_monotone(data):
     extra = random_law("extra")
     small = deductive_closure(LawSet.of(*base))
     large = deductive_closure(LawSet.of(*base, extra))
-    assert small.statement_keys() <= large.statement_keys()
+    assert statement_keys(small) <= statement_keys(large)
 
 
 @settings(max_examples=40, deadline=None)
@@ -247,7 +256,7 @@ def naive_closure(laws):
         ps = [s for s in order if s.status is Possibility.POSSIBLE and isinstance(s.task, Task)]
         distinct = [derive_pair(a, b) for a in ps for b in ps if a is not b]
         changed = any(distinct + [derive_pair(a, a) for a in ps])
-    return LawSet(tuple(order), composites=composites, closed=True)
+    return LawSet(tuple(order), composites=composites)
 
 
 def signature(laws):
@@ -364,6 +373,71 @@ def test_closure_names_parallel_tasks_after_their_own_premises():
         left, right = (p.task for p in s.provenance.premises)
         assert s.task.input.name == f"({left.input.name},{right.input.name})"
         assert s.task.output.name == f"({left.output.name},{right.output.name})"
+
+
+# closure summary against the full closure --------------------------------------
+
+
+def non_composite_signature(closed):
+    """signature() of the statements on no composite substrate, premise positions remapped."""
+    built = {id(c) for c in closed.composites.values()}
+    kept = [
+        s for s in closed.statements
+        if isinstance(s.task, NullTask) or id(s.task.substrate) not in built
+    ]
+    return signature(LawSet(tuple(kept)))
+
+
+def assert_summary_matches_closure(laws):
+    serial, size = closure_summary(laws)
+    closed = deductive_closure(laws)
+    assert not serial.composites
+    assert signature(serial) == non_composite_signature(closed)
+    assert size == len(closed.statements)
+
+
+@settings(max_examples=300, deadline=None)
+@given(law_sets())
+def test_closure_summary_matches_closure(laws):
+    assert_summary_matches_closure(laws)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 3), (3, 4), (4, 4, 4, 4)])
+def test_closure_summary_matches_closure_on_rings(shape):
+    laws = ring_laws(shape)
+    planted = impossible(Task(laws[0].task.input, laws[1].task.output))
+    for law_set in (LawSet.of(*laws), LawSet.of(*laws, planted)):
+        assert_summary_matches_closure(law_set)
+
+
+def test_closure_summary_counts_composite_facts_chained_through_empty_products():
+    # a -> {} times d -> e and b -> c times {} -> f give (a,d) -> {} and {} -> (c,f)
+    # on the composite, which chain to (a,d) -> (c,f) although A has no a -> c
+    left, right = (cyclic_substrate(sid, ("s0", "s1", "s2")) for sid in "AB")
+    a, b, c = attrs(left, "a", "b", "c")
+    d, e, f = attrs(right, "d", "e", "f")
+    none_l, none_r = Attribute(left, frozenset(), "none"), Attribute(right, frozenset(), "none")
+    laws = LawSet.of(*map(possible, (Task(a, none_l), Task(b, c), Task(d, e), Task(none_r, f))))
+    assert_summary_matches_closure(laws)
+    chained = [
+        s for s in deductive_closure(laws).statements
+        if isinstance(s.task, Task)
+        and s.task.input.members == {("s0", "s0")}
+        and s.task.output.members == {("s2", "s2")}
+    ]
+    # one on each of the composites (A, B) and (B, A)
+    assert [s.provenance.rule for s in chained] == ["serial", "serial"]
+    # 4 laws and the null task, then 5 composite facts on each of (A, B) and (B, A)
+    assert closure_summary(laws)[1] == 15
+
+
+def test_closure_summary_rejects_a_composite_cache():
+    left, right = (cyclic_substrate(sid, ("s0", "s1")) for sid in "LR")
+    laws = LawSet.of(
+        possible(Task(*attrs(left, "x", "y"))), possible(Task(*attrs(right, "u", "v")))
+    )
+    with pytest.raises(ModelError, match="caches no composite"):
+        closure_summary(deductive_closure(laws))
 
 
 # consistency -------------------------------------------------------------------
