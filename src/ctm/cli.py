@@ -38,12 +38,7 @@ from .timers import (
     classify_timers,
     recurrence_horizon,
 )
-from .witnesses import (
-    MAX_SEARCH_STATES,
-    _allowed_images,
-    _first_permutation,
-    permutation_possible,
-)
+from .witnesses import permutation_possible
 
 SCHEMA = "ctm-report/1"
 ENV_MODEL_ROOT = "CTM_MODEL_ROOT"
@@ -51,10 +46,6 @@ ENV_MODEL_ROOT = "CTM_MODEL_ROOT"
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INPUT = 2
-
-# --budget has no effect on any verdict; it is still accepted, range-checked
-# and echoed in options.budget because ctm-report/1 carries it.
-MAX_BUDGET = 4
 
 
 def _resolve(path: str) -> str:
@@ -118,10 +109,7 @@ def _check_laws(model: BuiltModel) -> tuple[list[dict], bool]:
     """Confirm or refute each declared law, at any substrate size.
 
     A law is one (input, output) pair, and a substrate permutation performs
-    it iff |input| <= |output| (permutation_possible).  candidates, the
-    rank of the first hit a permutation enumeration would find (n! when
-    there is none), is reported only for substrates of at most
-    MAX_SEARCH_STATES states; only a possible law needs the matching.
+    it iff |input| <= |output| (Hall's condition, permutation_possible).
     """
     results = []
     refuted = False
@@ -129,13 +117,6 @@ def _check_laws(model: BuiltModel) -> tuple[list[dict], bool]:
         task = st.task
         entry = {"task": _task_label(task), "declared": st.status.value}
         found = permutation_possible(task)
-        states = task.substrate.states
-        if len(states) <= MAX_SEARCH_STATES:
-            entry["candidates"] = (
-                _first_permutation(states, _allowed_images(states, (task,)))[1]
-                if found
-                else math.factorial(len(states))
-            )
         expected = st.status is Possibility.POSSIBLE
         if found == expected:
             entry["verdict"] = "confirmed"
@@ -176,43 +157,23 @@ def _check_timers(model: BuiltModel, horizon: int | None) -> tuple[list[dict], l
             failed = True
     for i, n1 in enumerate(names):
         for n2 in names[i + 1 :]:
-            a, b = model.timers[n1], model.timers[n2]
+            # the faster timer first; a stable sort keeps an equal pair in name order
+            fast, slow = sorted((n1, n2), key=lambda n: model.timers[n].duration)
+            a, b = model.timers[fast], model.timers[slow]
             if a.duration == b.duration:
-                actual = check_simultaneous_halt(a, b)
-                pair_checks.append(
-                    {
-                        "kind": "co-halt",
-                        "pair": [n1, n2],
-                        "expected": True,
-                        "actual": actual,
-                        "ok": actual is True,
-                    }
-                )
-                failed |= actual is not True
+                kind, actual = "co-halt", check_simultaneous_halt(a, b)
             else:
-                fast, slow = (a, b) if a.duration < b.duration else (b, a)
-                fast_n, slow_n = (n1, n2) if fast is a else (n2, n1)
-                staggered = check_staggered_halt(fast, slow)
-                cohalt = check_simultaneous_halt(fast, slow)
-                pair_checks.append(
-                    {
-                        "kind": "staggered-halt",
-                        "pair": [fast_n, slow_n],
-                        "expected": True,
-                        "actual": staggered,
-                        "ok": staggered is True,
-                    }
-                )
-                pair_checks.append(
-                    {
-                        "kind": "co-halt",
-                        "pair": [fast_n, slow_n],
-                        "expected": False,
-                        "actual": cohalt,
-                        "ok": cohalt is False,
-                    }
-                )
-                failed |= staggered is not True or cohalt is not False
+                kind, actual = "staggered-halt", check_staggered_halt(a, b)
+            pair_checks.append(
+                {
+                    "kind": kind,
+                    "pair": [fast, slow],
+                    "expected": True,
+                    "actual": actual,
+                    "ok": actual is True,
+                }
+            )
+            failed |= actual is not True
     return pair_checks, synchrony, failed
 
 
@@ -404,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--budget", type=int, default=1, help="accepted for ctm-report/1; no effect")
         p.add_argument(
             "--horizon", type=int, default=None, help="static-horizon override for check, >= 0"
         )
@@ -412,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--tol", type=float, default=0.05, help="tolerance for fit checks, finite and >= 0"
         )
 
-    p_check = sub.add_parser("check", help="closure, consistency, and operational confirmation")
+    p_check = sub.add_parser("check", help="closure, consistency, law and timer checks")
     p_check.add_argument("models", nargs="+")
     common(p_check)
     p_check.set_defaults(func=cmd_check)
@@ -437,8 +397,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 1 <= args.budget <= MAX_BUDGET:
-        parser.error(f"--budget must be in 1..{MAX_BUDGET}")
     if not (math.isfinite(args.tol) and args.tol >= 0):
         parser.error("--tol must be finite and >= 0")
     if args.horizon is not None and args.horizon < 0:
@@ -448,11 +406,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     report["engine"] = {"name": "ctm", "version": __version__}
     report["command"] = args.command
     report["inputs"] = list(args.models)
-    report["options"] = {
-        "budget": args.budget,
-        "horizon": args.horizon,
-        "tol": args.tol,
-    }
+    report["options"] = {"horizon": args.horizon, "tol": args.tol}
     report["exit_status"] = status
     if args.format == "json":
         sys.stdout.write(_dump(report) + "\n")

@@ -76,12 +76,8 @@ class Substrate:
     def states(self) -> tuple[State, ...]:
         return self.space.states
 
-    @property
-    def is_composite(self) -> bool:
-        return bool(self.children)
-
     def __repr__(self) -> str:
-        kind = "composite" if self.is_composite else "atomic"
+        kind = "composite" if self.children else "atomic"
         return f"Substrate({self.id!r}, {len(self.states)} states, {kind})"
 
 

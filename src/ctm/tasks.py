@@ -410,10 +410,6 @@ class Contradiction:
 class ConsistencyReport:
     contradictions: tuple[Contradiction, ...]
 
-    @property
-    def consistent(self) -> bool:
-        return not self.contradictions
-
 
 def check_consistency(laws: LawSet) -> ConsistencyReport:
     """Report every task held both possible and impossible.

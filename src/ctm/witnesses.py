@@ -10,18 +10,15 @@ The witness search decides whether some permutation of the substrate's
 states, realized as the canonical two-state witness, maps each input into
 its output.  That is a bipartite perfect-matching question (Hall's
 theorem), answered with Kuhn's augmenting paths.  A hit is the first
-permutation in lexicographic order (by state order), and its candidates
-count is its rank: how many permutations an enumeration in that order
-would try, or n! when there is no hit.  For a single pair the decision
-is a cardinality test (permutation_possible), valid at any substrate
-size.  "No witness" speaks for permutation witnesses
-only; it does not cover a device whose halt step or final microstate
-depends on the input, which verify_witness accepts.
+permutation in lexicographic order (by state order).  For a single pair
+the decision is a cardinality test (permutation_possible), valid at any
+substrate size.  "No witness" speaks for permutation witnesses only; it
+does not cover a device whose halt step or final microstate depends on
+the input, which verify_witness accepts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Mapping, Sequence, Union
@@ -320,7 +317,6 @@ class SearchResult:
     found: bool
     witness: ConstructorWitness | None
     action: Mapping | None
-    candidates: int
     note: str
 
     @property
@@ -365,30 +361,25 @@ def _matchable(rows: Sequence, allowed: Mapping, free: set) -> bool:
     return all(augment(s, set()) for s in rows)
 
 
-def _first_permutation(states: Sequence, allowed: Mapping) -> tuple[dict | None, int]:
-    """The lexicographically first hit among the permutations of states, and its 1-based rank.
+def _first_permutation(states: Sequence, allowed: Mapping) -> dict | None:
+    """The lexicographically first hit among the permutations of states, or None.
 
     A hit maps every state into its admissible images.  Each state, in
     state order, takes the first unused image (in state order) that leaves
     the later states matchable; that greedy choice is exactly the
-    lexicographically first hit, and the position of each choice among the
-    unused images is its Lehmer digit.  With no hit (no perfect matching,
-    by Hall's theorem) the result is (None, n!), the size of the space an
-    enumeration would exhaust.
+    lexicographically first hit.  There is no hit iff there is no perfect
+    matching (Hall's theorem).
     """
-    n = len(states)
     free = list(states)
     action = {}
-    rank = 0
     for i, s in enumerate(states):
         for j, c in enumerate(free):
             if c in allowed[s] and _matchable(states[i + 1 :], allowed, set(free) - {c}):
                 break
         else:
-            return None, math.factorial(n)
+            return None
         action[s] = free.pop(j)
-        rank += j * math.factorial(n - 1 - i)
-    return action, rank + 1
+    return action
 
 
 def permutation_possible(t: Task) -> bool:
@@ -412,21 +403,19 @@ def search_impossibility(tasks: Union[Task, Sequence[Task]], max_steps: int = 4)
 
     That is, whether a permutation of the substrate's states, realized as
     the canonical two-state witness, maps each pair's input into its
-    output; a sequence of pairs is read conjunctively.  candidates is the
-    first hit's lexicographic rank, i.e. how many permutations an
-    enumeration would try, or n! when there is no hit.  A negative answer
-    covers permutation witnesses only (see the module docstring).
+    output; a sequence of pairs is read conjunctively.  A hit is the first
+    such permutation in lexicographic order.  A negative answer covers
+    permutation witnesses only (see the module docstring).
     """
     pairs = _as_pairs(tasks)
     substrate = pairs[0].substrate
     _check_size(substrate)
     states = substrate.states
-    action, count = _first_permutation(states, _allowed_images(states, pairs))
+    action = _first_permutation(states, _allowed_images(states, pairs))
     if action is None:
-        note = f"none of the {count} substrate permutations fits"
-        return SearchResult(False, None, None, count, note)
+        return SearchResult(False, None, None, "no substrate permutation fits")
     witness = wrap_permutation(substrate, action, max_steps)
-    return SearchResult(True, witness, action, count, "first hit in lexicographic order")
+    return SearchResult(True, witness, action, "first hit in lexicographic order")
 
 
 @dataclass(frozen=True)
@@ -435,7 +424,6 @@ class UniformPossibilityResult:
     witness: ConstructorWitness | None
     action: Mapping | None
     member_actions: tuple[Mapping | None, ...]
-    candidates: int
 
 
 def _member_pairs(member: Substrate, ins, outs) -> tuple[Task, ...]:
@@ -458,8 +446,6 @@ def uniform_possibility(
     constructor sees bare states, not which member it was handed).  Each
     member's task may be a single attribute pair or a list of pairs read
     conjunctively; the bit-flip family needs the two-pair form.
-    candidates adds the rank of the search over every member's pairs and,
-    when that fails, the candidates of each member's own search.
     """
     members = list(family)
     if not members:
@@ -477,17 +463,13 @@ def uniform_possibility(
 
     states = members[0].states
     every_pair = [t for pairs in tasks for t in pairs]
-    action, count = _first_permutation(states, _allowed_images(states, every_pair))
+    action = _first_permutation(states, _allowed_images(states, every_pair))
     if action is not None:
         witness = wrap_permutation(members[0], action, max_steps, name="uniform-witness")
         return UniformPossibilityResult(
-            "uniformly-possible", witness, action, (action,) * len(members), count
+            "uniformly-possible", witness, action, (action,) * len(members)
         )
 
-    member_actions: list[Mapping | None] = []
-    for pairs in tasks:
-        res = search_impossibility(pairs, max_steps)
-        count += res.candidates
-        member_actions.append(res.action)
+    member_actions = tuple(search_impossibility(pairs, max_steps).action for pairs in tasks)
     kind = "pointwise-only" if all(a is not None for a in member_actions) else "impossible"
-    return UniformPossibilityResult(kind, None, None, tuple(member_actions), count)
+    return UniformPossibilityResult(kind, None, None, member_actions)

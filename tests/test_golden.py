@@ -13,34 +13,34 @@ from ctm.cli import main
 from conftest import REPO_ROOT
 
 GOLDEN = [
-    ("check models/contradiction.ctm", 1, "904fda9dacf2c9a2b3a10777bf558298dcf3df4cbc7e257d6f3fdd361d63b0d8"),
-    ("check models/contradiction.ctm --horizon 3", 1, "c96eb5c442225c9cf77ba843610b304529fa67c5cb94194bd7a6e4a38789e554"),
-    ("classify models/contradiction.ctm", 2, "0ed9b0c97b9849ba3dbd15879271e731ef93c80a49a84698d97615dd1d715a93"),
-    ("classify models/contradiction.ctm --horizon 3", 2, "6cff6f0f20bbd9a1d14c3a13b8b1c1a22e6b5ab3e6768d48a1ba37c90bab1ad9"),
-    ("check models/degenerate.ctm", 0, "d244501b2a8e426276d8f81a8c9058971cf012586798d1efb3fa24d06cd63a17"),
-    ("check models/degenerate.ctm --horizon 3", 0, "71479195319baec0a9ffe5e055582c2de7d5515123e86c0220b172a3f7eaa296"),
-    ("classify models/degenerate.ctm", 2, "0e006a3f4193d7a6e3a07cb5c538162ec8489e02c69276f041a5fd88a3dd6115"),
-    ("classify models/degenerate.ctm --horizon 3", 2, "5695e9d35b56f004ecd30545dfcbee1d589571fb0b4279b5af0d2165ad486f54"),
-    ("check models/linear.ctm", 0, "7a95ecc4032d5badd6dd47772894bb283b8f7071e9277169ca189891a6a8d0c3"),
-    ("check models/linear.ctm --horizon 3", 0, "6cbfc2ade4715066810f19b21aa68fc96dc68b29c8f3a2e3d8b92ee5e225e68a"),
-    ("classify models/linear.ctm", 0, "d230e6e2f91a0dbbd4d6d9d64a6b0e2999339f2c0a1aa053bf70f6b10b6f92ed"),
-    ("classify models/linear.ctm --horizon 3", 0, "ae2869f781a7cbb0c9dc18a5909e1b709e6424dbbcf8b72f27c82aa6c5969dcf"),
-    ("check models/nulltask.ctm", 0, "a31123d82e4cc993940c8e6849794408aa5a1cdccc2e612cde1fe31df87de311"),
-    ("check models/nulltask.ctm --horizon 3", 0, "aec1ad70c3f60971177c41e4f9d30688a3346ef79bdbe95251098e18212c0ad9"),
-    ("classify models/nulltask.ctm", 2, "f3b0f53742f705d60dece7a4ec5a11035d60f3857cdfb08a0e106da9de52700b"),
-    ("classify models/nulltask.ctm --horizon 3", 2, "dc12572d8a1dbbac1b755944ea8bb74b521fbf20a1b711cb7db378161a15bd0a"),
-    ("check models/rotation.ctm", 0, "b8c68bb84216ddb03b4c1dd12f55384090c223f8af347aa34fb3de15f1437e8b"),
-    ("check models/rotation.ctm --horizon 3", 0, "cb2754f13b0fba3252de92f7d75f7236fb91502ea498d6c8a45575c25dffda12"),
-    ("classify models/rotation.ctm", 0, "0b7b36b57e0b6123b45011b9d3646e23e649bc6249957c7d5e026736b1fb8d30"),
-    ("classify models/rotation.ctm --horizon 3", 0, "c092dfe920cf46a8af56a5547f7da2dd501fc52df3c112e2e62d2fa1a7278051"),
-    ("check models/timers.ctm", 0, "7e8176d7bfa71c6919cc36f2c9c1215d240df955b8e062f2ef294803de323541"),
-    ("check models/timers.ctm --horizon 3", 0, "1f20a47fefa9e11d520eb6c39630e2af8ae9de52386d027d2cc48b09b2373d97"),
-    ("classify models/timers.ctm", 0, "3eb3f283fb773bfead3c937ea8523c30003a0db4c88274b6333f26612dd64ecf"),
-    ("classify models/timers.ctm --horizon 3", 0, "ad359e78e7d2d5d026a1ab39571aa8cde6aff25c0cf368957a3cf29664f60218"),
-    ("dynamics models/rotation.ctm --variable theta --schedule 8,4,2,1", 0, "e2981aa467a64c9be1a7c5964fffc076be6008e988309a7aa4fd732fc4dd64a3"),
-    ("dynamics models/linear.ctm --variable pos --schedule 8,4,2,1", 0, "334aff66169757c87e035c5212132875813db05b119038d9180d0b062a198167"),
+    ("check models/contradiction.ctm", 1, "f613473e8e9b6238b395ad6b122433f9abf144f05025360b75ed267fd43f6890"),
+    ("check models/contradiction.ctm --horizon 3", 1, "6ee8b88ac791d0ad130a5b517b08c28d4c4e4c52ed81c09f35a07a64532cc45b"),
+    ("classify models/contradiction.ctm", 2, "bb21b34855450524e0dff671e74916ed4d1633bd4e9bfb6b219573474365a3b3"),
+    ("classify models/contradiction.ctm --horizon 3", 2, "1117afef3fd8320e39eda961017f795f2af4dbae3c6de1763eea1cc9c2c88fb5"),
+    ("check models/degenerate.ctm", 0, "36d8d68e3648e98e00f5905adfbc154b98c005252c8245db24e4ca4bfe6d9b5b"),
+    ("check models/degenerate.ctm --horizon 3", 0, "a268d76b90856ed7694cac4a427091511d5e7f0e5b9556b2ce7ee143a540b281"),
+    ("classify models/degenerate.ctm", 2, "7245a466025724ab40aa1a828baa98ef0d4825e5fba1282db70d80dadc01fe86"),
+    ("classify models/degenerate.ctm --horizon 3", 2, "c6408b49d109b9339a0fc06c7527298bbd08502fb62af860a0af0589929818e5"),
+    ("check models/linear.ctm", 0, "ef91ba0db9c281eb7029e8b64b3bcbaf0eda77e367bc75b0d3ce98e6688fcb95"),
+    ("check models/linear.ctm --horizon 3", 0, "eac8d13f38b50fb13a8f4bc373cae428143043ec1bc7a7dc724cb2d1f148bb17"),
+    ("classify models/linear.ctm", 0, "a70011deb944a9ed45250caff55d5f41a2c93b09fcba2bdd8cee719dfd5268c5"),
+    ("classify models/linear.ctm --horizon 3", 0, "86a5a64e7a0c7e092317ff8b9115d892ff50312d2a3c083f1bb485b906919d9d"),
+    ("check models/nulltask.ctm", 0, "a37eb0789c0766f448585a445db062288a09eb509906fcd3d8ae4313c051a941"),
+    ("check models/nulltask.ctm --horizon 3", 0, "294539d86ee594c5c1752928459fd4373b57088171617c0a2c0c3cbf47baffdc"),
+    ("classify models/nulltask.ctm", 2, "b04ee28e4fcfef106faed817aff3ecb8eb16aae708b0823866411bb8e8d36892"),
+    ("classify models/nulltask.ctm --horizon 3", 2, "c40c6bba0b2d5ba442c39b859d36941a390b7ea298cf7ffa777a377420045e7f"),
+    ("check models/rotation.ctm", 0, "31510e96db8de1d92ef60f9cd2f9936a355f9ac1607ad66b40f6a90e3ac8d3ae"),
+    ("check models/rotation.ctm --horizon 3", 0, "650add7305dc6e7c578cb4c84104fa5e676d8d34386e427fd9174e35a85436fe"),
+    ("classify models/rotation.ctm", 0, "4c08cfafe58d310f3cbec4b9521487ccddc61a21ce6e98a571575f506227d3e7"),
+    ("classify models/rotation.ctm --horizon 3", 0, "c9513c570e5c090f555c673c8f1b05304a3bcf4a9f2c8f5fc31a90ffcea22f7b"),
+    ("check models/timers.ctm", 0, "e380f758c62ceff0a86b2e0643b2a179e9ace0ce8e4bbb4d856f32ee1fccc543"),
+    ("check models/timers.ctm --horizon 3", 0, "c0c855681669777180b32865251df6c0aab567732c1bff0a5574885dcec71653"),
+    ("classify models/timers.ctm", 0, "9105ac17fd88bc2f76dc6fb0f4c9e1c6425a7c7f9e75735b4d40fff3039e8538"),
+    ("classify models/timers.ctm --horizon 3", 0, "a23de63102f8491724321444b1968732a4c151242ee9a00266680c70d0fbe712"),
+    ("dynamics models/rotation.ctm --variable theta --schedule 8,4,2,1", 0, "a8e75fed545045ebb17c2cdba01e861e696d4cfa8e3f2dc78605a4d50a192f7b"),
+    ("dynamics models/linear.ctm --variable pos --schedule 8,4,2,1", 0, "da30ac8e8bc2e3d2978fcf993514f5293514191dec81e1701aa0300a73cc7b93"),
     # a non-whole λ on an integer variable is outside its domain: exit 2
-    ("dynamics models/linear.ctm --variable pos --at 3/2 --schedule 8,4,2,1", 2, "64eb48acccf51d9fd28e8fe9a5b8975787bb18b55a038b4b1ff751d8f9e4e516"),
+    ("dynamics models/linear.ctm --variable pos --at 3/2 --schedule 8,4,2,1", 2, "2b68952b5af046b78c5445ceae010750671b582d5937dfc6dc558f0a9643d9f3"),
 ]
 
 

@@ -447,7 +447,7 @@ def test_contradiction_detected_with_trace(s4):
     x, y, z = attrs(s4, "x", "y", "z")
     laws = LawSet.of(possible(Task(x, y)), possible(Task(y, z)), impossible(Task(x, z)))
     report = check_consistency(deductive_closure(laws))
-    assert not report.consistent
+    assert report.contradictions
     assert len(report.contradictions) == 1
     contra = report.contradictions[0]
     assert contra.task == Task(x, z)
@@ -461,7 +461,7 @@ def test_contradiction_detected_with_trace(s4):
 
 def test_empty_law_set_consistent():
     report = check_consistency(deductive_closure(LawSet.of()))
-    assert report.consistent
+    assert not report.contradictions
 
 
 def brute_force_contradictions(laws):

@@ -475,6 +475,18 @@ def test_halt_step_matches_per_start_walk():
     assert [spec.halt_step for spec in specs[:4]] == [None, 5, None, 5]
 
 
+def test_halt_step_is_duration_or_none_and_unequal_durations_never_co_halt():
+    # why ctm check reports one row per timer pair: the staggered pairs need no co-halt row
+    for seed in range(20):
+        catalog = seeded_catalog(seed)
+        for spec in catalog:
+            assert spec.halt_step in (spec.duration, None), (seed, spec)
+        for a in catalog:
+            for b in catalog:
+                if a.duration != b.duration:
+                    assert not check_simultaneous_halt(a, b), (seed, a, b)
+
+
 def test_classify_equal_durations_keep_catalog_order():
     skewed, counter = skewed_timer(), make_counter_timer(4, 3)
     assert skewed.duration == counter.duration == 3
