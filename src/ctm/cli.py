@@ -363,24 +363,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ctm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument(
-            "--horizon", type=int, default=None, help="static-horizon override for check, >= 0"
-        )
-        p.add_argument(
-            "--tol", type=float, default=0.05, help="tolerance for fit checks, finite and >= 0"
-        )
-
+    # `options` names the flags a subcommand reads, echoed in its report
     p_check = sub.add_parser("check", help="closure, consistency, law and timer checks")
     p_check.add_argument("models", nargs="+")
-    common(p_check)
-    p_check.set_defaults(func=cmd_check)
+    p_check.add_argument("--format", choices=("json", "text"), default="json")
+    p_check.add_argument("--horizon", type=int, default=None, help="static-horizon override, >= 0")
+    p_check.set_defaults(func=cmd_check, options=("horizon",))
 
     p_classify = sub.add_parser("classify", help="partition declared timers by duration")
     p_classify.add_argument("models", nargs="+")
-    common(p_classify)
-    p_classify.set_defaults(func=cmd_classify)
+    p_classify.add_argument("--format", choices=("json", "text"), default="json")
+    p_classify.set_defaults(func=cmd_classify, options=())
 
     p_dyn = sub.add_parser("dynamics", help="estimate a derivative over a timer schedule")
     p_dyn.add_argument("models", nargs=1)
@@ -388,8 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dyn.add_argument("--at", default="0", help="parameter value λ (default 0)")
     p_dyn.add_argument("--schedule", required=True, help="comma-separated decreasing Δλ list")
     p_dyn.add_argument("--csv", default=None, help="write (Δλ, ratio) rows to this file")
-    common(p_dyn)
-    p_dyn.set_defaults(func=cmd_dynamics)
+    p_dyn.add_argument("--format", choices=("json", "text"), default="json")
+    p_dyn.add_argument("--tol", type=float, default=0.05, help="fit tolerance, finite and >= 0")
+    p_dyn.set_defaults(func=cmd_dynamics, options=("tol",))
     return parser
 
 
@@ -397,16 +391,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not (math.isfinite(args.tol) and args.tol >= 0):
+    if args.command == "dynamics" and not (math.isfinite(args.tol) and args.tol >= 0):
         parser.error("--tol must be finite and >= 0")
-    if args.horizon is not None and args.horizon < 0:
+    if args.command == "check" and args.horizon is not None and args.horizon < 0:
         parser.error("--horizon must be >= 0")
     report, status = args.func(args)
     report["schema"] = SCHEMA
     report["engine"] = {"name": "ctm", "version": __version__}
     report["command"] = args.command
     report["inputs"] = list(args.models)
-    report["options"] = {"horizon": args.horizon, "tol": args.tol}
+    report["options"] = {name: getattr(args, name) for name in args.options}
     report["exit_status"] = status
     if args.format == "json":
         sys.stdout.write(_dump(report) + "\n")

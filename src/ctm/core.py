@@ -258,13 +258,14 @@ def evolve(s: Substrate, state: State, n: int) -> State:
     return cyc[(i + n) % len(cyc)]
 
 
-def first_entry(s: Substrate, state: State, members: frozenset, max_steps: int) -> int | None:
-    """First step index (0-based, counting the start) at which the state lies in members."""
-    cur = state
-    for k in range(max_steps + 1):
-        if cur in members:
+def first_entry(s: Substrate, state: State, members: frozenset) -> int | None:
+    """First step index (0-based, counting the start) at which the state lies in members.
+
+    Walks the state's own cycle once: a first entry, if any, happens within it.
+    """
+    for k, x in enumerate(orbit(s, state)):
+        if x in members:
             return k
-        cur = s.step[cur]
     return None
 
 

@@ -64,18 +64,16 @@ def check_timed_advance(m: TrajectoryModel, timer: TimerSpec, lam) -> bool:
 
     True iff from every joint start (state of v(lam), timer starting
     state) the substrate lies in v(lam + duration) at the first raise of
-    the timer's halt flag, when the timer completes.
+    the timer's halt flag, when the timer completes.  The halt steps are
+    timer.halts, found by make_timer within each start's own cycle.
     """
     lam = Fraction(lam)
     dlam = Fraction(timer.duration)
     x = m.variable.attribute(lam)
     x_next = m.variable.attribute(lam + dlam)
-    for tau in timer.attr0.members:
-        h = first_entry(timer.substrate, tau, timer.halt_flag.members, timer.recurrence)
-        for sigma in x.members:
-            if evolve(m.substrate, sigma, h) not in x_next.members:
-                return False
-    return True
+    return all(
+        evolve(m.substrate, sigma, h) in x_next.members for h in timer.halts for sigma in x.members
+    )
 
 
 def _default_timer(dlam: int) -> TimerSpec:
@@ -200,9 +198,7 @@ def recover_clock_pointer(m: TrajectoryModel, reference: Sequence[TimerClass]) -
         if lam == 0:
             continue
         target = m.variable.attribute(lam)
-        firsts = {
-            first_entry(m.substrate, s, target.members, period - 1) for s in v0.members
-        }
+        firsts = {first_entry(m.substrate, s, target.members) for s in v0.members}
         if len(firsts) != 1 or None in firsts:
             unmapped.append(lam)
             continue

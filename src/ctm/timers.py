@@ -20,6 +20,7 @@ from .core import (
     Substrate,
     clone_substrate,
     compose_substrates,
+    cycle_lengths,
     cyclic_substrate,
     evolve,
     first_entry,
@@ -39,11 +40,11 @@ from .witnesses import ConstructorWitness
 class TimerSpec:
     """A well-formed null constructor: 0 / R / 1 attributes and a halt flag.
 
-    Only make_timer builds one, so every spec has passed the checks there
-    and its duration is defined.  halt_step is the first step into
-    completion shared by every starting state, or None when they differ;
-    when it exists it equals the duration.  warnings holds make_timer's
-    notes on a legal but degenerate structure.
+    Only make_timer builds one, so every spec has passed the checks there.
+    halts holds the distinct first-halt steps of the starting states, in
+    ascending order, each found within its start's own cycle.  The last is
+    the duration; halt_step is the one step shared by every start, or None.
+    warnings holds make_timer's notes on a legal but degenerate structure.
     """
 
     name: str
@@ -52,11 +53,18 @@ class TimerSpec:
     attrR: Attribute
     attr1: Attribute
     halt_flag: Attribute
-    duration: int
+    halts: tuple[int, ...]
     static_horizon: int
     recurrence: int
-    halt_step: int | None
     warnings: tuple[str, ...]
+
+    @property
+    def duration(self) -> int:
+        return self.halts[-1]
+
+    @property
+    def halt_step(self) -> int | None:
+        return self.halts[0] if len(self.halts) == 1 else None
 
     def __repr__(self) -> str:
         return f"TimerSpec({self.name!r}, duration={self.duration})"
@@ -70,7 +78,7 @@ def make_timer(
     attr1: Attribute,
     halt_flag: Attribute | None = None,
 ) -> TimerSpec:
-    """Assemble a TimerSpec, deriving duration, halt step and the completed-static horizon.
+    """Assemble a TimerSpec, deriving the halt steps and the completed-static horizon.
 
     Raises ModelError naming each failed null-constructor check.  The
     completed attribute passes its static check once every starting state
@@ -85,15 +93,13 @@ def make_timer(
             raise ModelError(f"timer {name!r}: attribute {a.name!r} is on a different substrate")
     if not attr0.members:
         raise ModelError(f"timer {name!r}: starting attribute must be non-empty")
-    rec = recurrence_period(substrate)
-    # a first entry, if any, happens within the recurrence period
-    firsts = [first_entry(substrate, s, attr1.members, rec) for s in attr0.members]
+    firsts = [first_entry(substrate, s, attr1.members) for s in attr0.members]
     k = None if None in firsts else max(firsts)
     # the duration is the first step with every starting state inside at once
     complete = k is not None and all(
         evolve(substrate, s, k) in attr1.members for s in attr0.members
     )
-    flags = [first_entry(substrate, s, halt_flag.members, rec) for s in attr0.members]
+    flags = [first_entry(substrate, s, halt_flag.members) for s in attr0.members]
     sizes = len(attr0.members) + len(attrR.members) + len(attr1.members)
     checks = (
         ("starting-non-static", not is_static(attr0)),
@@ -108,6 +114,7 @@ def make_timer(
         raise ModelError(
             f"timer {name!r} is not a well-formed null constructor: " + ", ".join(failed)
         )
+    rec = recurrence_period(substrate)
     horizon = static_horizon(attr1, cap=rec)
     warnings = []
     if not attrR.members:
@@ -117,9 +124,9 @@ def make_timer(
             f"completed attribute stays static for {horizon} steps, "
             f"less than four durations ({4 * k})"
         )
-    halt_step = k if min(firsts) == k else None
+    halts = tuple(sorted(set(firsts)))
     return TimerSpec(
-        name, substrate, attr0, attrR, attr1, halt_flag, k, horizon, rec, halt_step, tuple(warnings)
+        name, substrate, attr0, attrR, attr1, halt_flag, halts, horizon, rec, tuple(warnings)
     )
 
 
@@ -224,15 +231,14 @@ def check_staggered_halt(c1: TimerSpec, c2: TimerSpec) -> bool:
     timer's halt step.  A timer first shows completion when its flag is
     raised, and running is disjoint from completed, so no step up to the
     halt shows joint completion.  Operationally this is the failure of the
-    (0,0) -> (1,1) task on the pair.
+    (0,0) -> (1,1) task on the pair.  The halt steps are c1.halts, found
+    by make_timer within each start's own cycle.
     """
     if c1.duration >= c2.duration:
         raise ModelError("staggered-halt check requires duration(c1) < duration(c2)")
-    for s in c1.attr0.members:
-        h = first_entry(c1.substrate, s, c1.halt_flag.members, c1.recurrence)
-        if not all(evolve(c2.substrate, t, h) in c2.attrR.members for t in c2.attr0.members):
-            return False
-    return True
+    return all(
+        evolve(c2.substrate, t, h) in c2.attrR.members for h in c1.halts for t in c2.attr0.members
+    )
 
 
 def check_simultaneous_halt(c1: TimerSpec, c2: TimerSpec) -> bool:
@@ -257,10 +263,9 @@ def _distinct(c1: TimerSpec, c2: TimerSpec) -> TimerSpec:
         retarget(c2.attrR, sub),
         retarget(c2.attr1, sub),
         retarget(c2.halt_flag, sub),
-        c2.duration,
+        c2.halts,
         c2.static_horizon,
         c2.recurrence,
-        c2.halt_step,
         c2.warnings,
     )
 
@@ -309,7 +314,8 @@ def timer_witness(c: TimerSpec, max_steps: int | None = None) -> ConstructorWitn
 
     Trivial one-state device; the timer's own substrate carries the halt
     flag, so verification and accuracy read the timer's halt state
-    directly.
+    directly.  The flag rises within the start's cycle or never, so the
+    default max_steps, the longest cycle's length, changes no verdict.
     """
     device = make_substrate(f"{c.name}-dev", ("*",), {"*": "*"})
     joint = {("*", s): ("*", c.substrate.step[s]) for s in c.substrate.states}
@@ -319,7 +325,7 @@ def timer_witness(c: TimerSpec, max_steps: int | None = None) -> ConstructorWitn
         ready=Attribute(device, frozenset({"*"}), name="ready"),
         halt_flag=c.halt_flag,
         joint_step=joint,
-        max_steps=max_steps if max_steps is not None else c.recurrence,
+        max_steps=max_steps if max_steps is not None else max(cycle_lengths(c.substrate)),
         name=f"{c.name}-as-witness",
     )
 

@@ -136,9 +136,8 @@ def _distance(substrate: Substrate, state, members: frozenset) -> float:
     A target that the state's cycle never visits gets the maximal value 1.0,
     keeping the measure total and deterministic.
     """
-    n = len(substrate.states)
-    k = first_entry(substrate, state, members, n)
-    return 1.0 if k is None else k / n
+    k = first_entry(substrate, state, members)
+    return 1.0 if k is None else k / len(substrate.states)
 
 
 def accuracy(w: ConstructorWitness, t: Task) -> float | None:

@@ -1,9 +1,10 @@
+import multiprocessing
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ctm import Attribute, cyclic_substrate
+from ctm import Attribute, cyclic_substrate, make_substrate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MODELS_DIR = REPO_ROOT / "models"
@@ -22,6 +23,25 @@ def counter16():
 
 def singleton(substrate, state, name=""):
     return Attribute(substrate, frozenset({state}), name=name or str(state))
+
+
+def prime_cycle_substrate(top):
+    """One cycle c<q>_0 -> c<q>_1 -> ... -> c<q>_0 of length q per prime q <= top.
+
+    The recurrence period, the lcm of the cycle lengths, is the product of
+    the primes: about 6.5e9 for top = 29, so a walk bounded by it never
+    ends in a test run.
+    """
+    primes = [q for q in range(2, top + 1) if all(q % d for d in range(2, q))]
+    cycles = [tuple(f"c{q}_{i}" for i in range(q)) for q in primes]
+    step = {c[i - 1]: c[i] for c in cycles for i in range(len(c))}
+    return make_substrate(f"primes{top}", [s for c in cycles for s in c], step)
+
+
+def call_within(seconds, fn, *args):
+    """fn(*args) in a fresh interpreter; after `seconds` it is killed and TimeoutError raised."""
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply_async(fn, args).get(seconds)
 
 
 # parameter values written as an int, a whole Fraction, a non-whole Fraction

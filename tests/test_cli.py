@@ -7,7 +7,7 @@ import pytest
 
 import ctm.tasks
 from ctm.cli import main
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, prime_cycle_substrate
 
 SCHEMA = json.loads((REPO_ROOT / "docs" / "report-schema.json").read_text())
 
@@ -218,6 +218,33 @@ def test_check_pins_malformed_timer_diagnostics(capsys, tmp_path):
     ]
 
 
+def test_check_rejects_a_never_completing_timer_on_prime_cycles_in_bounded_time(tmp_path):
+    # the start lies on the 2-cycle and completion on the 3-cycle, so it never completes;
+    # the substrate's recurrence period is about 6.5e9 steps, its longest cycle 29
+    cycles = prime_cycle_substrate(29).cycles
+    model = tmp_path / "primes.ctm"
+    model.write_text(
+        f"substrate P {{ states {' '.join(s for c in cycles for s in c)} ; "
+        f"step {''.join('(' + ' '.join(c) + ')' for c in cycles)} }}\n"
+        "attribute z on P { c2_0 }\n"
+        "attribute r on P { c2_1 }\n"
+        "attribute o on P { c3_0 }\n"
+        "timer custom T on P { start z ; running r ; done o }\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "ctm.cli", "check", str(model)],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert result.returncode == 2
+    [entry] = json.loads(result.stdout)["files"]
+    assert [d["message"] for d in entry["diagnostics"]] == [
+        "timer 'T' is not a well-formed null constructor: "
+        "completed-static-for-horizon, halt-at-completion"
+    ]
+
+
 # classify ----------------------------------------------------------------------
 
 
@@ -422,6 +449,26 @@ def test_reports_byte_identical_across_runs(capsys, models_dir):
     _, c1 = run_cli(capsys, "classify", str(models_dir / "timers.ctm"))
     _, c2 = run_cli(capsys, "classify", str(models_dir / "timers.ctm"))
     assert c1 == c2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "timers.ctm", "--horizon", "3"],
+        ["classify", "timers.ctm", "--tol", "0.1"],
+        ["check", "timers.ctm", "--tol", "0.1"],
+        ["dynamics", "linear.ctm", "--variable", "pos", "--schedule", "4,2,1", "--horizon", "3"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_a_flag_the_subcommand_does_not_read_is_an_unknown_argument(capsys, models_dir, argv):
+    argv = [argv[0], str(models_dir / argv[1]), *argv[2:]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {argv[-2]}" in err
 
 
 def test_budget_is_an_unknown_argument(capsys, models_dir):

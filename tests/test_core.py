@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from ctm import (
     cycle_lengths,
     cyclic_substrate,
     evolve,
+    first_entry,
     identity_substrate,
     is_static,
     is_static_for_horizon,
@@ -284,6 +286,22 @@ def test_cycle_index_matches_step_walks(s, data):
     assert static_horizon(attr) == walk_static_horizon(attr, period)
     with pytest.raises(ModelError, match="non-negative"):
         is_static_for_horizon(attr, -1)
+
+
+def test_first_entry_matches_a_walk_over_the_recurrence_period():
+    # every bijection on up to 5 states, every start and every member set
+    for n in range(1, 6):
+        labels = tuple(range(n))
+        subsets = [frozenset(c) for r in range(n + 1) for c in combinations(labels, r)]
+        for image in permutations(labels):
+            s = make_substrate("p", labels, dict(zip(labels, image)))
+            period = walk_period(s)
+            for start in labels:
+                for members in subsets:
+                    walked = next(
+                        (k for k in range(period + 1) if walk(s, start, k) in members), None
+                    )
+                    assert first_entry(s, start, members) == walked
 
 
 # distinguishability ---------------------------------------------------------

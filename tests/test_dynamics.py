@@ -6,6 +6,7 @@ import pytest
 
 from ctm import (
     AdvanceCheckFailed,
+    Attribute,
     ModelError,
     TimerClass,
     TrajectoryModel,
@@ -18,7 +19,7 @@ from ctm import (
     make_counter_timer,
     recover_clock_pointer,
 )
-from conftest import LAMBDA_PROBES, MIXED_LAMBDAS, singleton
+from conftest import LAMBDA_PROBES, MIXED_LAMBDAS, call_within, prime_cycle_substrate, singleton
 
 OMEGA = 2 * math.pi / 64
 
@@ -187,6 +188,26 @@ def test_short_period_pointer_reports_wrap():
     assert rec.period == 16
     assert set(rec.mapping) == {Fraction(k) for k in range(9)}
     assert set(rec.unmapped) == {Fraction(k) for k in range(9, 16)}
+
+
+def test_pointer_recovery_on_prime_cycles_walks_each_start_once_around_its_cycle():
+    # λ=0 holds one state on each prime cycle up to 29, whose recurrence period is
+    # about 6.5e9; λ=2 lies on the 3-cycle alone, so the other starts never reach it
+    ring = prime_cycle_substrate(29)
+    cycles = ring.cycles
+    var = Variable(
+        ring,
+        {
+            0: Attribute(ring, frozenset(c[0] for c in cycles)),
+            1: Attribute(ring, frozenset(c[1] for c in cycles)),
+            2: singleton(ring, "c3_2"),
+        },
+    )
+    model = TrajectoryModel(var, {0: 0.0, 1: 1.0, 2: 2.0})
+    rec = call_within(20, recover_clock_pointer, model, reference_classes(range(1, 3)))
+    assert rec.mapping == {0: 0, 1: 1}
+    assert rec.unmapped == (2,)
+    assert rec.period == math.prod(len(c) for c in cycles)
 
 
 def test_pointer_recovery_needs_zero_entry():

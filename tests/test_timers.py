@@ -517,7 +517,7 @@ def seed_spec(name, substrate, attr0, attrR, attr1, halt_flag=None):
     if not attr0.members:
         raise ModelError(f"timer {name!r}: starting attribute must be non-empty")
     rec = recurrence_period(substrate)
-    firsts = [first_entry(substrate, s, attr1.members, rec) for s in attr0.members]
+    firsts = [first_entry(substrate, s, attr1.members) for s in attr0.members]
     duration = None
     if None not in firsts:
         k = max(firsts)
@@ -566,8 +566,8 @@ def seed_validate(c, horizon=None):
         checks["halt-at-completion"] = False
     else:
         for s in c.attr0.members:
-            flag_at = first_entry(c.substrate, s, c.halt_flag.members, c.recurrence)
-            done_at = first_entry(c.substrate, s, c.attr1.members, c.recurrence)
+            flag_at = first_entry(c.substrate, s, c.halt_flag.members)
+            done_at = first_entry(c.substrate, s, c.attr1.members)
             if flag_at is None or flag_at != done_at:
                 checks["halt-at-completion"] = False
                 break
@@ -587,9 +587,8 @@ def seed_validate(c, horizon=None):
 
 def seed_staggered(c1, c2):
     """The seed check_staggered_halt: simulate the pair step by step up to c1's halt."""
-    bound = max(c1.recurrence, c2.recurrence)
     for s0 in c1.attr0.members:
-        h = first_entry(c1.substrate, s0, c1.halt_flag.members, bound)
+        h = first_entry(c1.substrate, s0, c1.halt_flag.members)
         if h is None:
             return False
         for t0 in c2.attr0.members:

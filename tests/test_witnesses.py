@@ -18,6 +18,7 @@ from ctm import (
     identity_substrate,
     make_counter_timer,
     make_substrate,
+    make_timer,
     reliability,
     search_impossibility,
     timer_witness,
@@ -26,7 +27,7 @@ from ctm import (
     wrap_permutation,
 )
 from ctm.witnesses import permutation_possible
-from conftest import singleton
+from conftest import prime_cycle_substrate, singleton
 
 
 @pytest.fixture()
@@ -72,6 +73,20 @@ def test_timer_as_its_own_device_performs_duration_task():
     report = verify_witness(w, duration_task(spec))
     assert report.performs
     assert report.halt_steps[("*", 0)] == 5
+
+
+def test_timer_witness_gives_up_on_a_run_that_never_halts_after_the_longest_cycle():
+    # a duration-1 timer on the 2-cycle of a substrate whose recurrence period is about
+    # 6.5e9; a start on the 3-cycle never raises the flag, and its run stops after 29 steps
+    sub = prime_cycle_substrate(29)
+    spec = make_timer(
+        "T", sub, singleton(sub, "c2_0"), Attribute(sub, frozenset()), singleton(sub, "c2_1")
+    )
+    w = timer_witness(spec)
+    assert w.max_steps == 29
+    report = verify_witness(w, Task(Attribute(sub, frozenset({"c2_0", "c3_0"})), spec.attr1))
+    assert (report.reason, report.failing_run) == ("timeout", ("*", "c3_0"))
+    assert report.halt_steps == {("*", "c2_0"): 1}
 
 
 def test_failure_modes(abc):
