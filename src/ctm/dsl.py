@@ -1,10 +1,17 @@
 """The `.ctm` model format: lexer, parser, analysis, pretty-printer.
 
-Line-oriented keyword grammar; `#` starts a comment.  The lexer makes a
-single pass over the text: one regex match per token, with blanks and
-comments absorbed into the match.  Step maps are written in cycle
-notation and must mention every state exactly once, so a well-formed
-step map is a bijection by construction.
+Line-oriented keyword grammar; `#` starts a comment.  Loading is linear in
+the text.  A line reader takes the leading lines that each hold one
+complete, well-formed statement with one regex match per line (and per
+variable entry): substrates, attributes, counter and particle timers,
+tasks, `law STATUS ATTR -> ATTR on SUBSTRATE` and variables.  From the
+first line it does not accept to the end of the file, the token parser
+reads the text, one regex match per token with blanks and comments
+absorbed into the match, and fills the same declaration tables.  Every
+diagnostic comes from the token parser, which the reader agrees with on
+each line it accepts.  Step maps are written in cycle notation and must
+mention every state exactly once, so a well-formed step map is a
+bijection by construction.
 
     substrate NAME { states L1 L2 ... ; step (L1 L2)(L3) }
     attribute NAME on SUBSTRATE { L1 L2 ... }
@@ -210,12 +217,15 @@ _TOKEN_RE = re.compile(
 _Token = tuple[str, str, int, int]
 
 
-def _lex(text: str) -> tuple[list[_Token], list[Diagnostic]]:
-    """Tokens `(kind, text, line, column)`, in one pass over `text`."""
+def _lex(text: str, start: int = 0, line: int = 1) -> tuple[list[_Token], list[Diagnostic]]:
+    """Tokens `(kind, text, line, column)`, in one pass over `text` from `start`.
+
+    `start` is the offset of the first character of line number `line`.
+    """
     tokens: list[_Token] = []
     diags: list[Diagnostic] = []
-    line, line_start = 1, 0  # line_start: offset of the current line's first character
-    for m in _TOKEN_RE.finditer(text):
+    line_start = start  # offset of the current line's first character
+    for m in _TOKEN_RE.finditer(text, start):
         kind = m.lastgroup
         if kind == "nl":
             line += 1
@@ -485,27 +495,8 @@ class _Parser:
 
     # top level --------------------------------------------------------------
 
-    def parse(self) -> ModelDecl | None:
-        substrates: dict = {}
-        attributes: dict = {}
-        timers: dict = {}
-        tasks: dict = {}
-        laws: list[LawDecl] = []
-        variables: dict = {}
-
-        def store(table: dict, decl, what: str) -> None:
-            if decl.name in table:
-                self.diags.append(
-                    Diagnostic(
-                        "error",
-                        decl.span[0],
-                        decl.span[1],
-                        f"duplicate {what} name {decl.name!r}",
-                    )
-                )
-            else:
-                table[decl.name] = decl
-
+    def parse(self, tables: _Tables) -> ModelDecl | None:
+        """Parse to the end of the tokens, adding each declaration to `tables`."""
         while self.peek()[0] != "eof":
             tok = self.peek()
             try:
@@ -517,30 +508,226 @@ class _Parser:
                     )
                 span = (tok[2], tok[3])
                 keyword = self.advance()[1]
-                if keyword == "substrate":
-                    store(substrates, self.parse_substrate(span), "substrate")
-                elif keyword == "attribute":
-                    store(attributes, self.parse_attribute(span), "attribute")
-                elif keyword == "timer":
-                    store(timers, self.parse_timer(span), "timer")
-                elif keyword == "task":
-                    store(tasks, self.parse_task(span), "task")
-                elif keyword == "law":
-                    laws.append(self.parse_law(span))
-                else:
-                    store(variables, self.parse_variable(span), "variable")
+                decl = getattr(self, "parse_" + keyword)(span)
+                if not tables.add(keyword, decl):
+                    self.diags.append(
+                        Diagnostic("error", *span, f"duplicate {keyword} name {decl.name!r}")
+                    )
             except _Recover:
                 self.sync()
         if any(d.severity == "error" for d in self.diags):
             return None
-        return ModelDecl(substrates, attributes, timers, tasks, tuple(laws), variables)
+        return tables.model()
+
+
+class _Tables:
+    """The declarations read so far, by keyword and in file order."""
+
+    def __init__(self) -> None:
+        self.named: dict[str, dict] = {keyword: {} for keyword in _KEYWORDS if keyword != "law"}
+        self.laws: list[LawDecl] = []
+
+    def add(self, keyword: str, decl) -> bool:
+        """Add a declaration; False, adding nothing, when its kind already has its name."""
+        if keyword == "law":
+            self.laws.append(decl)
+            return True
+        table = self.named[keyword]
+        if decl.name in table:
+            return False
+        table[decl.name] = decl
+        return True
+
+    def model(self) -> ModelDecl:
+        named = self.named
+        return ModelDecl(
+            named["substrate"],
+            named["attribute"],
+            named["timer"],
+            named["task"],
+            tuple(self.laws),
+            named["variable"],
+        )
+
+
+def _parse_tokens(
+    text: str, start: int = 0, line: int = 1, tables: _Tables | None = None
+) -> ParseResult:
+    """The token parser from offset `start`, the first character of line `line`, to the end.
+
+    Over the whole text with no tables it is the parse that the line reader
+    must agree with, and the tests keep it as that oracle.
+    """
+    tokens, diags = _lex(text, start, line)
+    model = _Parser(tokens, diags).parse(_Tables() if tables is None else tables)
+    return ParseResult(model, diags)
+
+
+# ---------------------------------------------------------------- line reader
+
+# The line reader builds the declarations of a file's leading lines that
+# each hold one complete, well-formed statement, with one regex match per
+# line and per variable entry.  Its patterns accept a subset of what the
+# token parser accepts, and each token they match ends where the lexer ends
+# it: a name or label at a blank or a delimiter, a number at a blank, ';' or
+# '}'.  A statement it accepts cannot continue onto the next line.  At the
+# first line it does not accept, or whose statement would draw a diagnostic,
+# the token parser takes over to the end of the file, so every diagnostic
+# comes from the token parser.
+
+_B = r"[ \t\r]*"  # optional blanks
+_BB = r"[ \t\r]+"  # required blanks
+_NAME = r"([A-Za-z_][A-Za-z0-9_]*)"
+_INT = r"(-?[0-9]+)"
+_NUMBER = r"(-?[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?|-?[0-9]+[eE][+-]?[0-9]+|-?[0-9]+)"
+_END = _B + r"(?:\#.*)?"  # blanks, then a comment to the end of the line
+
+
+def _labels(close: str) -> str:
+    """A run of labels, each ending at a blank or at the `close` after the run.
+
+    Each label takes the blanks after it, so no two blank runs meet and a
+    line that fails to match fails in linear time.
+    """
+    return r"(?:(?:[A-Za-z_][A-Za-z0-9_]*|-?[0-9]+)(?![^ \t\r" + close + "])" + _B + ")*"
+
+
+# a blank or comment line, or the keyword that opens a statement
+_HEAD_RE = re.compile(_B + r"(?:(?:\#.*)?\Z|(" + "|".join(_KEYWORDS) + ")" + _BB + ")")
+# each statement pattern matches the rest of its line after the keyword
+_SUBSTRATE_RE = re.compile(
+    _NAME + _B + r"\{" + _B + "states" + _BB + "(" + _labels(";") + ");" + _B + "step"
+    + "((?:" + _B + r"\(" + _B + _labels(")") + r"\))*)" + _B + r"\}" + _END
+)
+_CYCLE_RE = re.compile(r"\(([^)]*)\)")
+_ATTRIBUTE_RE = re.compile(
+    _NAME + _BB + "on" + _BB + _NAME + _B + r"\{" + _B + "(" + _labels("}") + r")\}" + _END
+)
+_TIMER_RE = re.compile(
+    "(?:counter" + _BB + _NAME + _B + r"\{" + _B + "bits" + _BB + _INT + _B + ";"
+    + _B + "threshold" + _BB + _INT
+    + "|particle" + _BB + _NAME + _B + r"\{" + _B + "cells" + _BB + _INT + _B + ";"
+    + _B + "speed" + _BB + _INT + _B + ";" + _B + "target" + _BB + _INT
+    + ")" + _B + r"\}" + _END
+)
+_TASK_RE = re.compile(
+    _NAME + _BB + "on" + _BB + _NAME + _B + ":" + _B + _NAME + _B + "->" + _B + _NAME + _END
+)
+_LAW_RE = re.compile(
+    "(possible|impossible|✓|✗)" + _BB + _NAME + _B + "->" + _B + _NAME + _BB + "on" + _BB
+    + _NAME + _END
+)
+_VARIABLE_RE = re.compile(_NAME + _BB + "on" + _BB + _NAME + _B + r"\{")
+_ENTRY_RE = re.compile(_B + _INT + _B + ":" + _B + _NAME + _B + "@" + _B + _NUMBER + _B + "(;?)")
+_CLOSE_RE = re.compile(_B + r"\}" + _END)
+_STATUS = {"possible": "possible", "✓": "possible", "impossible": "impossible", "✗": "impossible"}
+
+
+def _read_substrate(line: str, pos: int, span: Span) -> SubstrateDecl | None:
+    m = _SUBSTRATE_RE.fullmatch(line, pos)
+    if m is None:
+        return None
+    states = m[2].split()
+    if not states or "step" in states:  # the token parser ends the states at 'step'
+        return None
+    step: dict = {}
+    mentioned = 0
+    for run in _CYCLE_RE.findall(m[3]):
+        cycle = run.split()
+        step.update(zip(cycle, cycle[1:] + cycle[:1]))
+        mentioned += len(cycle)
+    # the step map must mention each state once and nothing else
+    if mentioned != len(step) or step.keys() != set(states):
+        return None
+    return SubstrateDecl(m[1], tuple(states), step, span)
+
+
+def _read_attribute(line: str, pos: int, span: Span) -> AttributeDecl | None:
+    m = _ATTRIBUTE_RE.fullmatch(line, pos)
+    return None if m is None else AttributeDecl(m[1], m[2], frozenset(m[3].split()), span)
+
+
+def _read_timer(line: str, pos: int, span: Span) -> TimerDecl | None:
+    m = _TIMER_RE.fullmatch(line, pos)
+    if m is None:
+        return None
+    if m[1] is not None:
+        return CounterTimerDecl(m[1], int(m[2]), int(m[3]), span)
+    return ParticleTimerDecl(m[4], int(m[5]), int(m[6]), int(m[7]), span)
+
+
+def _read_task(line: str, pos: int, span: Span) -> TaskDecl | None:
+    m = _TASK_RE.fullmatch(line, pos)
+    return None if m is None else TaskDecl(m[1], m[2], m[3], m[4], span)
+
+
+def _read_law(line: str, pos: int, span: Span) -> LawDecl | None:
+    m = _LAW_RE.fullmatch(line, pos)
+    if m is None or m[2] == "task":  # the token parser reads 'task' here as the task form
+        return None
+    return LawDecl(_STATUS[m[1]], input=m[2], output=m[3], substrate=m[4], span=span)
+
+
+def _read_variable(line: str, pos: int, span: Span) -> VariableDecl | None:
+    m = _VARIABLE_RE.match(line, pos)
+    if m is None:
+        return None
+    entries: dict = {}
+    at = m.end()
+    # one match per entry, each from where the last one ended: one pattern
+    # repeating over all the entries would grow the regex engine's stack
+    while (e := _ENTRY_RE.match(line, at)) is not None:
+        lam, attr, number, semi = e.groups()
+        lam = int(lam)
+        reading = float(number)
+        if lam in entries or not math.isfinite(reading):
+            return None
+        entries[lam] = (attr, reading)
+        at = e.end()
+        if not semi:
+            break
+    if _CLOSE_RE.fullmatch(line, at) is None:
+        return None
+    return VariableDecl(m[1], m[2], entries, span)
+
+
+_READERS = {
+    "substrate": _read_substrate,
+    "attribute": _read_attribute,
+    "timer": _read_timer,
+    "task": _read_task,
+    "law": _read_law,
+    "variable": _read_variable,
+}
+
+
+def _read_lines(text: str, tables: _Tables) -> tuple[int, int] | None:
+    """Add to `tables` the declarations of the leading lines that the line reader accepts.
+
+    Returns the offset and the number of the first line it does not
+    accept, or None when it accepts them all.
+    """
+    offset = 0
+    for number, line in enumerate(text.split("\n"), 1):
+        head = _HEAD_RE.match(line)
+        if head is None:
+            return offset, number
+        keyword = head[1]
+        if keyword is not None:
+            decl = _READERS[keyword](line, head.end(), (number, head.start(1) + 1))
+            if decl is None or not tables.add(keyword, decl):
+                return offset, number
+        offset += len(line) + 1
+    return None
 
 
 def parse_model(text: str) -> ParseResult:
     """Parse `.ctm` text; on any error the model is None and diagnostics tell why."""
-    tokens, diags = _lex(text)
-    parser = _Parser(tokens, diags)
-    return ParseResult(parser.parse(), diags)
+    tables = _Tables()
+    resume = _read_lines(text, tables)
+    if resume is None:
+        return ParseResult(tables.model(), [])
+    return _parse_tokens(text, *resume, tables)
 
 
 # ------------------------------------------------------------------- analysis

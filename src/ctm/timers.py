@@ -28,7 +28,6 @@ from .core import (
     make_substrate,
     orbit,
     pair_attribute,
-    recurrence_period,
     retarget,
     static_horizon,
 )
@@ -55,7 +54,6 @@ class TimerSpec:
     halt_flag: Attribute
     halts: tuple[int, ...]
     static_horizon: int
-    recurrence: int
     warnings: tuple[str, ...]
 
     @property
@@ -114,8 +112,7 @@ def make_timer(
         raise ModelError(
             f"timer {name!r} is not a well-formed null constructor: " + ", ".join(failed)
         )
-    rec = recurrence_period(substrate)
-    horizon = static_horizon(attr1, cap=rec)
+    horizon = static_horizon(attr1)
     warnings = []
     if not attrR.members:
         warnings.append("running attribute is empty (duration-1 degenerate timer)")
@@ -126,7 +123,7 @@ def make_timer(
         )
     halts = tuple(sorted(set(firsts)))
     return TimerSpec(
-        name, substrate, attr0, attrR, attr1, halt_flag, halts, horizon, rec, tuple(warnings)
+        name, substrate, attr0, attrR, attr1, halt_flag, halts, horizon, tuple(warnings)
     )
 
 
@@ -265,7 +262,6 @@ def _distinct(c1: TimerSpec, c2: TimerSpec) -> TimerSpec:
         retarget(c2.halt_flag, sub),
         c2.halts,
         c2.static_horizon,
-        c2.recurrence,
         c2.warnings,
     )
 

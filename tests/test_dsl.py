@@ -2,6 +2,7 @@ import gc
 import random
 import re
 import string
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,9 @@ from ctm.dsl import (
     parse_model,
     pretty_print,
 )
-from ctm.dsl import _lex
+from ctm import dsl
+from ctm.dsl import _lex, _parse_tokens
+from conftest import MODELS_DIR
 
 
 def parse_ok(text):
@@ -378,6 +381,13 @@ def assert_lex_matches_seed(text):
     want_tokens, want_diags = seed_lex(text)
     assert tokens == want_tokens, text
     assert diags == want_diags, text
+    # lexing from a line's first character gives the tail of the whole lex
+    start = 0
+    for line, row in enumerate(text.split("\n"), 1):
+        tail = _lex(text, start, line)
+        assert tail[0] == [tok for tok in tokens if tok[2] >= line], (text, line)
+        assert tail[1] == [d for d in diags if d.line >= line], (text, line)
+        start += len(row) + 1
 
 
 LEX_PIECES = list(FUZZ_ALPHABET) + ["\t", "\r", "\f", "✓", "✗", "->", "1e5", "-3.5", "€"]
@@ -425,6 +435,172 @@ def test_lex_tokens_are_plain_tuples_the_collector_untracks(models_dir):
         assert all(type(tok) is tuple for tok in tokens)
         gc.collect()
         assert not any(gc.is_tracked(tok) for tok in tokens)
+
+
+# line reader ---------------------------------------------------------------------
+
+
+def closure_text(rings):
+    """Four-state rings, an attribute per state and chained pair laws; a task and two timers."""
+    lines = ["# four-state rings, chained laws", ""]
+    for r in range(rings):
+        states = [f"Q{r}_{i}" for i in range(4)]
+        lines.append(f"substrate R{r} {{ states {' '.join(states)} ; step ({' '.join(states)}) }}")
+        lines += [f"attribute A{r}_{i} on R{r} {{ {s} }}" for i, s in enumerate(states)]
+        lines += [f"law possible A{r}_{i} -> A{r}_{i + 1} on R{r}" for i in range(3)]
+        lines.append(f"law ✗ A{r}_0 -> A{r}_3 on R{r}  # derivable")
+        lines.append(f"task T{r} on R{r} : A{r}_0 -> A{r}_2")
+    lines.append("timer counter C { bits 4 ; threshold 5 }")
+    lines.append("\ttimer particle P{cells 16;speed 2;target 6}")
+    return "\n".join(lines) + "\n"
+
+
+def declared_spans(model):
+    """Each declaration with its span, table by table in file order."""
+    if model is None:
+        return None
+    tables = (model.substrates, model.attributes, model.timers, model.tasks, model.variables)
+    named = [[(name, decl, decl.span) for name, decl in table.items()] for table in tables]
+    return named, [(law, law.span) for law in model.laws]
+
+
+def assert_reads_as_tokens(text):
+    got = parse_model(text)
+    want = _parse_tokens(text)
+    assert got.diagnostics == want.diagnostics, text
+    assert got.model == want.model, text
+    assert declared_spans(got.model) == declared_spans(want.model), text
+
+
+# lines the reader must leave to the token parser, and some it may read;
+# parsing resolves no names, so each needs no other declaration
+READER_CASES = (
+    "attribute a on P { c0 } attribute b on P { c1 }\n",
+    "attribute a on P {\n c0 }\n",
+    "task T on P : a -> b\nlaw possible task T\non P\n",
+    "task T on P : a -> b\n-> c\n",
+    "law ✓ a -> b on P\r\nattribute\ta\ton\tP\t{\tc0\t}\t# note\r\n",
+    "timer counter C { bits 4 ; threshold 5 } # c\n timer particle Q{cells 8;speed 1;target 3}",
+    "variable v on P { 0 : a @ 1e999 }\n",
+    "variable v on P { 0 : a @ 1.0 ; 0 : b @ 2.0 }\n",
+    "variable v on P { 0 : a @ 1.0 ; 1 : b @ 2 ; }\nvariable w on P { }\n",
+    "variable v on P { 0 : a @ 1.5e ; }\n",
+    "variable v on P { 0 : a @ 1 1 : b @ 2 }\n",
+    "variable v on P { ; }\n",
+    "attribute a on P { c0 }\nattribute a on P { c1 }\n",
+    "attribute a on P { c0 }€\n",
+    "law possible a -> b on P\f\n",
+    "attribute a on P { 12abc }\n",
+    "attribute a on P { c0-7 }\n",
+    "attributea on P { c0 }\n",
+    "law possiblea -> b on P\n",
+    "law possible task -> b on P\n",
+    "substrate P { states a step ; step (a step) }\n",
+    "substrate P { states-5 a ; step(-5 a) }\n",
+    "substrate P { states a b ; step (a)(b a) }\n",
+    "substrate P { states a b ; step (a) }\n",
+    "substrate P { states a ; step (a b) }\n",
+    "substrate P { states a a ; step (a)() }\n",
+)
+
+
+READER_BASES = [path.read_text() for path in fixture_texts(MODELS_DIR)] + [
+    ring_pointer_text(3),
+    closure_text(1),
+]
+
+
+@pytest.mark.parametrize("text", [*READER_BASES, ring_pointer_text(64), *READER_CASES])
+def test_line_reader_matches_token_parser(text):
+    assert_reads_as_tokens(text)
+
+# (pattern, replacement): one occurrence of the pattern is replaced, and
+# {0} in the replacement stands for the text it replaces
+READER_EDITS = (
+    (r"\n", " "),  # join two lines
+    (r"\n", ""),
+    (r" ", "\n"),  # split a line
+    (r" ", ""),
+    (r"\n", "\r\n"),
+    (r" ", "\t"),
+    (r"\n", " # trailing comment\n"),
+    (r" ", " # "),
+    (r"\n", "\nlaw possible task T0\non R0\n"),  # a task law continued on the next line
+    (r"@ [^ ;}]+", "@ 1e999"),
+    (r"\d+ :", "0 :"),  # a duplicate parameter value
+    (r"(?<=possible )[A-Za-z0-9_]+", "task"),
+    (r"(?<=possible) ", ""),
+    (r"[A-Za-z0-9_]+", "{0} {0}"),  # a label twice in a step map, or a doubled name
+    (r"\d+", "12abc"),
+    (r"[ }]", "€"),  # a bad character after a prefix the reader accepts
+    (r"[ }]", "\f"),
+    (r"[;}()]", ""),
+)
+# a word renamed everywhere, so that a state keeps its place in the step map
+READER_RENAMES = ("step", "task", "on", "c0-7", "12abc", "7")
+
+
+@st.composite
+def reader_mutations(draw):
+    text = draw(st.sampled_from(READER_BASES))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(range(len(READER_EDITS) + 3)))
+        if kind == len(READER_EDITS):  # a line repeated elsewhere: duplicate names
+            lines = text.split("\n")
+            row = lines[draw(st.integers(min_value=0, max_value=len(lines) - 1))]
+            lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), row)
+            text = "\n".join(lines)
+        elif kind == len(READER_EDITS) + 1:
+            at = draw(st.integers(min_value=0, max_value=len(text)))
+            piece = draw(st.sampled_from(LEX_PIECES))
+            text = text[:at] + piece + text[at:]
+        elif kind == len(READER_EDITS) + 2:
+            words = sorted(set(re.findall(r"\b[A-Za-z0-9_]+\b", text)))
+            if words:
+                word = draw(st.sampled_from(words))
+                new = draw(st.sampled_from(READER_RENAMES))
+                text = re.sub(rf"\b{word}\b", new, text)
+        else:
+            pattern, replacement = READER_EDITS[kind]
+            spots = [m.span() for m in re.finditer(pattern, text)]
+            if spots:
+                lo, hi = spots[draw(st.integers(min_value=0, max_value=len(spots) - 1))]
+                text = text[:lo] + replacement.format(text[lo:hi]) + text[hi:]
+    return text
+
+
+@settings(max_examples=1000, deadline=None)
+@given(reader_mutations())
+def test_line_reader_matches_token_parser_on_mutations(text):
+    assert_reads_as_tokens(text)
+
+
+def test_line_reader_rejects_a_long_line_in_linear_time():
+    # blanks between tokens and a stray character at the end: patterns in
+    # which two blank runs meet would retry every split of the blanks
+    labels = " ".join(f"c{i}" for i in range(3000))
+    gap = " " * 3000
+    text = f"substrate P {{ states{gap}{labels}{gap};{gap}step{gap}({gap}{labels}{gap}){gap}€ }}"
+    start = time.perf_counter()
+    result = parse_model(text)
+    assert time.perf_counter() - start < 2.0
+    assert [d.message for d in result.diagnostics] == ["unexpected character '€'"]
+
+
+def test_line_reader_reads_whole_files_without_the_lexer(monkeypatch):
+    texts = [ring_pointer_text(2048), closure_text(4)]
+
+    def no_lex(*args):
+        raise AssertionError("the token parser ran")
+
+    monkeypatch.setattr(dsl, "_lex", no_lex)
+    for text in texts:
+        model = parse_model(text).model
+        assert model is not None
+        assert not model.empty
+    assert len(model.laws) == 16 and set(model.timers) == {"C", "P"}
+    with pytest.raises(AssertionError, match="the token parser ran"):
+        parse_model(texts[1] + "law possible task T0\non R0\n")
 
 
 # validation / build ---------------------------------------------------------------

@@ -531,7 +531,6 @@ def seed_spec(name, substrate, attr0, attrR, attr1, halt_flag=None):
         halt_flag=attr1 if halt_flag is None else halt_flag,
         duration=duration,
         static_horizon=static_horizon(attr1, cap=rec) if attr1.members else 0,
-        recurrence=rec,
     )
 
 
@@ -609,7 +608,7 @@ def decision(parts):
         spec = make_timer(*parts)
     except ModelError as e:
         return str(e)
-    return spec.duration, spec.static_horizon, spec.recurrence, spec.warnings
+    return spec.duration, spec.static_horizon, spec.warnings
 
 
 def seed_decision(parts):
@@ -622,7 +621,7 @@ def seed_decision(parts):
     if not report.passed:
         failed = ", ".join(report.failures)
         return f"timer {parts[0]!r} is not a well-formed null constructor: {failed}"
-    return spec.duration, spec.static_horizon, spec.recurrence, report.warnings
+    return spec.duration, spec.static_horizon, report.warnings
 
 
 def composite_parts(c1, c2):
