@@ -9,7 +9,6 @@ derivative recovery from timed advance tasks.  Models are declared in the
 from .core import (
     Attribute,
     ModelError,
-    StateSpace,
     Substrate,
     Variable,
     are_distinguishable,

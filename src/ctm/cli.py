@@ -99,6 +99,9 @@ def _load_file(path: str) -> tuple[BuiltModel | None, list[Diagnostic]]:
             text = fh.read()
     except OSError as e:
         return None, [Diagnostic("error", 0, 0, f"cannot read {path!r}: {e.strerror}")]
+    except UnicodeDecodeError as e:
+        message = f"cannot read {path!r}: not UTF-8 text ({e.reason} at offset {e.start})"
+        return None, [Diagnostic("error", 0, 0, message)]
     parsed = parse_model(text)
     if parsed.model is None:
         return None, parsed.diagnostics
@@ -334,11 +337,16 @@ def cmd_dynamics(args) -> tuple[dict, int]:
         }
     )
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["dlam", "ratio"])
-            for d, r in zip(est.schedule, est.ratios):
-                writer.writerow([d, repr(r)])
+        try:
+            with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["dlam", "ratio"])
+                for d, r in zip(est.schedule, est.ratios):
+                    writer.writerow([d, repr(r)])
+        except OSError as e:
+            message = f"cannot write {args.csv!r}: {e.strerror}"
+            report["diagnostics"].append(_diag_dict(Diagnostic("error", 0, 0, message)))
+            return report, EXIT_INPUT
         report["csv"] = args.csv
     return report, EXIT_OK
 

@@ -22,31 +22,17 @@ class ModelError(ValueError):
     """A model object or argument violates a structural requirement."""
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    """Finite ordered set of state labels."""
-
-    id: str
-    states: tuple[State, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(self.states))
-        if not self.states:
-            raise ModelError(f"state space {self.id!r} has no states")
-        if len(set(self.states)) != len(self.states):
-            raise ModelError(f"state space {self.id!r} has duplicate state labels")
-
-
 @dataclass(frozen=True, eq=False)
 class Substrate:
-    """A state space evolving under a bijective one-step map.
+    """A finite ordered set of distinct state labels evolving under a bijective one-step map.
 
     Equality is object identity: two substrates built from identical data
     are still distinct physical systems, and several operations (pairing,
     composition) depend on telling instances apart.
     """
 
-    space: StateSpace
+    id: str
+    states: tuple[State, ...]
     step: Mapping[State, State]
     children: tuple["Substrate", ...] = ()
     # every state lies on exactly one cycle: the cycles, and each state's (cycle, position)
@@ -54,27 +40,25 @@ class Substrate:
     cycle_index: Mapping[State, tuple[int, int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "step", dict(self.step))
-        labels = set(self.space.states)
+        if not self.states:
+            raise ModelError(f"state space {self.id!r} has no states")
+        labels = set(self.states)
+        # a repeated label passes the domain check below, so count the labels here
+        if len(labels) != len(self.states):
+            raise ModelError(f"state space {self.id!r} has duplicate state labels")
         if set(self.step) != labels:
             raise ModelError(f"substrate {self.id!r}: step map domain != state set")
         if set(self.step.values()) != labels:
             raise ModelError(f"substrate {self.id!r}: step map is not a bijection")
-        cycles = cycle_decomposition(self.space.states, self.step)
+        cycles = cycle_decomposition(self.states, self.step)
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(
             self,
             "cycle_index",
             {state: (c, i) for c, cyc in enumerate(cycles) for i, state in enumerate(cyc)},
         )
-
-    @property
-    def id(self) -> str:
-        return self.space.id
-
-    @property
-    def states(self) -> tuple[State, ...]:
-        return self.space.states
 
     def __repr__(self) -> str:
         kind = "composite" if self.children else "atomic"
@@ -130,12 +114,14 @@ class Variable:
 
     The parameter values are kept as `parameter_key` gives them: whole values
     as ints, the others as Fractions.  `attribute` and `in` accept any value
-    `Fraction` accepts.
+    `Fraction` accepts.  An entry may be static, which the `.ctm` loader
+    warns on: no timed advance leaves it (`check_timed_advance` is False
+    there, an empty entry included), and pointer recovery lists every static
+    entry but λ = 0 as unmapped, so none makes a verdict wrong.
     """
 
     substrate: Substrate
     entries: Mapping[int | Fraction, Attribute]
-    allow_static: bool = False
     # the parameter values in increasing order
     domain: tuple[int | Fraction, ...] = field(init=False, repr=False)
 
@@ -151,11 +137,6 @@ class Variable:
             if attr.members & seen:
                 raise ModelError(f"variable entry {lam}: attributes are not pairwise disjoint")
             seen |= attr.members
-            if not self.allow_static and is_static(attr):
-                raise ModelError(
-                    f"variable entry {lam}: attribute is static "
-                    "(pass allow_static=True to permit)"
-                )
 
     def attribute(self, lam) -> Attribute:
         key = parameter_key(lam)
@@ -191,7 +172,7 @@ def cycle_decomposition(
 
 
 def make_substrate(sid: str, states: Iterable[State], step: Mapping[State, State]) -> Substrate:
-    return Substrate(StateSpace(sid, tuple(states)), step)
+    return Substrate(sid, states, step)
 
 
 def cyclic_substrate(sid: str, states: Iterable[State]) -> Substrate:
@@ -206,9 +187,9 @@ def identity_substrate(sid: str, states: Iterable[State]) -> Substrate:
     return make_substrate(sid, seq, {s: s for s in seq})
 
 
-def clone_substrate(s: Substrate, suffix: str = "'") -> Substrate:
-    """Fresh instance with the same states and step (a second copy of the system)."""
-    return Substrate(StateSpace(s.space.id + suffix, s.space.states), dict(s.step), s.children)
+def clone_substrate(s: Substrate) -> Substrate:
+    """Fresh instance, its id primed, with the same states and step (a second copy of the system)."""
+    return Substrate(s.id + "'", s.states, s.step, s.children)
 
 
 def retarget(attr: Attribute, substrate: Substrate) -> Attribute:
@@ -228,8 +209,7 @@ def compose_substrates(a: Substrate, b: Substrate) -> Substrate:
         )
     states = tuple(product(a.states, b.states))
     step = {(x, y): (a.step[x], b.step[y]) for x, y in states}
-    space = StateSpace(f"({a.id}⊕{b.id})", states)
-    return Substrate(space, step, children=(a, b))
+    return Substrate(f"({a.id}⊕{b.id})", states, step, children=(a, b))
 
 
 def pair_attribute(composite: Substrate, left: Attribute, right: Attribute, name: str = "") -> Attribute:

@@ -876,14 +876,14 @@ def analyze_model(decl: ModelDecl) -> tuple[BuiltModel | None, list[Diagnostic]]
         if bad:
             continue
         try:
-            variable = Variable(sub, entries, allow_static=True)
+            variable = Variable(sub, entries)
         except ModelError as e:
             err(d.span, f"variable {d.name!r}: {e}")
             continue
         for lam in variable.domain:
             if is_static(variable.entries[lam]):
                 warn(d.span, f"variable {d.name!r}: attribute at λ={lam} is static")
-        trajectories[d.name] = TrajectoryModel(variable, readings, name=d.name)
+        trajectories[d.name] = TrajectoryModel(variable, readings)
 
     if any(x.severity == "error" for x in diags):
         return None, diags

@@ -39,7 +39,6 @@ class TrajectoryModel:
 
     variable: Variable
     readings: Mapping[int | Fraction, float]
-    name: str = ""
 
     def __post_init__(self) -> None:
         normal = {parameter_key(k): float(v) for k, v in self.readings.items()}
@@ -62,16 +61,18 @@ class TrajectoryModel:
 def check_timed_advance(m: TrajectoryModel, timer: TimerSpec, lam) -> bool:
     """Does the variable advance by the timer's duration exactly at its halt?
 
-    True iff from every joint start (state of v(lam), timer starting
-    state) the substrate lies in v(lam + duration) at the first raise of
-    the timer's halt flag, when the timer completes.  The halt steps are
-    timer.halts, found by make_timer within each start's own cycle.
+    True iff v(lam) is non-empty and from every joint start (state of
+    v(lam), timer starting state) the substrate lies in v(lam + duration)
+    at the first raise of the timer's halt flag, when the timer completes.
+    An empty v(lam) has no start to advance, so it performs no advance.
+    The halt steps are timer.halts, found by make_timer within each start's
+    own cycle.
     """
     lam = Fraction(lam)
     dlam = Fraction(timer.duration)
     x = m.variable.attribute(lam)
     x_next = m.variable.attribute(lam + dlam)
-    return all(
+    return bool(x.members) and all(
         evolve(m.substrate, sigma, h) in x_next.members for h in timer.halts for sigma in x.members
     )
 

@@ -88,7 +88,7 @@ def _task_key(task: TaskLike) -> tuple | None:
 
 @dataclass(frozen=True)
 class Declared:
-    note: str = ""
+    """Provenance of a law stated by the model rather than derived."""
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,12 @@ class LawStatement:
         return f"LawStatement({self.task!r}{mark})"
 
 
-def possible(task: TaskLike, note: str = "") -> LawStatement:
-    return LawStatement(task, Possibility.POSSIBLE, Declared(note))
+def possible(task: TaskLike) -> LawStatement:
+    return LawStatement(task, Possibility.POSSIBLE)
 
 
-def impossible(task: TaskLike, note: str = "") -> LawStatement:
-    return LawStatement(task, Possibility.IMPOSSIBLE, Declared(note))
+def impossible(task: TaskLike) -> LawStatement:
+    return LawStatement(task, Possibility.IMPOSSIBLE)
 
 
 @dataclass(frozen=True)

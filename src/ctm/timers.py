@@ -182,7 +182,7 @@ def make_particle_timer(
     return make_timer(name or f"particle({cells},{speed},{target})", substrate, attr0, attrR, attr1)
 
 
-def composite_timer(c1: TimerSpec, c2: TimerSpec, name: str | None = None) -> TimerSpec:
+def composite_timer(c1: TimerSpec, c2: TimerSpec) -> TimerSpec:
     """The pair of timers read as a single timer that halts when the faster does.
 
     Requires duration(c1) <= duration(c2).  The completion attribute is
@@ -207,7 +207,7 @@ def composite_timer(c1: TimerSpec, c2: TimerSpec, name: str | None = None) -> Ti
     )
     running = pair_attribute(joint, not_done1, full2, name="(0|R,any)")
     attrR = Attribute(joint, running.members - attr0.members, name="R")
-    return make_timer(name or f"[{c1.name}⊕{second.name}]", joint, attr0, attrR, attr1, halt)
+    return make_timer(f"[{c1.name}⊕{second.name}]", joint, attr0, attrR, attr1, halt)
 
 
 def recurrence_horizon(c: TimerSpec) -> int:
@@ -216,7 +216,8 @@ def recurrence_horizon(c: TimerSpec) -> int:
     The representative is the starting state that comes first in the
     substrate's state order, so the result does not depend on set order.
     """
-    rep = min(c.attr0.members, key=c.substrate.states.index)
+    members = c.attr0.members
+    rep = next(s for s in c.substrate.states if s in members)
     return len(orbit(c.substrate, rep))
 
 
@@ -305,13 +306,13 @@ def check_synchrony(c: TimerSpec) -> bool:
     return c.halt_step is not None
 
 
-def timer_witness(c: TimerSpec, max_steps: int | None = None) -> ConstructorWitness:
+def timer_witness(c: TimerSpec) -> ConstructorWitness:
     """The timer as a constructor acting on nothing but itself.
 
     Trivial one-state device; the timer's own substrate carries the halt
     flag, so verification and accuracy read the timer's halt state
     directly.  The flag rises within the start's cycle or never, so the
-    default max_steps, the longest cycle's length, changes no verdict.
+    step budget, the longest cycle's length, cuts no run short.
     """
     device = make_substrate(f"{c.name}-dev", ("*",), {"*": "*"})
     joint = {("*", s): ("*", c.substrate.step[s]) for s in c.substrate.states}
@@ -321,7 +322,7 @@ def timer_witness(c: TimerSpec, max_steps: int | None = None) -> ConstructorWitn
         ready=Attribute(device, frozenset({"*"}), name="ready"),
         halt_flag=c.halt_flag,
         joint_step=joint,
-        max_steps=max_steps if max_steps is not None else max(cycle_lengths(c.substrate)),
+        max_steps=max(cycle_lengths(c.substrate)),
         name=f"{c.name}-as-witness",
     )
 

@@ -225,32 +225,24 @@ class LimitReport:
 
 
 def check_possible_in_limit(
-    family: WitnessFamily,
-    task: Union[Task, Sequence[Task], Callable[[int], Task]],
-    tol: float,
+    family: WitnessFamily, task: Union[Task, Sequence[Task]], tol: float
 ) -> LimitReport:
     """Certify convergence of a witness family, never its absence.
 
-    Established iff the single-use accuracy sequence over the prefix is
-    non-increasing with final value < tol, and the witness at index k keeps
-    all of its k-reuse accuracies within tol of its first use.  A finite
-    prefix cannot witness impossibility, so the negative verdict is only
-    "not established".
+    `task` is one Task for every witness, or a sequence of tasks aligned
+    with the family's entries.  Established iff the single-use accuracy
+    sequence over the prefix is non-increasing with final value < tol, and
+    the witness at index k keeps all of its k-reuse accuracies within tol
+    of its first use.  A finite prefix cannot witness impossibility, so the
+    negative verdict is only "not established".
     """
     if len(family.entries) < 3:
         raise ModelError("family prefix must contain at least 3 witnesses")
 
-    def task_for(pos: int, index: int) -> Task:
-        if isinstance(task, Task):
-            return task
-        if callable(task):
-            return task(index)
-        return task[pos]
-
-    accs: list[float | None] = []
-    for pos, (index, _) in enumerate(family.entries):
-        a = family.approximate(pos)
-        accs.append(accuracy(a.base, task_for(pos, index)))
+    tasks = [task] * len(family.entries) if isinstance(task, Task) else list(task)
+    accs: list[float | None] = [
+        accuracy(family.approximate(pos).base, tasks[pos]) for pos in range(len(family.entries))
+    ]
     if any(a is None for a in accs):
         return LimitReport(False, tuple(accs), None, "some witness never halts")
     pairs = list(zip(accs, accs[1:]))
@@ -261,7 +253,7 @@ def check_possible_in_limit(
     worst_dev = 0.0
     for pos, (index, _) in enumerate(family.entries):
         a = family.approximate(pos)
-        seq = reliability(a, task_for(pos, index), max(1, index))
+        seq = reliability(a, tasks[pos], max(1, index))
         if any(v is None for v in seq):
             return LimitReport(False, tuple(accs), None, f"witness {index} stops halting on reuse")
         base = seq[0]
@@ -286,14 +278,13 @@ def _as_pairs(tasks: Union[Task, Sequence[Task]]) -> tuple[Task, ...]:
     return out
 
 
-def wrap_permutation(
-    substrate: Substrate, action: Mapping, max_steps: int = 4, name: str = ""
-) -> ConstructorWitness:
+def wrap_permutation(substrate: Substrate, action: Mapping, name: str = "") -> ConstructorWitness:
     """Canonical witness applying a substrate permutation once.
 
     Two-state device: ready {0}, halt flag {1}; the permutation fires on
     the ready-to-halt transition and the device returns to ready one step
-    later, so halt is at step 1 and the cycle closes at step 2.
+    later, so halt is at step 1 and the cycle closes at step 2, within the
+    witness's budget of 4 steps.
     """
     device = make_substrate("dev", (0, 1), {0: 1, 1: 0})
     joint = {}
@@ -306,21 +297,21 @@ def wrap_permutation(
         ready=Attribute(device, frozenset({0}), name="ready"),
         halt_flag=Attribute(device, frozenset({1}), name="halt"),
         joint_step=joint,
-        max_steps=max(2, max_steps),
+        max_steps=4,
         name=name or "permutation-witness",
     )
 
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Whether some substrate permutation performs the pairs, and if so the first one.
+
+    The search is exact, so found=False means no permutation fits.
+    """
+
     found: bool
     witness: ConstructorWitness | None
     action: Mapping | None
-    note: str
-
-    @property
-    def verdict(self) -> str:
-        return "witness-found" if self.found else "no-witness-within-budget"
 
 
 def _check_size(substrate: Substrate) -> None:
@@ -397,7 +388,7 @@ def permutation_possible(t: Task) -> bool:
     return len(t.input.members) <= len(t.output.members)
 
 
-def search_impossibility(tasks: Union[Task, Sequence[Task]], max_steps: int = 4) -> SearchResult:
+def search_impossibility(tasks: Union[Task, Sequence[Task]]) -> SearchResult:
     """Decide whether some substrate permutation performs the given task pairs.
 
     That is, whether a permutation of the substrate's states, realized as
@@ -412,9 +403,8 @@ def search_impossibility(tasks: Union[Task, Sequence[Task]], max_steps: int = 4)
     states = substrate.states
     action = _first_permutation(states, _allowed_images(states, pairs))
     if action is None:
-        return SearchResult(False, None, None, "no substrate permutation fits")
-    witness = wrap_permutation(substrate, action, max_steps)
-    return SearchResult(True, witness, action, "first hit in lexicographic order")
+        return SearchResult(False, None, None)
+    return SearchResult(True, wrap_permutation(substrate, action), action)
 
 
 @dataclass(frozen=True)
@@ -437,7 +427,6 @@ def uniform_possibility(
     family: Sequence[Substrate],
     in_attrs: Sequence,
     out_attrs: Sequence,
-    max_steps: int = 4,
 ) -> UniformPossibilityResult:
     """Does one witness serve every family member, or only one per member?
 
@@ -464,11 +453,11 @@ def uniform_possibility(
     every_pair = [t for pairs in tasks for t in pairs]
     action = _first_permutation(states, _allowed_images(states, every_pair))
     if action is not None:
-        witness = wrap_permutation(members[0], action, max_steps, name="uniform-witness")
+        witness = wrap_permutation(members[0], action, name="uniform-witness")
         return UniformPossibilityResult(
             "uniformly-possible", witness, action, (action,) * len(members)
         )
 
-    member_actions = tuple(search_impossibility(pairs, max_steps).action for pairs in tasks)
+    member_actions = tuple(search_impossibility(pairs).action for pairs in tasks)
     kind = "pointwise-only" if all(a is not None for a in member_actions) else "impossible"
     return UniformPossibilityResult(kind, None, None, member_actions)

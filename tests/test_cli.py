@@ -245,6 +245,31 @@ def test_check_rejects_a_never_completing_timer_on_prime_cycles_in_bounded_time(
     ]
 
 
+NOT_UTF8 = b"substrate S { states a b ; step (a b) }\n\xff\xfe\n"
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("check", ["timers.ctm"]),
+        ("classify", []),
+        ("dynamics", ["--variable", "pos", "--schedule", "4,2,1"]),
+    ],
+)
+def test_a_model_file_that_is_not_utf8_exits_two(capsys, tmp_path, models_dir, command, extra):
+    bad = tmp_path / "bad.ctm"
+    bad.write_bytes(NOT_UTF8)
+    extra = [str(models_dir / a) if a.endswith(".ctm") else a for a in extra]
+    status, report = run_json(capsys, command, str(bad), *extra)
+    assert status == 2
+    diags = report["files"][0]["diagnostics"] if command == "check" else report["diagnostics"]
+    message = f"cannot read {str(bad)!r}: not UTF-8 text (invalid start byte at offset 40)"
+    assert [d["message"] for d in diags] == [message]
+    if command == "check":
+        # the other files of the run are still checked
+        assert report["files"][1]["status"] == "ok"
+
+
 # classify ----------------------------------------------------------------------
 
 
@@ -300,6 +325,26 @@ def test_dynamics_sine_fixture(capsys, models_dir, tmp_path):
     assert len(rows) == 5
 
 
+def test_dynamics_unwritable_csv_exits_two_and_still_reports(capsys, models_dir, tmp_path):
+    target = tmp_path / "missing" / "rows.csv"
+    status, report = run_json(
+        capsys,
+        "dynamics",
+        str(models_dir / "linear.ctm"),
+        "--variable",
+        "pos",
+        "--schedule",
+        "8,4,2,1",
+        "--csv",
+        str(target),
+    )
+    assert status == 2
+    assert report["ratios"] == [1.0, 1.0, 1.0, 1.0]
+    assert "csv" not in report
+    errors = [d["message"] for d in report["diagnostics"] if d["severity"] == "error"]
+    assert len(errors) == 1 and errors[0].startswith(f"cannot write {str(target)!r}: ")
+
+
 def test_dynamics_linear_fixture_constant_ratios(capsys, models_dir):
     status, report = run_json(
         capsys,
@@ -339,6 +384,24 @@ def test_dynamics_advance_failure_exits_one(capsys, tmp_path):
     )
     assert status == 1
     assert report["advance_failure"] == {"lam": "0", "dlam": "3"}
+
+
+def test_dynamics_advance_from_an_empty_entry_exits_one(capsys, tmp_path):
+    model = tmp_path / "empty.ctm"
+    model.write_text(
+        "substrate R { states r0 r1 r2 r3 r4 r5 r6 r7 ; step (r0 r1 r2 r3 r4 r5 r6 r7) }\n"
+        "attribute e on R { }\n"
+        + "".join(f"attribute a{i} on R {{ r{i} }}\n" for i in (1, 2, 3))
+        + "variable v on R { 0 : e @ 0.0 ; 1 : a1 @ 5.0 ; 2 : a2 @ 6.0 ; 3 : a3 @ 7.0 }\n"
+    )
+    status, report = run_json(
+        capsys, "dynamics", str(model), "--variable", "v", "--schedule", "3,2,1"
+    )
+    assert status == 1
+    assert report["advance_failure"] == {"lam": "0", "dlam": "3"}
+    assert [d["message"] for d in report["diagnostics"]] == [
+        "variable 'v': attribute at λ=0 is static"
+    ]
 
 
 def test_dynamics_unknown_variable_exits_two(capsys, models_dir):

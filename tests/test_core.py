@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ctm import (
     Attribute,
     ModelError,
-    StateSpace,
     Variable,
     are_distinguishable,
     clone_substrate,
@@ -47,10 +46,11 @@ def label_perm_substrates(max_size=8):
 
 
 def test_state_space_rejects_empty_and_duplicates():
-    with pytest.raises(ModelError):
-        StateSpace("x", ())
-    with pytest.raises(ModelError):
-        StateSpace("x", ("a", "a"))
+    with pytest.raises(ModelError, match="no states"):
+        make_substrate("x", (), {})
+    # the step map {a: a} covers the label set {a}, so only the label count shows the repeat
+    with pytest.raises(ModelError, match="duplicate"):
+        make_substrate("x", ("a", "a"), {"a": "a"})
 
 
 def test_substrate_requires_bijective_step():
@@ -334,12 +334,9 @@ def test_variable_requires_disjoint_nonstatic_entries():
         Variable(ring, overlapping)
 
 
-def test_variable_static_entries_need_flag():
+def test_variable_admits_a_static_entry():
     frozen = identity_substrate("F", ("f0", "f1"))
-    entries = {0: singleton(frozen, "f0")}
-    with pytest.raises(ModelError, match="static"):
-        Variable(frozen, entries)
-    assert Variable(frozen, entries, allow_static=True).domain
+    assert Variable(frozen, {0: singleton(frozen, "f0")}).domain == (0,)
 
 
 @given(st.fractions())

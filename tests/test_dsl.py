@@ -625,6 +625,19 @@ def test_validate_flags_attribute_outside_substrate():
     assert any("not states of" in d.message for d in diags)
 
 
+def test_static_variable_entry_warned_not_rejected():
+    text = (
+        "substrate S { states a b c ; step (a b)(c) }\n"
+        "attribute x on S { a }\nattribute z on S { c }\n"
+        "variable V on S { 0 : x @ 0.0 ; 1 : z @ 1.0 }\n"
+    )
+    model, diags = analyze_model(parse_ok(text))
+    assert [(d.severity, d.line, d.message) for d in diags] == [
+        ("warning", 4, "variable 'V': attribute at λ=1 is static")
+    ]
+    assert model.trajectories["V"].variable.domain == (0, 1)
+
+
 def test_build_wires_laws_and_variables(models_dir):
     model = build_model(parse_ok((models_dir / "rotation.ctm").read_text()))
     assert set(model.timers) == {"T8", "T4", "T2", "T1"}

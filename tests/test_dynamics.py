@@ -59,6 +59,20 @@ def test_advance_check_false_for_wrong_target():
     assert not check_timed_advance(model, make_counter_timer(4, 4), 0)
 
 
+def test_no_advance_leaves_a_static_entry():
+    # an empty entry is static too; an advance from it must not hold vacuously
+    ring = cyclic_substrate("ring8", tuple(range(8)))
+    var = Variable(
+        ring,
+        {0: Attribute(ring, frozenset()), 1: singleton(ring, 1), 2: singleton(ring, 2)},
+    )
+    model = TrajectoryModel(var, {0: 0.0, 1: 5.0, 2: 6.0})
+    assert not check_timed_advance(model, make_counter_timer(3, 1), 0)
+    with pytest.raises(AdvanceCheckFailed):
+        incremental_ratio(model, 0, 1)
+    assert check_timed_advance(model, make_counter_timer(3, 1), 1)
+
+
 def test_advance_outside_domain_rejected(linear_model):
     with pytest.raises(ModelError, match="domain"):
         check_timed_advance(linear_model, make_counter_timer(4, 9), 8)
@@ -171,11 +185,7 @@ def test_drifting_pointer_maps_to_matching_durations(linear_model):
 
 def test_static_pointer_has_no_mappings_beyond_zero():
     frozen = identity_substrate("F", ("f0", "f1"))
-    var = Variable(
-        frozen,
-        {0: singleton(frozen, "f0"), 1: singleton(frozen, "f1")},
-        allow_static=True,
-    )
+    var = Variable(frozen, {0: singleton(frozen, "f0"), 1: singleton(frozen, "f1")})
     model = TrajectoryModel(var, {0: 0.0, 1: 1.0})
     rec = recover_clock_pointer(model, reference_classes())
     assert rec.mapping == {Fraction(0): 0}

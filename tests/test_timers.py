@@ -367,6 +367,25 @@ def test_recurrence_horizon_waits_for_the_representative():
     assert recurrence_horizon(skewed_timer()) == 8
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_recurrence_horizon_matches_the_minimum_by_state_order(seed):
+    # cycles of 3 to 6 states, each with one start, one running state and a completed
+    # rest, listed in a shuffled state order so the representative's cycle varies
+    rng = random.Random(seed)
+    cycles = [[f"c{i}_{j}" for j in range(rng.randrange(3, 7))] for i in range(rng.randrange(1, 9))]
+    states = [s for cyc in cycles for s in cyc]
+    rng.shuffle(states)
+    step = {cyc[j]: cyc[(j + 1) % len(cyc)] for cyc in cycles for j in range(len(cyc))}
+    sub = make_substrate("M", states, step)
+    start, running, done = (
+        Attribute(sub, frozenset(s for cyc in cycles for s in cyc[part]))
+        for part in (slice(0, 1), slice(1, 2), slice(2, None))
+    )
+    spec = make_timer("M", sub, start, running, done)
+    rep = min(spec.attr0.members, key=sub.states.index)
+    assert recurrence_horizon(spec) == len(next(cyc for cyc in cycles if rep in cyc))
+
+
 def test_halt_step_equals_duration_oracle():
     for spec in (make_counter_timer(4, 5), make_particle_timer(64, 2, 10)):
         assert naive_halt_step(spec, next(iter(spec.attr0.members))) == spec.duration
