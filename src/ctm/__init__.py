@@ -21,7 +21,6 @@ from .core import (
     identity_substrate,
     is_static,
     is_static_for_horizon,
-    make_substrate,
     orbit,
     pair_attribute,
     recurrence_period,
@@ -30,7 +29,6 @@ from .core import (
 from .tasks import (
     NULL_TASK,
     CompositionUndefined,
-    ConsistencyReport,
     Contradiction,
     Declared,
     Derived,

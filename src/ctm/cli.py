@@ -28,7 +28,6 @@ from .tasks import (
     LawStatement,
     NullTask,
     Possibility,
-    check_consistency,
     closure_summary,
 )
 from .timers import (
@@ -193,24 +192,15 @@ def cmd_check(args) -> tuple[dict, int]:
             files.append(entry)
             status = EXIT_INPUT
             continue
-        closed, entry["closure_size"] = closure_summary(model.laws)
-        consistency = check_consistency(closed)
+        contradictions, null_stmt, entry["closure_size"] = closure_summary(model.laws)
         entry["contradictions"] = [
             {
                 "task": _task_label(c.task),
                 "possible": _stmt_dict(c.possible),
                 "impossible": _stmt_dict(c.impossible),
             }
-            for c in consistency.contradictions
+            for c in contradictions
         ]
-        null_stmt = next(
-            (
-                st
-                for st in closed.statements
-                if isinstance(st.task, NullTask) and st.status is Possibility.POSSIBLE
-            ),
-            None,
-        )
         entry["null_task"] = _stmt_dict(null_stmt) if null_stmt else None
         law_checks, law_refuted = _check_laws(model)
         pair_checks, synchrony, timer_failed = _check_timers(model, args.horizon)
@@ -218,7 +208,7 @@ def cmd_check(args) -> tuple[dict, int]:
         entry["timer_checks"] = pair_checks
         entry["synchrony"] = synchrony
         checks_run += len(law_checks) + len(pair_checks) + len(synchrony) + 1
-        file_bad = bool(consistency.contradictions) or law_refuted or timer_failed
+        file_bad = bool(contradictions) or law_refuted or timer_failed
         entry["status"] = "refuted" if file_bad else "ok"
         if file_bad and status != EXIT_INPUT:
             status = EXIT_REFUTED

@@ -171,20 +171,16 @@ def cycle_decomposition(
     return tuple(cycles)
 
 
-def make_substrate(sid: str, states: Iterable[State], step: Mapping[State, State]) -> Substrate:
-    return Substrate(sid, states, step)
-
-
 def cyclic_substrate(sid: str, states: Iterable[State]) -> Substrate:
     """Substrate whose step advances along the given order, wrapping at the end."""
     seq = tuple(states)
     step = {seq[i]: seq[(i + 1) % len(seq)] for i in range(len(seq))}
-    return make_substrate(sid, seq, step)
+    return Substrate(sid, seq, step)
 
 
 def identity_substrate(sid: str, states: Iterable[State]) -> Substrate:
     seq = tuple(states)
-    return make_substrate(sid, seq, {s: s for s in seq})
+    return Substrate(sid, seq, {s: s for s in seq})
 
 
 def clone_substrate(s: Substrate) -> Substrate:

@@ -43,7 +43,6 @@ from .core import (
     Variable,
     cycle_decomposition,
     is_static,
-    make_substrate,
 )
 from .dynamics import TrajectoryModel
 from .tasks import LawSet, Task, impossible, possible
@@ -758,7 +757,7 @@ def analyze_model(decl: ModelDecl) -> tuple[BuiltModel | None, list[Diagnostic]]
     substrates: dict[str, Substrate] = {}
     for d in decl.substrates.values():
         try:
-            substrates[d.name] = make_substrate(d.name, d.states, d.step)
+            substrates[d.name] = Substrate(d.name, d.states, d.step)
         except ModelError as e:
             err(d.span, str(e))
 

@@ -4,15 +4,22 @@ A task is an ordered pair of attributes of one substrate.  Declared laws
 assign a status (possible / impossible) to tasks; the closure derives
 further possible statements from serial and parallel composition, with
 provenance kept on every derived fact.
+
+``deductive_closure`` builds every derived statement.  ``closure_summary``
+decides what ``ctm check`` reports from the declared laws alone: on one
+substrate the possible facts are the pairs joined by a walk of declared
+possible laws, found by breadth-first search; the null task comes from the
+first pair of declared laws with disjoint intermediates; and the composite
+facts are counted in closed form.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from itertools import chain
+from itertools import chain, permutations
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Collection, Mapping, Union
 
 from .core import (
     Attribute,
@@ -213,9 +220,9 @@ def deductive_closure(laws: LawSet) -> LawSet:
     hence the run) finite.  Every derived statement records its rule and
     premises.
 
-    This is the library entry point, and the oracle for ``closure_summary``:
-    ``ctm check`` runs the same loop without the parallel rule and counts
-    the composite facts in closed form, so it builds no composite substrate.
+    This is the library entry point, and the oracle for ``closure_summary``,
+    which decides what ``ctm check`` reports without building any derived
+    statement or composite substrate.
 
     The result is that of the naive fixpoint, which in every round tries
     each ordered pair of distinct possible facts, then each fact with
@@ -253,16 +260,9 @@ def deductive_closure(laws: LawSet) -> LawSet:
     equality: equal attributes may carry different names, and a pair
     attribute's name is made from its components' names.
     """
-    return _close(laws, parallel=True)
-
-
-def _close(laws: LawSet, parallel: bool) -> LawSet:
-    """The closure loop of ``deductive_closure``; with ``parallel`` false, the serial rule only."""
     known = {_task_key(st.task) for st in laws.statements if st.status is Possibility.POSSIBLE}
     order: list[LawStatement] = list(laws.statements)
-    # the substrates the parallel rule pairs; with none, neither derive_pair's
-    # parallel branch nor the parallel-partner merge below ever runs
-    base = {id(s) for s in laws.substrates()} if parallel else set()
+    base = {id(s) for s in laws.substrates()}
     composites: dict[tuple[int, int], Substrate] = dict(laws.composites)
     paired: dict[tuple[int, int, int], Attribute] = {}
 
@@ -335,68 +335,113 @@ def _close(laws: LawSet, parallel: bool) -> LawSet:
     return LawSet(tuple(order), composites=composites)
 
 
-def closure_summary(laws: LawSet) -> tuple[LawSet, int]:
-    """The serial-rule closure of ``laws``, and ``len(deductive_closure(laws).statements)``.
+def closure_summary(
+    laws: LawSet,
+) -> tuple[tuple[Contradiction, ...], LawStatement | None, int]:
+    """What ``ctm check`` reports of the closure, decided on the declared laws.
 
-    ``laws`` must cache no composite substrate, as a loaded model's laws do.
+    Returns ``check_consistency(deductive_closure(laws))``, the closure's
+    possible null-task statement (or None), and the number of statements in
+    ``deductive_closure(laws)``.  Only a derived fact whose shortest chain
+    has three or more laws is cited differently (see *Premises*).  ``laws``
+    must cache no composite substrate, as a loaded model's laws do.  No
+    composite substrate is built, and no statement per derived fact.
 
-    *The serial closure is the full closure less its composite facts.*  In
-    the full loop a fact on a composite pairs only with facts on the same
-    composite (a composite is not a substrate the parallel rule pairs), and
-    two facts on declared substrates derive a composite fact only by the
-    parallel rule.  So dropping that rule drops exactly the composite facts,
-    and every other pair is tried in the same relative order.  No composite
-    fact is the null task or contradicts a declared law: a serial pair on a
-    composite with disjoint intermediates y1 × y2 and z1 × z2 has y1, z1 or
-    y2, z2 disjoint, so its component facts give the null task first, and
-    declared laws are on declared substrates only.
+    *Facts on a declared substrate are reachable pairs.*  The parallel rule
+    derives facts on composites only, and a fact on a composite pairs only
+    with facts on the same composite (a composite is not a substrate the
+    parallel rule pairs).  So the facts on a declared substrate come from
+    the serial rule alone.  It chains a -> b and b' -> c into a -> c only
+    when b = b' as member sets: disjoint intermediates give the null task,
+    and partially overlapping ones are undefined.  Take a substrate's
+    declared possible laws as the edges of a graph on member sets.  Every
+    fact is then a walk of one or more edges, and every such walk is derived
+    (by induction on its length).  So the facts are the pairs (a, c) joined
+    by a walk, and one breadth-first search from each input finds them
+    (``_walks``).  The closure's statements are the declared ones, one per
+    such pair that no declared possible law names, the null task if derived,
+    and the composite facts.
 
-    *The count.*  Key a product X × Y by ``(X, Y)``, or by EMPTY (``None``)
+    *No composite fact is the null task or contradicts a declared law.*  A
+    serial pair on a composite with disjoint intermediates y1 × y2 and
+    z1 × z2 has y1, z1 or y2, z2 disjoint, so its component facts give the
+    null task first; and declared laws are on declared substrates only.
+
+    *The null task.*  A serial pair gives it iff its intermediates are
+    disjoint and unequal (two empty sets are equal).  A fact's input is that
+    of the first law of its walk and its output that of the last, so the
+    null task is derived iff two declared possible laws on one substrate,
+    or one law with itself, have such an output and input.  The fixpoint's
+    first round tries every pair of declared laws: distinct pairs in
+    lexicographic order of declaration, then each law with itself.  So its
+    premises are the first such pair in that order (``_null_statement``).
+
+    *Premises.*  A contradiction needs an impossible statement, and only
+    declared statements are impossible, so only a fact on a task some
+    declared law names can be contradicted.  Its possible statement is the
+    last declared possible one on that task or, with none, the derived one.
+    A fact a -> c whose shortest walk has two laws is derived in the first
+    round, from the lexicographically first pair (i, j) of declared laws
+    with in_i = a, out_i = in_j and out_j = c.  The search from a tries the
+    laws leaving each node in declared order, and keeps the first law that
+    reaches each node.  The nodes one law from a thus enter its queue in the
+    order of the first law reaching each.  So the first of them with a law
+    to c is out_i for the least such i, and the first law from it to c is
+    j: the search's path is the fixpoint's pair of premises.  A fact whose
+    shortest walk is longer cites the flat chain of declared laws on the
+    search's path, where the fixpoint nests pairs of facts.
+
+    *The composite count.*  Key a product X × Y by ``(X, Y)``, or by EMPTY
     when X or Y is empty; two products are equal sets exactly when their
-    keys are equal, since products of non-empty factors determine their
-    factors.  For an ordered pair (A, B) of distinct declared substrates, let
-    P hold (in1 × in2, out1 × out2) for each possible fact in1 -> out1 of A's
-    serial closure and in2 -> out2 of B's.  The parallel rule derives P,
-    then the serial rule closes P on the composite; the claim is that the
-    result is S = P ∪ E, E = {(x, z) : (x, EMPTY) ∈ P, (EMPTY, z) ∈ P}.
+    keys are equal.  For an ordered pair (A, B) of distinct declared
+    substrates, let P hold (in1 × in2, out1 × out2) for each fact in1 ->
+    out1 of A and in2 -> out2 of B.  The parallel rule derives P, then the
+    serial rule closes P on the composite; the result is S = P ∪ E, where
+    E = into × out_of, into = {x : (x, EMPTY) ∈ P} and out_of = {z :
+    (EMPTY, z) ∈ P}.
 
     * S is derivable: E's pairs chain through the equal intermediate EMPTY.
     * S is closed.  Chain (x, y), (y, z) in S.  An element of E with EMPTY
       on one side is in P already.
       - y is EMPTY: (x, EMPTY) and (EMPTY, z) lie in P, so (x, z) ∈ E.
       - y is not EMPTY, both in P: y = out1 × out2 = in1' × in2' gives
-        out1 = in1' and out2 = in2', and A's and B's serial closures are
-        transitively closed, so (x, z) ∈ P.
+        out1 = in1' and out2 = in2', and A's and B's facts are transitively
+        closed, so (x, z) ∈ P.
       - y is not EMPTY, (y, z) ∈ E: (y, EMPTY) ∈ P, so (x, EMPTY) ∈ P (by
         the case above, or from (x, y) ∈ E), and (EMPTY, z) ∈ P: (x, z) ∈ E.
       - y is not EMPTY, (x, y) ∈ E, (y, z) ∈ P: likewise (EMPTY, z) ∈ P and
         (x, EMPTY) ∈ P, so (x, z) ∈ E.
 
-    So the composite facts on (A, B) number |S|, and the closure has that
-    many statements beyond the serial closure's, summed over all (A, B).
+    |S| then follows from counts of A's facts and of B's, in closed form
+    (``_composite_facts``).
     """
     if laws.composites:
         raise ModelError("closure_summary needs a law set that caches no composite substrate")
-    serial = _close(laws, parallel=False)
-    facts: dict[int, set[tuple[frozenset, frozenset]]] = {}
-    for st in serial.statements:
-        task = st.task
-        if st.status is Possibility.POSSIBLE and isinstance(task, Task):
-            fact = (task.input.members, task.output.members)
-            facts.setdefault(id(task.substrate), set()).add(fact)
-
-    def product(x: frozenset, y: frozenset) -> tuple | None:
-        return (x, y) if x and y else None
-
-    size = len(serial.statements)
-    for a in facts.values():
-        for b in facts.values():
-            if a is not b:
-                p = {(product(i1, i2), product(o1, o2)) for i1, o1 in a for i2, o2 in b}
-                into = [x for x, y in p if y is None]
-                out_of = [z for y, z in p if y is None]
-                size += len(p.union((x, z) for x in into for z in out_of))
-    return serial, size
+    possibles = [st for st in laws.statements if st.status is Possibility.POSSIBLE]
+    on: dict[Substrate, list[LawStatement]] = {}
+    for st in possibles:
+        if isinstance(st.task, Task):
+            on.setdefault(st.task.substrate, []).append(st)
+    reached = {sub: _walks(sub_laws) for sub, sub_laws in on.items()}
+    known = {_task_key(st.task) for st in possibles}
+    # a declared possible null task leaves every declared possible law a task
+    declared_null = next((st for st in possibles if isinstance(st.task, NullTask)), None)
+    null = declared_null or _null_statement(possibles, on)
+    facts = sum(len(walk) for walks in reached.values() for walk in walks.values())
+    size = len(laws.statements) + facts - len(known - {_NULL_KEY}) + (null is not declared_null)
+    counts = [_fact_counts(walks) for walks in reached.values()]
+    size += sum(_composite_facts(a, b) for a, b in permutations(counts, 2))
+    # the derived statements a contradiction can name: the null task, then the task of
+    # each impossible law that a walk reaches and no declared possible law names
+    derived = {} if null is declared_null else {_NULL_KEY: null}
+    for st in laws.statements:
+        key = _task_key(st.task)
+        if isinstance(st.task, Task) and key not in known and key not in derived:
+            walk = reached.get(st.task.substrate, {}).get(st.task.input.members, {})
+            if st.task.output.members in walk:
+                derived[key] = _chain(walk, st.task.input.members, st.task.output.members)
+    contradictions = check_consistency(LawSet(laws.statements + tuple(derived.values())))
+    return contradictions, null, size
 
 
 @dataclass(frozen=True)
@@ -406,20 +451,13 @@ class Contradiction:
     impossible: LawStatement
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    contradictions: tuple[Contradiction, ...]
+def check_consistency(laws: LawSet) -> tuple[Contradiction, ...]:
+    """Every task held both possible and impossible.
 
-
-def check_consistency(laws: LawSet) -> ConsistencyReport:
-    """Report every task held both possible and impossible.
-
-    Run on a closed set to catch derived contradictions: the serial closure
-    of ``closure_summary`` suffices, as no composite fact can contradict a
-    declared law.  On an unclosed set only declared clashes are visible.
-    Contradictions come in the order their tasks are first mentioned; each
-    names the task as first mentioned and the last possible and last
-    impossible statement on it.
+    Run on a closed set to catch derived contradictions; on an unclosed set
+    only declared clashes are visible.  Contradictions come in the order
+    their tasks are first mentioned; each names the task as first mentioned
+    and the last possible and last impossible statement on it.
     """
     first: dict = {}  # task key -> the task as first mentioned
     possibles: dict = {}  # task key -> the last possible statement on it
@@ -428,12 +466,10 @@ def check_consistency(laws: LawSet) -> ConsistencyReport:
         key = _task_key(st.task)
         first.setdefault(key, st.task)
         (possibles if st.status is Possibility.POSSIBLE else impossibles)[key] = st
-    return ConsistencyReport(
-        tuple(
-            Contradiction(task, possibles[key], impossibles[key])
-            for key, task in first.items()
-            if key in possibles and key in impossibles
-        )
+    return tuple(
+        Contradiction(task, possibles[key], impossibles[key])
+        for key, task in first.items()
+        if key in possibles and key in impossibles
     )
 
 
@@ -449,3 +485,121 @@ def premise_chain(st: LawStatement) -> list[LawStatement]:
 
     walk(st)
     return out
+
+
+def _walks(laws: list[LawStatement]) -> dict[frozenset, dict[frozenset, LawStatement]]:
+    """From each input of ``laws``, the member sets one or more of them lead to.
+
+    Each comes with the law that first reaches it in a breadth-first
+    search that tries the laws leaving each node in the order given.
+    """
+    leaving: dict[frozenset, list[LawStatement]] = {}
+    for law in laws:
+        leaving.setdefault(law.task.input.members, []).append(law)
+    walks = {}
+    for source in leaving:
+        parent = walks[source] = {}
+        queue = [source]
+        for node in queue:
+            for law in leaving.get(node, ()):
+                out = law.task.output.members
+                if out not in parent:
+                    parent[out] = law
+                    queue.append(out)
+    return walks
+
+
+def _chain(
+    parent: Mapping[frozenset, LawStatement], source: frozenset, target: frozenset
+) -> LawStatement:
+    """The possible statement on source -> target, from the laws on ``_walks``'s path."""
+    laws = [parent[target]]
+    while laws[-1].task.input.members != source:
+        laws.append(parent[laws[-1].task.input.members])
+    laws.reverse()
+    task = Task(laws[0].task.input, laws[-1].task.output)
+    return LawStatement(task, Possibility.POSSIBLE, Derived("serial", tuple(laws)))
+
+
+def _null_statement(
+    possibles: list[LawStatement], on: Mapping[Substrate, list[LawStatement]]
+) -> LawStatement | None:
+    """The null task from the first pair of declared possible laws that gives it, or None.
+
+    ``possibles`` holds the declared possible laws in declared order, and
+    ``on`` those of each substrate.  Distinct pairs come first, in
+    lexicographic order, then each law with itself, as in the fixpoint's
+    first round.
+    """
+    pairs = chain(
+        ((s1, s2) for s1 in possibles for s2 in on[s1.task.substrate] if s2 is not s1),
+        ((st, st) for st in possibles),
+    )
+    for s1, s2 in pairs:
+        out, inp = s1.task.output.members, s2.task.input.members
+        if out.isdisjoint(inp) and out != inp:
+            return LawStatement(NULL_TASK, Possibility.POSSIBLE, Derived("serial", (s1, s2)))
+    return None
+
+
+def _fact_counts(facts: Mapping[frozenset, Collection[frozenset]]) -> tuple:
+    """What ``_composite_facts`` reads of one substrate's facts, given as ``{input: outputs}``.
+
+    In order: the number of non-empty inputs, and of those with no fact to
+    the empty set; of non-empty outputs, and of those with no fact from the
+    empty set; the facts with non-empty ends whose input has no fact to the
+    empty set (u), whose output has none from it (v), and both (w); and
+    whether there is a fact from the empty set to itself.
+    """
+    empty = frozenset()
+    to_empty = {a for a, outs in facts.items() if a and empty in outs}
+    from_empty = {c for c in facts.get(empty, ()) if c}
+    inputs = [a for a in facts if a]
+    outputs = {c for a in inputs for c in facts[a] if c} | from_empty
+    u = sum(len(facts[a]) for a in inputs if a not in to_empty)
+    v = sum(1 for a in inputs for c in facts[a] if c and c not in from_empty)
+    w = sum(1 for a in inputs if a not in to_empty for c in facts[a] if c not in from_empty)
+    return (
+        len(inputs),
+        len(inputs) - len(to_empty),
+        len(outputs),
+        len(outputs) - len(from_empty),
+        u,
+        v,
+        w,
+        empty in facts.get(empty, ()),
+    )
+
+
+def _composite_facts(a: tuple, b: tuple) -> int:
+    """|S|, the composite facts on (A, B), from ``_fact_counts`` of A's and of B's facts.
+
+    Split S by whether each end of a pair is EMPTY.
+
+    * (EMPTY, EMPTY) is in P, and so in S, iff A or B has a fact from the
+      empty set to itself, or one has a fact from a non-empty set to it and
+      the other one from it to a non-empty set; and it is in E iff in P.
+    * (x, EMPTY) with x non-empty is in P iff x = in1 × in2 where in1 is an
+      input of A, in2 one of B, and in1 or in2 has a fact to the empty set.
+      There are ``c_in = |I_A| |I_B| - |I'_A| |I'_B|`` of them, where I'
+      holds the inputs with no fact to the empty set.  Such a pair is in E
+      only if it is in P.  Likewise for the ``c_out`` pairs (EMPTY, z).
+    * Pairs with both ends non-empty: P holds one for each pair of facts
+      with non-empty ends, and E holds ``c_in c_out``.  Of these, N lie in
+      both: the pairs of facts in1 -> out1, in2 -> out2 where in1 or in2
+      has a fact to the empty set and out1 or out2 one from it.
+
+    So |S| = e + (c_in + 1)(c_out + 1) - 1 + n_A n_B - N, with e the first
+    case's indicator and n the facts with non-empty ends.  Counting the
+    complement of each "or" (inclusion-exclusion) gives n_A n_B - N =
+    u_A u_B + v_A v_B - w_A w_B.  The cost is O(1) per pair, after
+    O(|F_A| + |F_B|) to count.
+    """
+    ins_a, lone_ins_a, outs_a, lone_outs_a, u_a, v_a, w_a, loop_a = a
+    ins_b, lone_ins_b, outs_b, lone_outs_b, u_b, v_b, w_b, loop_b = b
+    c_in = ins_a * ins_b - lone_ins_a * lone_ins_b
+    c_out = outs_a * outs_b - lone_outs_a * lone_outs_b
+    into_a, into_b = ins_a > lone_ins_a, ins_b > lone_ins_b
+    out_of_a, out_of_b = outs_a > lone_outs_a, outs_b > lone_outs_b
+    e = loop_a or loop_b or (into_a and out_of_b) or (out_of_a and into_b)
+    return e + (c_in + 1) * (c_out + 1) - 1 + u_a * u_b + v_a * v_b - w_a * w_b

@@ -25,7 +25,6 @@ from .core import (
     evolve,
     first_entry,
     is_static,
-    make_substrate,
     orbit,
     pair_attribute,
     retarget,
@@ -171,7 +170,7 @@ def make_particle_timer(
         raise ModelError(
             f"target cell {target} is not reached in a whole number of steps at speed {speed}"
         )
-    substrate = make_substrate(
+    substrate = Substrate(
         f"particle{cells}v{speed}",
         tuple(range(cells)),
         {c: (c + speed) % cells for c in range(cells)},
@@ -314,7 +313,7 @@ def timer_witness(c: TimerSpec) -> ConstructorWitness:
     directly.  The flag rises within the start's cycle or never, so the
     step budget, the longest cycle's length, cuts no run short.
     """
-    device = make_substrate(f"{c.name}-dev", ("*",), {"*": "*"})
+    device = Substrate(f"{c.name}-dev", ("*",), {"*": "*"})
     joint = {("*", s): ("*", c.substrate.step[s]) for s in c.substrate.states}
     return ConstructorWitness(
         device=device,

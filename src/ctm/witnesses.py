@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Mapping, Sequence, Union
 
-from .core import Attribute, ModelError, Substrate, first_entry, make_substrate
+from .core import Attribute, ModelError, Substrate, first_entry
 from .tasks import Task
 
 MAX_SEARCH_STATES = 6
@@ -219,10 +219,6 @@ class LimitReport:
     reliability_deviation: float | None
     reason: str
 
-    @property
-    def verdict(self) -> str:
-        return "possible-in-limit" if self.established else "not-established"
-
 
 def check_possible_in_limit(
     family: WitnessFamily, task: Union[Task, Sequence[Task]], tol: float
@@ -230,7 +226,7 @@ def check_possible_in_limit(
     """Certify convergence of a witness family, never its absence.
 
     `task` is one Task for every witness, or a sequence of tasks aligned
-    with the family's entries.  Established iff the single-use accuracy
+    with the family's entries, one task per entry.  Established iff the single-use accuracy
     sequence over the prefix is non-increasing with final value < tol, and
     the witness at index k keeps all of its k-reuse accuracies within tol
     of its first use.  A finite prefix cannot witness impossibility, so the
@@ -240,6 +236,10 @@ def check_possible_in_limit(
         raise ModelError("family prefix must contain at least 3 witnesses")
 
     tasks = [task] * len(family.entries) if isinstance(task, Task) else list(task)
+    if len(tasks) != len(family.entries):
+        raise ModelError(
+            f"{len(tasks)} tasks for a family prefix of {len(family.entries)} witnesses"
+        )
     accs: list[float | None] = [
         accuracy(family.approximate(pos).base, tasks[pos]) for pos in range(len(family.entries))
     ]
@@ -286,7 +286,7 @@ def wrap_permutation(substrate: Substrate, action: Mapping, name: str = "") -> C
     later, so halt is at step 1 and the cycle closes at step 2, within the
     witness's budget of 4 steps.
     """
-    device = make_substrate("dev", (0, 1), {0: 1, 1: 0})
+    device = Substrate("dev", (0, 1), {0: 1, 1: 0})
     joint = {}
     for sigma in substrate.states:
         joint[(0, sigma)] = (1, action[sigma])

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ctm import Attribute, cyclic_substrate, make_substrate
+from ctm import Attribute, Substrate, cyclic_substrate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MODELS_DIR = REPO_ROOT / "models"
@@ -35,7 +35,7 @@ def prime_cycle_substrate(top):
     primes = [q for q in range(2, top + 1) if all(q % d for d in range(2, q))]
     cycles = [tuple(f"c{q}_{i}" for i in range(q)) for q in primes]
     step = {c[i - 1]: c[i] for c in cycles for i in range(len(c))}
-    return make_substrate(f"primes{top}", [s for c in cycles for s in c], step)
+    return Substrate(f"primes{top}", [s for c in cycles for s in c], step)
 
 
 def call_within(seconds, fn, *args):

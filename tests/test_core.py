@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ctm import (
     Attribute,
     ModelError,
+    Substrate,
     Variable,
     are_distinguishable,
     clone_substrate,
@@ -19,7 +20,6 @@ from ctm import (
     identity_substrate,
     is_static,
     is_static_for_horizon,
-    make_substrate,
     orbit,
     pair_attribute,
     recurrence_period,
@@ -37,7 +37,7 @@ def label_perm_substrates(max_size=8):
         n = draw(st.integers(min_value=1, max_value=max_size))
         labels = tuple(range(n))
         image = draw(st.permutations(labels))
-        return make_substrate("rand", labels, dict(zip(labels, image)))
+        return Substrate("rand", labels, dict(zip(labels, image)))
 
     return build()
 
@@ -47,24 +47,24 @@ def label_perm_substrates(max_size=8):
 
 def test_state_space_rejects_empty_and_duplicates():
     with pytest.raises(ModelError, match="no states"):
-        make_substrate("x", (), {})
+        Substrate("x", (), {})
     # the step map {a: a} covers the label set {a}, so only the label count shows the repeat
     with pytest.raises(ModelError, match="duplicate"):
-        make_substrate("x", ("a", "a"), {"a": "a"})
+        Substrate("x", ("a", "a"), {"a": "a"})
 
 
 def test_substrate_requires_bijective_step():
     with pytest.raises(ModelError, match="bijection"):
-        make_substrate("bad", ("a", "b"), {"a": "a", "b": "a"})
+        Substrate("bad", ("a", "b"), {"a": "a", "b": "a"})
     with pytest.raises(ModelError, match="domain"):
-        make_substrate("bad", ("a", "b"), {"a": "b"})
+        Substrate("bad", ("a", "b"), {"a": "b"})
 
 
 def test_attribute_members_must_be_states(counter16):
     with pytest.raises(ModelError):
         Attribute(counter16, frozenset({99}))
     assert Attribute(counter16, frozenset()).members == frozenset()
-    s = make_substrate("S", ("a", "b", 3), {"a": "b", "b": 3, 3: "a"})
+    s = Substrate("S", ("a", "b", 3), {"a": "b", "b": 3, 3: "a"})
     with pytest.raises(ModelError) as exc:
         Attribute(s, frozenset({"a", "x", 7, 3}), name="odd")
     assert str(exc.value) == """attribute odd: members ["'x'", '7'] not states of 'S'"""
@@ -214,7 +214,7 @@ def shuffled_bijections(max_size=12):
         n = draw(st.integers(min_value=1, max_value=max_size))
         labels = tuple(draw(st.permutations([f"q{i}" for i in range(n)])))
         image = draw(st.permutations(labels))
-        return make_substrate("rand", labels, dict(zip(labels, image)))
+        return Substrate("rand", labels, dict(zip(labels, image)))
 
     return build()
 
@@ -294,7 +294,7 @@ def test_first_entry_matches_a_walk_over_the_recurrence_period():
         labels = tuple(range(n))
         subsets = [frozenset(c) for r in range(n + 1) for c in combinations(labels, r)]
         for image in permutations(labels):
-            s = make_substrate("p", labels, dict(zip(labels, image)))
+            s = Substrate("p", labels, dict(zip(labels, image)))
             period = walk_period(s)
             for start in labels:
                 for members in subsets:

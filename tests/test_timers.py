@@ -11,13 +11,13 @@ from ctm.core import (
     evolve,
     first_entry,
     is_static,
-    make_substrate,
     recurrence_period,
     static_horizon,
 )
 from ctm import (
     Attribute,
     ModelError,
+    Substrate,
     are_distinguishable,
     check_simultaneous_halt,
     check_staggered_halt,
@@ -376,7 +376,7 @@ def test_recurrence_horizon_matches_the_minimum_by_state_order(seed):
     states = [s for cyc in cycles for s in cyc]
     rng.shuffle(states)
     step = {cyc[j]: cyc[(j + 1) % len(cyc)] for cyc in cycles for j in range(len(cyc))}
-    sub = make_substrate("M", states, step)
+    sub = Substrate("M", states, step)
     start, running, done = (
         Attribute(sub, frozenset(s for cyc in cycles for s in cyc[part]))
         for part in (slice(0, 1), slice(1, 2), slice(2, None))
@@ -656,7 +656,7 @@ def random_parts(rng, i):
     states = tuple(f"s{j}" for j in range(n))
     if rng.random() < 0.5:
         images = rng.sample(states, n)
-        sub = make_substrate(f"R{i}", states, dict(zip(states, images)))
+        sub = Substrate(f"R{i}", states, dict(zip(states, images)))
     else:
         sub = cyclic_substrate(f"R{i}", tuple(rng.sample(states, n)))
     roles = {s: rng.choice("00RR11-") for s in states}

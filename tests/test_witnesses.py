@@ -10,6 +10,7 @@ from ctm import (
     Attribute,
     ConstructorWitness,
     ModelError,
+    Substrate,
     Task,
     WitnessFamily,
     accuracy,
@@ -17,7 +18,6 @@ from ctm import (
     duration_task,
     identity_substrate,
     make_counter_timer,
-    make_substrate,
     make_timer,
     reliability,
     search_impossibility,
@@ -51,7 +51,7 @@ def test_swap_constructor_performs_flip(abc):
 
 
 def test_identity_task_with_immediate_halt_performs(abc):
-    device = make_substrate("d1", ("*",), {"*": "*"})
+    device = Substrate("d1", ("*",), {"*": "*"})
     out = singleton(abc, "a")
     w = ConstructorWitness(
         device=device,
@@ -92,7 +92,7 @@ def test_timer_witness_gives_up_on_a_run_that_never_halts_after_the_longest_cycl
 def test_failure_modes(abc):
     never = wrap_permutation(abc, {s: s for s in abc.states})
     # halt flag on the substrate, never reached
-    device = make_substrate("d1", ("*",), {"*": "*"})
+    device = Substrate("d1", ("*",), {"*": "*"})
     silent = ConstructorWitness(
         device=device,
         substrate=abc,
@@ -108,7 +108,7 @@ def test_failure_modes(abc):
     assert wrong.verdict == "fails" and wrong.reason == "wrong output"
 
     # device cycles 0 -> 1 -> 2 but the budget ends before it returns to ready
-    slow_dev = make_substrate("d3", (0, 1, 2), {0: 1, 1: 2, 2: 0})
+    slow_dev = Substrate("d3", (0, 1, 2), {0: 1, 1: 2, 2: 0})
     w = ConstructorWitness(
         device=slow_dev,
         substrate=abc,
@@ -137,7 +137,7 @@ def test_misset_threshold_gives_one_step_deviation():
 
 
 def test_witness_that_never_halts_has_undefined_accuracy(abc):
-    device = make_substrate("d1", ("*",), {"*": "*"})
+    device = Substrate("d1", ("*",), {"*": "*"})
     silent = ConstructorWitness(
         device=device,
         substrate=abc,
@@ -256,6 +256,14 @@ def test_short_prefix_rejected():
     fam = WitnessFamily(((1, timer_witness(spec)), (2, timer_witness(spec))))
     with pytest.raises(ModelError, match="at least 3"):
         check_possible_in_limit(fam, duration_task(spec), tol=0.1)
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_task_sequence_of_another_length_than_the_family_rejected(count):
+    spec = make_counter_timer(4, 5)
+    fam = WitnessFamily(tuple((k, timer_witness(spec)) for k in (1, 2, 3)))
+    with pytest.raises(ModelError, match=f"{count} tasks for a family prefix of 3 witnesses"):
+        check_possible_in_limit(fam, [duration_task(spec)] * count, tol=0.1)
 
 
 def test_family_indices_strictly_increasing():
