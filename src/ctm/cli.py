@@ -68,6 +68,11 @@ def _diag_dict(d: Diagnostic) -> dict:
     }
 
 
+def _error(message: str, suggestion: str | None = None) -> dict:
+    """The report entry of an error diagnostic that no line of a model file carries."""
+    return _diag_dict(Diagnostic("error", 0, 0, message, suggestion))
+
+
 def _attr_label(attr) -> str:
     return attr.name or "{" + ",".join(sorted(map(str, attr.members))) + "}"
 
@@ -230,14 +235,12 @@ def cmd_classify(args) -> tuple[dict, int]:
         for name, spec in model.timers.items():
             if name in pool:
                 message = f"timer {name!r} declared in more than one file"
-                diagnostics.append(_diag_dict(Diagnostic("error", 0, 0, message)) | {"path": path})
+                diagnostics.append(_error(message) | {"path": path})
                 status = EXIT_INPUT
             else:
                 pool[name] = spec
         if not model.timers:
-            diagnostics.append(
-                _diag_dict(Diagnostic("error", 0, 0, "no timers declared")) | {"path": path}
-            )
+            diagnostics.append(_error("no timers declared") | {"path": path})
             status = EXIT_INPUT
     report: dict = {"diagnostics": diagnostics}
     if status == EXIT_OK and pool:
@@ -264,14 +267,9 @@ def cmd_dynamics(args) -> tuple[dict, int]:
         return report, EXIT_INPUT
     if args.variable not in model.trajectories:
         report["diagnostics"].append(
-            _diag_dict(
-                Diagnostic(
-                    "error",
-                    0,
-                    0,
-                    f"no variable named {args.variable!r} in {path!r}",
-                    f"declared variables: {sorted(model.trajectories) or 'none'}",
-                )
+            _error(
+                f"no variable named {args.variable!r} in {path!r}",
+                f"declared variables: {sorted(model.trajectories) or 'none'}",
             )
         )
         return report, EXIT_INPUT
@@ -280,15 +278,10 @@ def cmd_dynamics(args) -> tuple[dict, int]:
         at = Fraction(args.at)
     except (ValueError, ZeroDivisionError) as e:
         report["diagnostics"].append(
-            _diag_dict(
-                Diagnostic(
-                    "error",
-                    0,
-                    0,
-                    f"bad argument: {e}",
-                    "schedule is a comma-separated decreasing list, e.g. 8,4,2,1; "
-                    "--at is a rational like 0 or 3/2",
-                )
+            _error(
+                f"bad argument: {e}",
+                "schedule is a comma-separated decreasing list, e.g. 8,4,2,1; "
+                "--at is a rational like 0 or 3/2",
             )
         )
         return report, EXIT_INPUT
@@ -309,7 +302,7 @@ def cmd_dynamics(args) -> tuple[dict, int]:
         report["advance_failure"] = {"lam": str(e.lam), "dlam": str(e.dlam)}
         return report, EXIT_REFUTED
     except ModelError as e:
-        report["diagnostics"].append(_diag_dict(Diagnostic("error", 0, 0, str(e))))
+        report["diagnostics"].append(_error(str(e)))
         return report, EXIT_INPUT
     residual_max = max(abs(r) for r in est.residuals)
     report.update(
@@ -335,7 +328,7 @@ def cmd_dynamics(args) -> tuple[dict, int]:
                     writer.writerow([d, repr(r)])
         except OSError as e:
             message = f"cannot write {args.csv!r}: {e.strerror}"
-            report["diagnostics"].append(_diag_dict(Diagnostic("error", 0, 0, message)))
+            report["diagnostics"].append(_error(message))
             return report, EXIT_INPUT
         report["csv"] = args.csv
     return report, EXIT_OK

@@ -192,21 +192,21 @@ def composite_timer(c1: TimerSpec, c2: TimerSpec) -> TimerSpec:
     """
     if c1.duration > c2.duration:
         raise ModelError("compose the shorter-duration timer first")
-    second = _distinct(c1, c2)
-    joint = compose_substrates(c1.substrate, second.substrate)
-    attr0 = pair_attribute(joint, c1.attr0, second.attr0, name="(0,0)")
-    full2 = Attribute(second.substrate, frozenset(second.substrate.states), name="any")
+    name2, sub2, start2, run2, done2, _ = _second_parts(c1, c2)
+    joint = compose_substrates(c1.substrate, sub2)
+    attr0 = pair_attribute(joint, c1.attr0, start2, name="(0,0)")
+    full2 = Attribute(sub2, frozenset(sub2.states), name="any")
     halt = pair_attribute(joint, c1.halt_flag, full2, name="(halt,any)")
     if c1.duration < c2.duration:
-        attr1 = pair_attribute(joint, c1.attr1, second.attrR, name="(1,R)")
+        attr1 = pair_attribute(joint, c1.attr1, run2, name="(1,R)")
     else:
-        attr1 = pair_attribute(joint, c1.attr1, second.attr1, name="(1,1)")
+        attr1 = pair_attribute(joint, c1.attr1, done2, name="(1,1)")
     not_done1 = Attribute(
         c1.substrate, c1.attr0.members | c1.attrR.members, name="0|R"
     )
     running = pair_attribute(joint, not_done1, full2, name="(0|R,any)")
     attrR = Attribute(joint, running.members - attr0.members, name="R")
-    return make_timer(f"[{c1.name}⊕{second.name}]", joint, attr0, attrR, attr1, halt)
+    return make_timer(f"[{c1.name}⊕{name2}]", joint, attr0, attrR, attr1, halt)
 
 
 def recurrence_horizon(c: TimerSpec) -> int:
@@ -248,22 +248,20 @@ def check_simultaneous_halt(c1: TimerSpec, c2: TimerSpec) -> bool:
     return c1.halt_step is not None and c1.halt_step == c2.halt_step
 
 
+def _second_parts(c1: TimerSpec, c2: TimerSpec) -> tuple:
+    """make_timer's arguments for c2, on a clone of its substrate when c1 shares it."""
+    attrs = (c2.attr0, c2.attrR, c2.attr1, c2.halt_flag)
+    if c2.substrate is not c1.substrate:
+        return (c2.name, c2.substrate, *attrs)
+    sub = clone_substrate(c2.substrate)
+    return (c2.name + "'", sub, *(retarget(a, sub) for a in attrs))
+
+
 def _distinct(c1: TimerSpec, c2: TimerSpec) -> TimerSpec:
     """A copy of c2 on a fresh substrate instance when it shares c1's."""
     if c2.substrate is not c1.substrate:
         return c2
-    sub = clone_substrate(c2.substrate)
-    return TimerSpec(
-        c2.name + "'",
-        sub,
-        retarget(c2.attr0, sub),
-        retarget(c2.attrR, sub),
-        retarget(c2.attr1, sub),
-        retarget(c2.halt_flag, sub),
-        c2.halts,
-        c2.static_horizon,
-        c2.warnings,
-    )
+    return make_timer(*_second_parts(c1, c2))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Operational verification of task possibility.
 
 A constructor witness is a finite device coupled to a substrate through a
-joint bijection.  Verification runs the joint evolution from every input
-state, watches for the first raise of the halt flag, and checks the output
-and the device's return to its ready attribute.  Accuracy, reliability and
-possible-in-the-limit checks quantify approximate witnesses.
+joint bijection, held as one joint substrate on device × substrate states.
+Verification reads each run from a (ready, input) state off that joint
+system's cycles: the first raise of the halt flag, the output at that
+step, and the device's return to its ready attribute.  The step budget
+max_steps bounds both the halt step and the return to ready.  Accuracy,
+reliability and possible-in-the-limit checks quantify approximate
+witnesses.
 
 The witness search decides whether some permutation of the substrate's
 states, realized as the canonical two-state witness, maps each input into
@@ -19,11 +22,11 @@ the input, which verify_witness accepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Mapping, Sequence, Union
 
-from .core import Attribute, ModelError, Substrate, first_entry
+from .core import Attribute, ModelError, Substrate, evolve, first_entry
 from .tasks import Task
 
 MAX_SEARCH_STATES = 6
@@ -34,8 +37,8 @@ class ConstructorWitness:
     """A device, its ready and halt attributes, and the joint step it drives.
 
     The halt flag may live on the device or on the substrate; the report
-    records which.  max_steps bounds every simulation, standing in for the
-    witness's operating budget.
+    records which.  max_steps bounds a run's halt step and its return to
+    ready, standing in for the witness's operating budget.
     """
 
     device: Substrate
@@ -45,6 +48,10 @@ class ConstructorWitness:
     joint_step: Mapping[tuple, tuple]
     max_steps: int
     name: str = ""
+    # the joint step as a substrate, and its states with the flag raised and with the device ready
+    joint: Substrate = field(init=False, repr=False)
+    raised: frozenset = field(init=False, repr=False)
+    ready_states: frozenset = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.device is self.substrate:
@@ -55,22 +62,25 @@ class ConstructorWitness:
             raise ModelError("ready attribute must be non-empty")
         if self.halt_flag.substrate is not self.device and self.halt_flag.substrate is not self.substrate:
             raise ModelError("halt flag must be an attribute of the device or of the substrate")
-        joint = dict(self.joint_step)
-        object.__setattr__(self, "joint_step", joint)
-        space = set(product(self.device.states, self.substrate.states))
-        if set(joint) != space or set(joint.values()) != space:
-            raise ModelError("joint step is not a bijection on device × substrate states")
+        dev, sub = self.device.states, self.substrate.states
+        name = f"{self.device.id}×{self.substrate.id}"
+        try:
+            joint = Substrate(name, product(dev, sub), self.joint_step)
+        except ModelError:
+            message = "joint step is not a bijection on device × substrate states"
+            raise ModelError(message) from None
         if self.max_steps < 0:
             raise ModelError("max_steps must be non-negative")
+        flag = self.halt_flag.members
+        raised = product(flag, sub) if self.halt_on == "device" else product(dev, flag)
+        object.__setattr__(self, "joint_step", joint.step)
+        object.__setattr__(self, "joint", joint)
+        object.__setattr__(self, "raised", frozenset(raised))
+        object.__setattr__(self, "ready_states", frozenset(product(self.ready.members, sub)))
 
     @property
     def halt_on(self) -> str:
         return "device" if self.halt_flag.substrate is self.device else "substrate"
-
-    def _flag_raised(self, joint_state: tuple) -> bool:
-        dev, sub = joint_state
-        probe = dev if self.halt_on == "device" else sub
-        return probe in self.halt_flag.members
 
 
 @dataclass(frozen=True)
@@ -87,46 +97,47 @@ class VerifyReport:
         return self.verdict == "performs"
 
 
-def _ordered(attr: Attribute) -> list:
-    order = {s: i for i, s in enumerate(attr.substrate.states)}
-    return sorted(attr.members, key=lambda s: order[s])
+def _runs(w: ConstructorWitness, t: Task):
+    """The (ready, input) starting states in state order, after checking the task's substrate."""
+    if t.substrate is not w.substrate:
+        raise ModelError("task is not on this witness's substrate")
+    ready = [r for r in w.device.states if r in w.ready.members]
+    inputs = [s for s in w.substrate.states if s in t.input.members]
+    return product(ready, inputs)
+
+
+def _halt_step(w: ConstructorWitness, run: tuple) -> int | None:
+    """The step of the run's first raise of the halt flag, or None if it comes after max_steps."""
+    k = first_entry(w.joint, run, w.raised)
+    return None if k is None or k > w.max_steps else k
 
 
 def verify_witness(w: ConstructorWitness, t: Task) -> VerifyReport:
-    """Run the joint evolution and check halt, output, and cycle.
+    """Read each run off the joint cycles and check halt, output, and cycle.
 
     Performs means: from every (ready, input) start the halt flag is first
-    raised at some step <= max_steps, the substrate then lies in the output
-    attribute, and the device revisits its ready attribute by max_steps (a
-    reversible device cannot freeze at the halt event, so "operates in a
-    cycle" is checked as a return to ready at or after the halt).
+    raised at some step k <= max_steps, the substrate then lies in the
+    output attribute, and the device revisits its ready attribute at some
+    step from k to max_steps (a reversible device cannot freeze at the halt
+    event, so "operates in a cycle" is checked as a return to ready at or
+    after the halt).  All three are positions on the run's joint cycle.
     """
-    if t.substrate is not w.substrate:
-        raise ModelError("task is not on this witness's substrate")
     halt_steps: dict[tuple, int] = {}
-    for r in _ordered(w.ready):
-        for sigma in _ordered(t.input):
-            state = (r, sigma)
-            halt_at = None
-            cycled = False
-            for k in range(w.max_steps + 1):
-                if halt_at is None and w._flag_raised(state):
-                    halt_at = k
-                    if state[1] not in t.output.members:
-                        return VerifyReport(
-                            "fails", "wrong output", (r, sigma), halt_steps, False, w.halt_on
-                        )
-                if halt_at is not None and state[0] in w.ready.members:
-                    cycled = True
-                    break
-                state = w.joint_step[state]
-            if halt_at is None:
-                return VerifyReport("fails", "timeout", (r, sigma), halt_steps, False, w.halt_on)
-            if not cycled:
-                return VerifyReport(
-                    "fails", "cycle broken", (r, sigma), halt_steps, False, w.halt_on
-                )
-            halt_steps[(r, sigma)] = halt_at
+
+    def fails(reason: str) -> VerifyReport:
+        return VerifyReport("fails", reason, run, halt_steps, False, w.halt_on)
+
+    for run in _runs(w, t):
+        k = _halt_step(w, run)
+        if k is None:
+            return fails("timeout")
+        halted = evolve(w.joint, run, k)
+        if halted[1] not in t.output.members:
+            return fails("wrong output")
+        back = first_entry(w.joint, halted, w.ready_states)
+        if back is None or k + back > w.max_steps:
+            return fails("cycle broken")
+        halt_steps[run] = k
     return VerifyReport("performs", None, None, halt_steps, True, w.halt_on)
 
 
@@ -143,24 +154,17 @@ def _distance(substrate: Substrate, state, members: frozenset) -> float:
 def accuracy(w: ConstructorWitness, t: Task) -> float | None:
     """Worst-case deviation of the halt-time substrate state from the output.
 
-    None when some run never halts within max_steps: a witness that never
-    signals completion has no accuracy, not a bad one.
+    Each run's halt state is read off the joint cycles, as in
+    verify_witness.  None when some run does not halt within max_steps: a
+    witness that never signals completion has no accuracy, not a bad one.
     """
-    if t.substrate is not w.substrate:
-        raise ModelError("task is not on this witness's substrate")
     worst = 0.0
-    for r in _ordered(w.ready):
-        for sigma in _ordered(t.input):
-            state = (r, sigma)
-            halt_state = None
-            for _ in range(w.max_steps + 1):
-                if w._flag_raised(state):
-                    halt_state = state
-                    break
-                state = w.joint_step[state]
-            if halt_state is None:
-                return None
-            worst = max(worst, _distance(w.substrate, halt_state[1], t.output.members))
+    for run in _runs(w, t):
+        k = _halt_step(w, run)
+        if k is None:
+            return None
+        halted = evolve(w.joint, run, k)
+        worst = max(worst, _distance(w.substrate, halted[1], t.output.members))
     return worst
 
 

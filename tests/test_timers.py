@@ -18,6 +18,7 @@ from ctm import (
     Attribute,
     ModelError,
     Substrate,
+    Task,
     are_distinguishable,
     check_simultaneous_halt,
     check_staggered_halt,
@@ -30,6 +31,8 @@ from ctm import (
     make_particle_timer,
     make_timer,
     recurrence_horizon,
+    timer_witness,
+    verify_witness,
 )
 
 
@@ -716,6 +719,7 @@ def test_make_timer_matches_seed_validation_on_random_structures():
     assert sum(not isinstance(mine, str) for mine, _ in verdicts) == 501
 
 
+@functools.cache
 def valid_timer_groups():
     """Groups of well-formed timers: each seeded catalog with its composites, then random ones."""
     groups = [seeded_catalog(seed) for seed in range(20)]
@@ -737,3 +741,20 @@ def test_staggered_halt_matches_pair_simulation():
                     staggered.append(seed_staggered(c1, c2))
                     assert check_staggered_halt(c1, c2) == staggered[-1], (c1, c2)
     assert (len(staggered), sum(staggered)) == (19771, 16605)
+
+
+# the timer as a witness ---------------------------------------------------------------
+
+
+def test_timer_witness_halts_at_the_timer_halt_steps():
+    # counter, particle, skewed, composite and random custom timers
+    specs = [spec for group in valid_timer_groups() for spec in group]
+    kinds = {spec.name[0] for spec in specs}
+    assert {"c", "p", "k", "[", "r"} <= kinds
+    for spec in specs:
+        report = verify_witness(timer_witness(spec), Task(spec.attr0, spec.attr1))
+        assert report.performs, spec
+        assert set(report.halt_steps.values()) == set(spec.halts), spec
+    skewed = skewed_timer()
+    report = verify_witness(timer_witness(skewed), Task(skewed.attr0, skewed.attr1))
+    assert (skewed.halts, report.halt_steps) == ((2, 3), {("*", "s0"): 3, ("*", "s1"): 2})

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from ctm import (
     WitnessFamily,
     accuracy,
     check_possible_in_limit,
+    cyclic_substrate,
     duration_task,
     identity_substrate,
     make_counter_timer,
@@ -26,7 +27,7 @@ from ctm import (
     verify_witness,
     wrap_permutation,
 )
-from ctm.witnesses import permutation_possible
+from ctm.witnesses import VerifyReport, _distance, permutation_possible
 from conftest import prime_cycle_substrate, singleton
 
 
@@ -159,6 +160,112 @@ def test_performs_implies_zero_accuracy(abc):
         t = Task(singleton(abc, "a"), singleton(abc, action["a"]))
         assert verify_witness(w, t).performs
         assert accuracy(w, t) == 0.0
+
+
+# verify and accuracy against the step loop they replace ------------------------
+
+
+def in_state_order(attr):
+    return [s for s in attr.substrate.states if s in attr.members]
+
+
+def flag_raised(w, state):
+    return (state[0] if w.halt_on == "device" else state[1]) in w.halt_flag.members
+
+
+def loop_verify(w, t):
+    """Oracle: step the joint map from each run, watching halt, output and return to ready."""
+    halt_steps = {}
+    for r in in_state_order(w.ready):
+        for sigma in in_state_order(t.input):
+            state, halt_at, cycled = (r, sigma), None, False
+            for k in range(w.max_steps + 1):
+                if halt_at is None and flag_raised(w, state):
+                    halt_at = k
+                    if state[1] not in t.output.members:
+                        return VerifyReport(
+                            "fails", "wrong output", (r, sigma), halt_steps, False, w.halt_on
+                        )
+                if halt_at is not None and state[0] in w.ready.members:
+                    cycled = True
+                    break
+                state = w.joint_step[state]
+            if halt_at is None:
+                return VerifyReport("fails", "timeout", (r, sigma), halt_steps, False, w.halt_on)
+            if not cycled:
+                return VerifyReport(
+                    "fails", "cycle broken", (r, sigma), halt_steps, False, w.halt_on
+                )
+            halt_steps[(r, sigma)] = halt_at
+    return VerifyReport("performs", None, None, halt_steps, True, w.halt_on)
+
+
+def loop_accuracy(w, t):
+    """Oracle: step the joint map from each run to its first raise within max_steps."""
+    worst = 0.0
+    for r in in_state_order(w.ready):
+        for sigma in in_state_order(t.input):
+            state, halt_state = (r, sigma), None
+            for _ in range(w.max_steps + 1):
+                if flag_raised(w, state):
+                    halt_state = state
+                    break
+                state = w.joint_step[state]
+            if halt_state is None:
+                return None
+            worst = max(worst, _distance(w.substrate, halt_state[1], t.output.members))
+    return worst
+
+
+def small_witness_parts(nd, ns):
+    """The arguments of every witness on a |D| = nd device and an |S| = ns substrate.
+
+    One per joint bijection, non-empty ready set, halt flag (any subset of
+    the device or of the substrate) and budget from 0 to nd·ns + 1.
+    """
+    dev = cyclic_substrate("D", tuple(range(nd)))
+    sub = cyclic_substrate("S", ("c", "a", "d", "b")[:ns])
+    space = [(d, s) for d in dev.states for s in sub.states]
+    flags = [Attribute(dev, m) for m in subsets(dev.states)]
+    flags += [Attribute(sub, m) for m in subsets(sub.states)]
+    for image in permutations(space):
+        step = dict(zip(space, image))
+        for ready in subsets(dev.states)[1:]:
+            for flag in flags:
+                for budget in range(nd * ns + 2):
+                    yield dev, sub, Attribute(dev, ready), flag, step, budget
+
+
+# (1, 4) and (4, 1) check every 11th witness, a stride prime to the counts of budgets and flags
+@pytest.mark.parametrize(
+    "nd, ns, stride",
+    [(1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 3, 1), (3, 1, 1), (2, 2, 1), (1, 4, 11), (4, 1, 11)],
+)
+def test_verify_and_accuracy_match_the_step_loop_on_small_witnesses(nd, ns, stride):
+    parts = islice(small_witness_parts(nd, ns), 0, None, stride)
+    witnesses = [ConstructorWitness(*args) for args in parts]
+    sub = witnesses[0].substrate
+    members = subsets(sub.states)
+    tasks = [Task(Attribute(sub, i), Attribute(sub, o)) for i in members for o in members]
+    reasons = set()
+    for w in witnesses:
+        for t in tasks:
+            report = verify_witness(w, t)
+            assert report == loop_verify(w, t), (w.joint_step, w.ready, w.halt_flag, w.max_steps, t)
+            assert accuracy(w, t) == loop_accuracy(w, t), (w.joint_step, w.ready, w.halt_flag, t)
+            reasons.add(report.reason)
+    assert {"timeout", "wrong output", None} <= reasons
+    assert ("cycle broken" in reasons) == (nd > 1)
+
+
+def test_joint_step_that_is_not_a_bijection_rejected(abc):
+    device = Substrate("d1", ("*",), {"*": "*"})
+    ready = Attribute(device, frozenset({"*"}), name="ready")
+    merged = {("*", s): ("*", "a") for s in abc.states}
+    partial = {("*", "a"): ("*", "a")}
+    for step in (merged, partial):
+        with pytest.raises(ModelError, match="joint step is not a bijection on device × substrate"):
+            ConstructorWitness(device, abc, ready, singleton(abc, "a"), step, 4)
 
 
 # reliability -------------------------------------------------------------------
