@@ -45,22 +45,6 @@ from .tasks import (
     premise_chain,
     serial_compose,
 )
-from .witnesses import (
-    ApproximateConstructor,
-    ConstructorWitness,
-    LimitReport,
-    SearchResult,
-    UniformPossibilityResult,
-    VerifyReport,
-    WitnessFamily,
-    accuracy,
-    check_possible_in_limit,
-    reliability,
-    search_impossibility,
-    uniform_possibility,
-    verify_witness,
-    wrap_permutation,
-)
 from .timers import (
     TimerClass,
     TimerSpec,
@@ -74,7 +58,6 @@ from .timers import (
     make_particle_timer,
     make_timer,
     recurrence_horizon,
-    timer_witness,
 )
 from .dynamics import (
     AdvanceCheckFailed,
@@ -88,3 +71,57 @@ from .dynamics import (
 )
 
 __version__ = "0.1.0"
+
+# The witness layer runs on no `ctm` command, so it loads on the first read of one of its names.
+_WITNESS_NAMES = (
+    "ApproximateConstructor",
+    "ConstructorWitness",
+    "LimitReport",
+    "SearchResult",
+    "UniformPossibilityResult",
+    "VerifyReport",
+    "WitnessFamily",
+    "accuracy",
+    "check_possible_in_limit",
+    "reliability",
+    "search_impossibility",
+    "timer_witness",
+    "uniform_possibility",
+    "verify_witness",
+    "wrap_permutation",
+)
+
+
+def __getattr__(name: str):
+    if name not in _WITNESS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import witnesses
+
+    value = globals()[name] = getattr(witnesses, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
+
+__all__ = [
+    # core
+    "Attribute", "ModelError", "Substrate", "Variable", "are_distinguishable",
+    "clone_substrate", "compose_substrates", "cycle_lengths", "cyclic_substrate", "evolve",
+    "first_entry", "identity_substrate", "is_static", "is_static_for_horizon", "orbit",
+    "pair_attribute", "recurrence_period", "static_horizon",
+    # tasks
+    "NULL_TASK", "CompositionUndefined", "Contradiction", "Declared", "Derived", "LawSet",
+    "LawStatement", "NullTask", "Possibility", "Task", "check_consistency", "deductive_closure",
+    "impossible", "parallel_compose", "possible", "premise_chain", "serial_compose",
+    # timers
+    "TimerClass", "TimerSpec", "check_simultaneous_halt", "check_staggered_halt",
+    "check_synchrony", "classify_timers", "composite_timer", "duration_task",
+    "make_counter_timer", "make_particle_timer", "make_timer", "recurrence_horizon",
+    # dynamics
+    "AdvanceCheckFailed", "DerivativeEstimate", "PointerRecovery", "TrajectoryModel",
+    "check_timed_advance", "estimate_derivative", "incremental_ratio", "recover_clock_pointer",
+    # witnesses
+    *_WITNESS_NAMES,
+]

@@ -9,7 +9,6 @@ Exit status: 0 success, 1 refutation or contradiction, 2 input error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -29,6 +28,7 @@ from .tasks import (
     NullTask,
     Possibility,
     closure_summary,
+    permutation_possible,
 )
 from .timers import (
     check_simultaneous_halt,
@@ -37,7 +37,6 @@ from .timers import (
     classify_timers,
     recurrence_horizon,
 )
-from .witnesses import permutation_possible
 
 SCHEMA = "ctm-report/1"
 ENV_MODEL_ROOT = "CTM_MODEL_ROOT"
@@ -320,6 +319,8 @@ def cmd_dynamics(args) -> tuple[dict, int]:
         }
     )
     if args.csv:
+        import csv
+
         try:
             with open(args.csv, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)

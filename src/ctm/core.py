@@ -79,11 +79,12 @@ class Attribute:
     name: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(self.members))
+        members = frozenset(self.members)
+        object.__setattr__(self, "members", members)
         step = self.substrate.step
-        # per-member lookups: `members - step.keys()` would walk every state
-        stray = [s for s in self.members if s not in step]
-        if stray:
+        # one lookup per member, in C: `members - step.keys()` would walk every state
+        if not step.keys() >= members:
+            stray = [s for s in members if s not in step]
             raise ModelError(
                 f"attribute {self.name or '?'}: members {sorted(map(repr, stray))} "
                 f"not states of {self.substrate.id!r}"
@@ -134,7 +135,7 @@ class Variable:
             attr = normal[lam]
             if attr.substrate is not self.substrate:
                 raise ModelError(f"variable entry {lam}: attribute on a different substrate")
-            if attr.members & seen:
+            if not seen.isdisjoint(attr.members):
                 raise ModelError(f"variable entry {lam}: attributes are not pairwise disjoint")
             seen |= attr.members
 
@@ -267,10 +268,11 @@ def is_static(x: Attribute) -> bool:
     """True iff the member set is invariant under the step map.
 
     On a finite bijection, forward closure already forces exact
-    invariance, so image == members is the whole check.
+    invariance, and the step sends the members onto as many distinct
+    states, so image <= members is the whole check.
     """
-    step = x.substrate.step
-    return {step[s] for s in x.members} == x.members
+    members = x.members
+    return members.issuperset(map(x.substrate.step.__getitem__, members))
 
 
 def entry_states(x: Attribute) -> frozenset:
@@ -328,7 +330,7 @@ def are_distinguishable(xs: Iterable[Attribute]) -> bool:
             raise ModelError("attributes on different substrates are not comparable")
     seen: set = set()
     for a in attrs:
-        if a.members & seen:
+        if not seen.isdisjoint(a.members):
             return False
         seen |= a.members
     return True

@@ -78,6 +78,22 @@ class Task:
 TaskLike = Union[Task, NullTask]
 
 
+def permutation_possible(t: Task) -> bool:
+    """Does some permutation of the substrate's states map the input into the output?
+
+    Iff |input| <= |output|.  A permutation is injective, so it sends the
+    input onto |input| distinct states, all in the output.  Conversely,
+    match the input one-to-one into the output and the remaining states
+    one-to-one onto the remaining images; the two counts agree.  This is
+    Hall's condition for the bipartite graph in which an input state may
+    take any output and every other state any state: a set holding a
+    non-input state sees every state, and a set of input states sees the
+    output, so the whole input is the one set to test.  It decides
+    ``witnesses.search_impossibility(t).found`` at any substrate size.
+    """
+    return len(t.input.members) <= len(t.output.members)
+
+
 _NULL_KEY = None
 
 

@@ -20,7 +20,6 @@ from .core import (
     Substrate,
     clone_substrate,
     compose_substrates,
-    cycle_lengths,
     cyclic_substrate,
     evolve,
     first_entry,
@@ -31,7 +30,6 @@ from .core import (
     static_horizon,
 )
 from .tasks import Task
-from .witnesses import ConstructorWitness
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,13 +255,6 @@ def _second_parts(c1: TimerSpec, c2: TimerSpec) -> tuple:
     return (c2.name + "'", sub, *(retarget(a, sub) for a in attrs))
 
 
-def _distinct(c1: TimerSpec, c2: TimerSpec) -> TimerSpec:
-    """A copy of c2 on a fresh substrate instance when it shares c1's."""
-    if c2.substrate is not c1.substrate:
-        return c2
-    return make_timer(*_second_parts(c1, c2))
-
-
 @dataclass(frozen=True)
 class TimerClass:
     duration: int
@@ -301,27 +292,6 @@ def check_synchrony(c: TimerSpec) -> bool:
     reaches completion at one common step.
     """
     return c.halt_step is not None
-
-
-def timer_witness(c: TimerSpec) -> ConstructorWitness:
-    """The timer as a constructor acting on nothing but itself.
-
-    Trivial one-state device; the timer's own substrate carries the halt
-    flag, so verification and accuracy read the timer's halt state
-    directly.  The flag rises within the start's cycle or never, so the
-    step budget, the longest cycle's length, cuts no run short.
-    """
-    device = Substrate(f"{c.name}-dev", ("*",), {"*": "*"})
-    joint = {("*", s): ("*", c.substrate.step[s]) for s in c.substrate.states}
-    return ConstructorWitness(
-        device=device,
-        substrate=c.substrate,
-        ready=Attribute(device, frozenset({"*"}), name="ready"),
-        halt_flag=c.halt_flag,
-        joint_step=joint,
-        max_steps=max(cycle_lengths(c.substrate)),
-        name=f"{c.name}-as-witness",
-    )
 
 
 def duration_task(c: TimerSpec, reference: TimerSpec | None = None) -> Task:

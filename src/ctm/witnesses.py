@@ -14,8 +14,8 @@ states, realized as the canonical two-state witness, maps each input into
 its output.  That is a bipartite perfect-matching question (Hall's
 theorem), answered with Kuhn's augmenting paths.  A hit is the first
 permutation in lexicographic order (by state order).  For a single pair
-the decision is a cardinality test (permutation_possible), valid at any
-substrate size.  "No witness" speaks for permutation witnesses only; it
+the decision is a cardinality test (tasks.permutation_possible), valid at
+any substrate size.  "No witness" speaks for permutation witnesses only; it
 does not cover a device whose halt step or final microstate depends on
 the input, which verify_witness accepts.
 """
@@ -24,10 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
 
-from .core import Attribute, ModelError, Substrate, evolve, first_entry
-from .tasks import Task
+from .core import Attribute, ModelError, Substrate, cycle_lengths, evolve, first_entry
+from .tasks import Task, permutation_possible  # the single-pair decision, also read from here
+
+if TYPE_CHECKING:
+    from .timers import TimerSpec
 
 MAX_SEARCH_STATES = 6
 
@@ -306,6 +309,27 @@ def wrap_permutation(substrate: Substrate, action: Mapping, name: str = "") -> C
     )
 
 
+def timer_witness(c: TimerSpec) -> ConstructorWitness:
+    """The timer as a constructor acting on nothing but itself.
+
+    Trivial one-state device; the timer's own substrate carries the halt
+    flag, so verification and accuracy read the timer's halt state
+    directly.  The flag rises within the start's cycle or never, so the
+    step budget, the longest cycle's length, cuts no run short.
+    """
+    device = Substrate(f"{c.name}-dev", ("*",), {"*": "*"})
+    joint = {("*", s): ("*", c.substrate.step[s]) for s in c.substrate.states}
+    return ConstructorWitness(
+        device=device,
+        substrate=c.substrate,
+        ready=Attribute(device, frozenset({"*"}), name="ready"),
+        halt_flag=c.halt_flag,
+        joint_step=joint,
+        max_steps=max(cycle_lengths(c.substrate)),
+        name=f"{c.name}-as-witness",
+    )
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """Whether some substrate permutation performs the pairs, and if so the first one.
@@ -374,22 +398,6 @@ def _first_permutation(states: Sequence, allowed: Mapping) -> dict | None:
             return None
         action[s] = free.pop(j)
     return action
-
-
-def permutation_possible(t: Task) -> bool:
-    """Does some permutation of the substrate's states map the input into the output?
-
-    Iff |input| <= |output|.  A permutation is injective, so it sends the
-    input onto |input| distinct states, all in the output.  Conversely,
-    match the input one-to-one into the output and the remaining states
-    one-to-one onto the remaining images; the two counts agree.  This is
-    Hall's condition for the bipartite graph in which an input state may
-    take any output and every other state any state: a set holding a
-    non-input state sees every state, and a set of input states sees the
-    output, so the whole input is the one set to test.  It decides
-    search_impossibility(t).found at any substrate size.
-    """
-    return len(t.input.members) <= len(t.output.members)
 
 
 def search_impossibility(tasks: Union[Task, Sequence[Task]]) -> SearchResult:

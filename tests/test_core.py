@@ -318,6 +318,42 @@ def test_distinguishability_examples(counter16):
         are_distinguishable([zero])
 
 
+# membership tests against the seed's expressions ---------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_perm_substrates(), st.data())
+def test_membership_tests_match_the_seed_expressions(s, data):
+    # labels 0..n-1 are states, n <= 8, so 9 and 10 never are
+    members = data.draw(st.frozensets(st.integers(min_value=0, max_value=10), max_size=6))
+    stray = [x for x in members if x not in s.step]
+    if stray:
+        message = f"attribute a: members {sorted(map(repr, stray))} not states of 'rand'"
+        with pytest.raises(ModelError) as caught:
+            Attribute(s, members, name="a")
+        assert str(caught.value) == message
+        return
+    assert is_static(Attribute(s, members)) == ({s.step[x] for x in members} == members)
+    parts = st.frozensets(st.sampled_from(s.states), max_size=4)
+    attrs = [Attribute(s, m) for m in data.draw(st.lists(parts, max_size=4))]
+    seen: set = set()
+    clash = None
+    for lam, a in enumerate(attrs):
+        if a.members & seen:
+            clash = lam
+            break
+        seen |= a.members
+    entries = dict(enumerate(attrs))
+    if clash is None:
+        assert Variable(s, entries).domain == tuple(entries)
+    else:
+        with pytest.raises(ModelError) as caught:
+            Variable(s, entries)
+        assert str(caught.value) == f"variable entry {clash}: attributes are not pairwise disjoint"
+    if len(attrs) >= 2:
+        assert are_distinguishable(attrs) == (clash is None)
+
+
 # variables ------------------------------------------------------------------
 
 

@@ -1,0 +1,126 @@
+"""What a fresh `ctm` process imports.
+
+No command runs the witness layer (`ctm.witnesses`), and a file the line
+reader reads whole never reaches the token parser (`ctm._tokens`), so a
+`ctm` process on such files loads neither.  Each test runs in a fresh
+interpreter, since this one has imported every module already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+from conftest import MODELS_DIR, REPO_ROOT
+
+ON_DEMAND = ("ctm.witnesses", "ctm._tokens")
+
+# runs main on each argv of the JSON list in argv[1]; prints the exit statuses,
+# the reports and the ctm modules loaded
+PROBE = """
+import contextlib, io, json, sys
+import ctm.cli
+statuses, reports = [], []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        statuses.append(ctm.cli.main(argv))
+    reports.append(json.loads(out.getvalue()))
+loaded = sorted(name for name in sys.modules if name.startswith("ctm"))
+print(json.dumps({"statuses": statuses, "reports": reports, "loaded": loaded}))
+"""
+
+
+def run_fresh(code: str, *args: str) -> str:
+    path = os.pathsep.join(p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return result.stdout
+
+
+def probe(argvs: list[list[str]]) -> dict:
+    return json.loads(run_fresh(PROBE, json.dumps(argvs)))
+
+
+def test_commands_on_well_formed_files_load_neither_witnesses_nor_token_parser():
+    fixtures = sorted(str(p) for p in MODELS_DIR.glob("*.ctm"))
+    assert len(fixtures) == 6
+    argvs = [["check", *fixtures], ["check", "--horizon", "3", *fixtures]]
+    argvs += [["classify", path] for path in fixtures]
+    argvs.append(
+        ["dynamics", str(MODELS_DIR / "linear.ctm"), "--variable", "pos", "--schedule", "4,2,1"]
+    )
+    result = probe(argvs)
+    # no file drew a parse diagnostic, so none reached the token parser
+    assert result["statuses"][:2] == [1, 1] and result["statuses"][-1] == 0
+    assert "ctm.cli" in result["loaded"]
+    assert not set(ON_DEMAND) & set(result["loaded"])
+
+
+# a model with one misspelt keyword and, after it, a statement missing its arrow
+MALFORMED = (
+    "substrate S { states a b c ; step (a b c) }\n"
+    "attribute x on S { a }\n"
+    "atribute y on S { b }\n"
+    "attribute z on S { c }\n"
+    "law possible x z on S\n"
+)
+# the token parser's diagnostics for MALFORMED, as they were before it left ctm.dsl
+MALFORMED_DIAGNOSTICS = [
+    {
+        "severity": "error",
+        "line": 3,
+        "column": 1,
+        "message": "expected a declaration keyword, found 'atribute'",
+        "suggestion": "one of: substrate, attribute, timer, task, law, variable",
+    },
+    {
+        "severity": "error",
+        "line": 5,
+        "column": 16,
+        "message": "expected '->', found 'z'",
+        "suggestion": None,
+    },
+]
+
+
+def test_a_malformed_file_loads_the_token_parser_for_its_diagnostics(tmp_path):
+    bad = tmp_path / "bad.ctm"
+    bad.write_text(MALFORMED, encoding="utf-8")
+    run_dynamics = ["dynamics", str(bad), "--variable", "v", "--schedule", "1"]
+    result = probe([["check", str(bad)], run_dynamics])
+    assert result["statuses"] == [2, 2]
+    check, dynamics = result["reports"]
+    assert check["files"][0]["diagnostics"] == MALFORMED_DIAGNOSTICS
+    assert dynamics["diagnostics"] == MALFORMED_DIAGNOSTICS
+    assert "ctm._tokens" in result["loaded"]
+    assert "ctm.witnesses" not in result["loaded"]
+
+
+def test_every_public_name_resolves_and_is_listed():
+    code = """
+import sys
+import ctm
+print(int("ctm.witnesses" in sys.modules))
+missing = [name for name in ctm.__all__ if getattr(ctm, name, None) is None]
+unlisted = sorted(set(ctm.__all__) - set(dir(ctm)))
+try:
+    ctm.no_such_name
+except AttributeError as e:
+    error = str(e)
+print(len(ctm.__all__), len(set(ctm.__all__)), missing, unlisted, error, sep="|")
+print(ctm.verify_witness is sys.modules["ctm.witnesses"].verify_witness)
+"""
+    before, listing, same = run_fresh(code).splitlines()
+    assert before == "0"  # importing the package leaves the witness layer unloaded
+    count, distinct, missing, unlisted, error = listing.split("|")
+    assert count == distinct and int(count) == 70
+    assert (missing, unlisted) == ("[]", "[]")
+    assert error == "module 'ctm' has no attribute 'no_such_name'"
+    assert same == "True"

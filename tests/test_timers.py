@@ -132,8 +132,16 @@ def test_composite_self_pair_clones_the_substrate():
     a = make_counter_timer(4, 5)
     comp = composite_timer(a, a)
     assert comp.duration == 5
-    copy = timers._distinct(a, a)
-    assert copy.substrate is not a.substrate
+    first, second = comp.substrate.children
+    assert first is a.substrate and second is not a.substrate
+    assert (second.states, second.step) == (a.substrate.states, a.substrate.step)
+    assert comp.name == "[counter(4,5)⊕counter(4,5)']"
+    name, sub, *attrs = timers._second_parts(a, a)
+    assert name == "counter(4,5)'" and sub is not a.substrate
+    assert all(x.substrate is sub for x in attrs)
+    originals = (a.attr0, a.attrR, a.attr1, a.halt_flag)
+    assert [x.members for x in attrs] == [x.members for x in originals]
+    copy = make_timer(name, sub, *attrs)
     assert (copy.duration, copy.halt_step, copy.static_horizon) == (5, 5, 10)
 
 
