@@ -30,7 +30,6 @@ from .tasks import (
     NULL_TASK,
     CompositionUndefined,
     Contradiction,
-    Declared,
     Derived,
     LawSet,
     LawStatement,
@@ -112,7 +111,7 @@ __all__ = [
     "first_entry", "identity_substrate", "is_static", "is_static_for_horizon", "orbit",
     "pair_attribute", "recurrence_period", "static_horizon",
     # tasks
-    "NULL_TASK", "CompositionUndefined", "Contradiction", "Declared", "Derived", "LawSet",
+    "NULL_TASK", "CompositionUndefined", "Contradiction", "Derived", "LawSet",
     "LawStatement", "NullTask", "Possibility", "Task", "check_consistency", "deductive_closure",
     "impossible", "parallel_compose", "possible", "premise_chain", "serial_compose",
     # timers

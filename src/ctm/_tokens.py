@@ -22,7 +22,6 @@ from .dsl import (
     Diagnostic,
     LawDecl,
     ModelDecl,
-    ParseResult,
     ParticleTimerDecl,
     Span,
     SubstrateDecl,
@@ -364,12 +363,11 @@ class _Parser:
 
 def _parse_tokens(
     text: str, start: int = 0, line: int = 1, tables: _Tables | None = None
-) -> ParseResult:
+) -> tuple[ModelDecl | None, list[Diagnostic]]:
     """The token parser from offset `start`, the first character of line `line`, to the end.
 
     Over the whole text with no tables it is the parse that the line reader
     must agree with, and the tests keep it as that oracle.
     """
     tokens, diags = _lex(text, start, line)
-    model = _Parser(tokens, diags).parse(_Tables() if tables is None else tables)
-    return ParseResult(model, diags)
+    return _Parser(tokens, diags).parse(_Tables() if tables is None else tables), diags

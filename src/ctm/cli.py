@@ -22,13 +22,11 @@ from .core import ModelError
 from .dsl import BuiltModel, Diagnostic, analyze_model, parse_model
 from .dynamics import AdvanceCheckFailed, estimate_derivative
 from .tasks import (
-    Declared,
-    Derived,
     LawStatement,
-    NullTask,
     Possibility,
     closure_summary,
     permutation_possible,
+    task_label,
 )
 from .timers import (
     check_simultaneous_halt,
@@ -72,22 +70,12 @@ def _error(message: str, suggestion: str | None = None) -> dict:
     return _diag_dict(Diagnostic("error", 0, 0, message, suggestion))
 
 
-def _attr_label(attr) -> str:
-    return attr.name or "{" + ",".join(sorted(map(str, attr.members))) + "}"
-
-
-def _task_label(task) -> str:
-    if isinstance(task, NullTask):
-        return "null"
-    return f"{_attr_label(task.input)} -> {_attr_label(task.output)} on {task.substrate.id}"
-
-
 def _stmt_dict(st: LawStatement) -> dict:
-    out = {"task": _task_label(st.task), "status": st.status.value}
-    if isinstance(st.provenance, Declared):
+    out = {"task": task_label(st.task), "status": st.status.value}
+    prov = st.provenance
+    if prov is None:
         out["provenance"] = {"kind": "declared"}
     else:
-        prov: Derived = st.provenance
         out["provenance"] = {
             "kind": "derived",
             "rule": prov.rule,
@@ -105,10 +93,10 @@ def _load_file(path: str) -> tuple[BuiltModel | None, list[Diagnostic]]:
     except UnicodeDecodeError as e:
         message = f"cannot read {path!r}: not UTF-8 text ({e.reason} at offset {e.start})"
         return None, [Diagnostic("error", 0, 0, message)]
-    parsed = parse_model(text)
-    if parsed.model is None:
-        return None, parsed.diagnostics
-    return analyze_model(parsed.model)
+    decl, diags = parse_model(text)
+    if decl is None:
+        return None, diags
+    return analyze_model(decl)
 
 
 def _check_laws(model: BuiltModel) -> tuple[list[dict], bool]:
@@ -121,7 +109,7 @@ def _check_laws(model: BuiltModel) -> tuple[list[dict], bool]:
     refuted = False
     for st in model.laws.statements:
         task = st.task
-        entry = {"task": _task_label(task), "declared": st.status.value}
+        entry = {"task": task_label(task), "declared": st.status.value}
         found = permutation_possible(task)
         expected = st.status is Possibility.POSSIBLE
         if found == expected:
@@ -199,7 +187,7 @@ def cmd_check(args) -> tuple[dict, int]:
         contradictions, null_stmt, entry["closure_size"] = closure_summary(model.laws)
         entry["contradictions"] = [
             {
-                "task": _task_label(c.task),
+                "task": task_label(c.task),
                 "possible": _stmt_dict(c.possible),
                 "impossible": _stmt_dict(c.impossible),
             }

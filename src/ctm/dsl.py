@@ -170,26 +170,10 @@ class ModelDecl:
     def __post_init__(self) -> None:
         object.__setattr__(self, "laws", tuple(sorted(self.laws, key=LawDecl.sort_key)))
 
-    @property
-    def empty(self) -> bool:
-        return not (
-            self.substrates or self.attributes or self.timers or self.tasks or self.laws or self.variables
-        )
-
 
 # -------------------------------------------------------------- parse tables
 
 _KEYWORDS = ("substrate", "attribute", "timer", "task", "law", "variable")
-
-
-@dataclass
-class ParseResult:
-    model: ModelDecl | None
-    diagnostics: list[Diagnostic]
-
-    @property
-    def ok(self) -> bool:
-        return self.model is not None
 
 
 class _Tables:
@@ -380,12 +364,12 @@ def _read_lines(text: str, tables: _Tables) -> tuple[int, int] | None:
     return None
 
 
-def parse_model(text: str) -> ParseResult:
-    """Parse `.ctm` text; on any error the model is None and diagnostics tell why."""
+def parse_model(text: str) -> tuple[ModelDecl | None, list[Diagnostic]]:
+    """Parse `.ctm` text: the declaration (None on any error) and every diagnostic."""
     tables = _Tables()
     resume = _read_lines(text, tables)
     if resume is None:
-        return ParseResult(tables.model(), [])
+        return tables.model(), []
     from ._tokens import _parse_tokens
 
     return _parse_tokens(text, *resume, tables)

@@ -47,9 +47,6 @@ class NullTask:
     with it yields the null task again (there are no pairs to chain).
     """
 
-    def __repr__(self) -> str:
-        return "NullTask()"
-
 
 NULL_TASK = NullTask()
 
@@ -70,12 +67,21 @@ class Task:
         return self.input.substrate
 
     def __repr__(self) -> str:
-        i = self.input.name or "{" + ",".join(sorted(map(str, self.input.members))) + "}"
-        o = self.output.name or "{" + ",".join(sorted(map(str, self.output.members))) + "}"
-        return f"Task({i} -> {o} on {self.substrate.id})"
+        return f"Task({task_label(self)})"
 
 
 TaskLike = Union[Task, NullTask]
+
+
+def _attr_label(attr: Attribute) -> str:
+    return attr.name or "{" + ",".join(sorted(map(str, attr.members))) + "}"
+
+
+def task_label(task: TaskLike) -> str:
+    """``in -> out on S``, each attribute by its name or else its sorted members; or ``null``."""
+    if isinstance(task, NullTask):
+        return "null"
+    return f"{_attr_label(task.input)} -> {_attr_label(task.output)} on {task.substrate.id}"
 
 
 def permutation_possible(t: Task) -> bool:
@@ -110,24 +116,18 @@ def _task_key(task: TaskLike) -> tuple | None:
 
 
 @dataclass(frozen=True)
-class Declared:
-    """Provenance of a law stated by the model rather than derived."""
-
-
-@dataclass(frozen=True)
 class Derived:
     rule: str
     premises: tuple["LawStatement", ...]
 
 
-Provenance = Union[Declared, Derived]
-
-
 @dataclass(frozen=True)
 class LawStatement:
+    """A status on a task; ``provenance`` None means the model states the law."""
+
     task: TaskLike
     status: Possibility
-    provenance: Provenance = Declared()
+    provenance: Derived | None = None
 
     def __repr__(self) -> str:
         mark = "✓" if self.status is Possibility.POSSIBLE else "✗"
@@ -161,7 +161,7 @@ class LawSet:
         out: list[LawStatement] = []
         seen: set = set()
         for st in statements:
-            key = (st.task, st.status)
+            key = (_task_key(st.task), st.status)
             if key not in seen:
                 seen.add(key)
                 out.append(st)
@@ -545,16 +545,36 @@ def _null_statement(
     ``possibles`` holds the declared possible laws in declared order, and
     ``on`` those of each substrate.  Distinct pairs come first, in
     lexicographic order, then each law with itself, as in the fixpoint's
-    first round.
+    first round.  A pair gives the null task iff the first law's output
+    misses the second's input and, when that output is empty, the input is
+    not.  So, with one bitset of law positions per input state on each
+    substrate, a law's first partner is the lowest position whose input
+    holds no state of its output: no pair is scanned.
     """
-    pairs = chain(
-        ((s1, s2) for s1 in possibles for s2 in on[s1.task.substrate] if s2 is not s1),
-        ((st, st) for st in possibles),
-    )
-    for s1, s2 in pairs:
-        out, inp = s1.task.output.members, s2.task.input.members
-        if out.isdisjoint(inp) and out != inp:
+    masks = {}
+    for sub, laws in on.items():
+        by_state: dict = {}
+        filled = 0  # the laws with a non-empty input
+        same: dict[int, int] = {}  # the positions of each statement object
+        for p, st in enumerate(laws):
+            same[id(st)] = same.get(id(st), 0) | 1 << p
+            filled |= bool(st.task.input.members) << p
+            for x in st.task.input.members:
+                by_state[x] = by_state.get(x, 0) | 1 << p
+        masks[sub] = (by_state, filled, same, (1 << len(laws)) - 1)
+    for s1 in possibles:
+        by_state, filled, same, every = masks[s1.task.substrate]
+        out = s1.task.output.members
+        hits = (every if out else filled) & ~same[id(s1)]
+        for x in out:
+            hits &= ~by_state.get(x, 0)
+        if hits:
+            s2 = on[s1.task.substrate][(hits & -hits).bit_length() - 1]
             return LawStatement(NULL_TASK, Possibility.POSSIBLE, Derived("serial", (s1, s2)))
+    for st in possibles:
+        out, inp = st.task.output.members, st.task.input.members
+        if out.isdisjoint(inp) and out != inp:
+            return LawStatement(NULL_TASK, Possibility.POSSIBLE, Derived("serial", (st, st)))
     return None
 
 

@@ -144,10 +144,7 @@ def make_counter_timer(
             raise ModelError("provided substrate is not a counter over 0..2^bits - 1")
         if any(substrate.step[i] != (i + 1) % size for i in range(size)):
             raise ModelError("provided substrate does not increment mod 2^bits")
-    attr0 = Attribute(substrate, frozenset({0}), name="0")
-    attrR = Attribute(substrate, frozenset(range(1, threshold)), name="R")
-    attr1 = Attribute(substrate, frozenset(range(threshold, size)), name="1")
-    return make_timer(name or f"counter({bits},{threshold})", substrate, attr0, attrR, attr1)
+    return _ring_timer(name or f"counter({bits},{threshold})", substrate, threshold)
 
 
 def make_particle_timer(
@@ -173,10 +170,16 @@ def make_particle_timer(
         tuple(range(cells)),
         {c: (c + speed) % cells for c in range(cells)},
     )
+    return _ring_timer(name or f"particle({cells},{speed},{target})", substrate, target)
+
+
+def _ring_timer(name: str, substrate: Substrate, target: int) -> TimerSpec:
+    """The timer on states 0..n-1 that starts at 0, runs below target and completes from it on."""
+    size = len(substrate.states)
     attr0 = Attribute(substrate, frozenset({0}), name="0")
     attrR = Attribute(substrate, frozenset(range(1, target)), name="R")
-    attr1 = Attribute(substrate, frozenset(range(target, cells)), name="1")
-    return make_timer(name or f"particle({cells},{speed},{target})", substrate, attr0, attrR, attr1)
+    attr1 = Attribute(substrate, frozenset(range(target, size)), name="1")
+    return make_timer(name, substrate, attr0, attrR, attr1)
 
 
 def composite_timer(c1: TimerSpec, c2: TimerSpec) -> TimerSpec:

@@ -88,16 +88,16 @@ class ConstructorWitness:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    verdict: str  # "performs" | "fails"
-    reason: str | None
+    """Why the witness fails the task (None when it performs), and on which run."""
+
+    reason: str | None  # "timeout" | "wrong output" | "cycle broken"
     failing_run: tuple | None
     halt_steps: Mapping[tuple, int]
-    cycle_ok: bool
     halt_on: str
 
     @property
     def performs(self) -> bool:
-        return self.verdict == "performs"
+        return self.reason is None
 
 
 def _runs(w: ConstructorWitness, t: Task):
@@ -128,7 +128,7 @@ def verify_witness(w: ConstructorWitness, t: Task) -> VerifyReport:
     halt_steps: dict[tuple, int] = {}
 
     def fails(reason: str) -> VerifyReport:
-        return VerifyReport("fails", reason, run, halt_steps, False, w.halt_on)
+        return VerifyReport(reason, run, halt_steps, w.halt_on)
 
     for run in _runs(w, t):
         k = _halt_step(w, run)
@@ -141,7 +141,7 @@ def verify_witness(w: ConstructorWitness, t: Task) -> VerifyReport:
         if back is None or k + back > w.max_steps:
             return fails("cycle broken")
         halt_steps[run] = k
-    return VerifyReport("performs", None, None, halt_steps, True, w.halt_on)
+    return VerifyReport(None, None, halt_steps, w.halt_on)
 
 
 def _distance(substrate: Substrate, state, members: frozenset) -> float:
@@ -198,25 +198,25 @@ def reliability(a: ApproximateConstructor, t: Task, n: int) -> tuple[float | Non
     return tuple(accuracy(a.drift(a.base, k), t) for k in range(n))
 
 
-WitnessEntry = Union[ConstructorWitness, ApproximateConstructor]
-
-
 @dataclass(frozen=True, eq=False)
 class WitnessFamily:
-    """Finite prefix of an indexed sequence of (approximate) witnesses."""
+    """Finite prefix of an indexed sequence of (approximate) witnesses.
 
-    entries: tuple[tuple[int, WitnessEntry], ...]
+    A plain ``ConstructorWitness`` entry is stored as an
+    ``ApproximateConstructor`` that does not drift.
+    """
+
+    entries: tuple[tuple[int, ApproximateConstructor], ...]
 
     def __post_init__(self) -> None:
         idx = [k for k, _ in self.entries]
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ModelError("family indices must be strictly increasing")
-
-    def approximate(self, pos: int) -> ApproximateConstructor:
-        entry = self.entries[pos][1]
-        if isinstance(entry, ApproximateConstructor):
-            return entry
-        return ApproximateConstructor(entry)
+        entries = tuple(
+            (k, e if isinstance(e, ApproximateConstructor) else ApproximateConstructor(e))
+            for k, e in self.entries
+        )
+        object.__setattr__(self, "entries", entries)
 
 
 @dataclass(frozen=True)
@@ -247,9 +247,7 @@ def check_possible_in_limit(
         raise ModelError(
             f"{len(tasks)} tasks for a family prefix of {len(family.entries)} witnesses"
         )
-    accs: list[float | None] = [
-        accuracy(family.approximate(pos).base, tasks[pos]) for pos in range(len(family.entries))
-    ]
+    accs = [accuracy(a.base, t) for (_, a), t in zip(family.entries, tasks)]
     if any(a is None for a in accs):
         return LimitReport(False, tuple(accs), None, "some witness never halts")
     pairs = list(zip(accs, accs[1:]))
@@ -258,9 +256,8 @@ def check_possible_in_limit(
     if accs[-1] >= tol:
         return LimitReport(False, tuple(accs), None, f"final accuracy {accs[-1]} not below tol")
     worst_dev = 0.0
-    for pos, (index, _) in enumerate(family.entries):
-        a = family.approximate(pos)
-        seq = reliability(a, tasks[pos], max(1, index))
+    for (index, a), t in zip(family.entries, tasks):
+        seq = reliability(a, t, max(1, index))
         if any(v is None for v in seq):
             return LimitReport(False, tuple(accs), None, f"witness {index} stops halting on reuse")
         base = seq[0]
@@ -470,6 +467,9 @@ def uniform_possibility(
             "uniformly-possible", witness, action, (action,) * len(members)
         )
 
-    member_actions = tuple(search_impossibility(pairs).action for pairs in tasks)
+    member_actions = tuple(
+        _first_permutation(m.states, _allowed_images(m.states, pairs))
+        for m, pairs in zip(members, tasks)
+    )
     kind = "pointwise-only" if all(a is not None for a in member_actions) else "impossible"
     return UniformPossibilityResult(kind, None, None, member_actions)

@@ -174,7 +174,7 @@ def test_criterion_4_uniform_flip_family():
 
 
 def test_criterion_5_static_attribute_vs_external_constructor(models_dir):
-    model = build_model(parse_model((models_dir / "degenerate.ctm").read_text()).model)
+    model = build_model(parse_model((models_dir / "degenerate.ctm").read_text())[0])
     x, y = model.attributes["x"], model.attributes["y"]
     assert is_static(x)
     res = search_impossibility(Task(x, y))
@@ -198,7 +198,7 @@ def test_criterion_6_recurrence_and_static_horizon():
 def test_criterion_7_synchrony_of_shipped_timers(models_dir):
     checked = 0
     for path in sorted(models_dir.glob("*.ctm")):
-        built = build_model(parse_model(path.read_text()).model)
+        built = build_model(parse_model(path.read_text())[0])
         for spec in built.timers.values():
             assert check_synchrony(spec), f"{path.name}:{spec.name}"
             checked += 1
@@ -208,13 +208,13 @@ def test_criterion_7_synchrony_of_shipped_timers(models_dir):
 
 def test_criterion_8_dynamics_recovery(models_dir):
     done = timed(5.0)
-    rotation = build_model(parse_model((models_dir / "rotation.ctm").read_text()).model)
+    rotation = build_model(parse_model((models_dir / "rotation.ctm").read_text())[0])
     theta = rotation.trajectories["theta"]
     timers = {spec.duration: spec for spec in rotation.timers.values()}
     est = estimate_derivative(theta, 0, [8, 4, 2, 1], timers=timers)
     assert abs(est.extrapolated - OMEGA) / OMEGA < 0.05
     assert 0.8 <= est.order <= 1.2
-    linear = build_model(parse_model((models_dir / "linear.ctm").read_text()).model)
+    linear = build_model(parse_model((models_dir / "linear.ctm").read_text())[0])
     pos = linear.trajectories["pos"]
     est_lin = estimate_derivative(pos, 0, [8, 4, 2, 1])
     assert est_lin.ratios == (1.0, 1.0, 1.0, 1.0)
@@ -255,18 +255,15 @@ def test_criterion_10_dsl_round_trip_and_fuzz(models_dir):
     shipped = sorted(models_dir.glob("*.ctm"))
     assert len(shipped) >= 5
     for path in shipped:
-        parsed = parse_model(path.read_text())
-        assert parsed.ok, path
-        printed = pretty_print(parsed.model)
-        again = parse_model(printed)
-        assert again.ok and again.model == parsed.model, path
+        parsed, diags = parse_model(path.read_text())
+        assert parsed is not None, (path, diags)
+        assert parse_model(pretty_print(parsed)) == (parsed, []), path
 
     rng = random.Random(31337)
     for _ in range(1000):
         decl = random_decl(rng)
         printed = pretty_print(decl)
-        reparsed = parse_model(printed)
-        assert reparsed.ok and reparsed.model == decl
+        assert parse_model(printed) == (decl, [])
 
     fuzz_rng = random.Random(0xC0FFEE)
     corpus = [p.read_text() for p in shipped]

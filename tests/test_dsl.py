@@ -31,9 +31,9 @@ from conftest import MODELS_DIR
 
 
 def parse_ok(text):
-    result = parse_model(text)
-    assert result.ok, result.diagnostics
-    return result.model
+    model, diags = parse_model(text)
+    assert model is not None, diags
+    return model
 
 
 # parsing ----------------------------------------------------------------------
@@ -51,8 +51,7 @@ def test_counter_decl_equals_programmatic_constructor():
 
 
 def test_empty_file_is_empty_model():
-    result = parse_model("")
-    assert result.ok and result.model.empty and result.diagnostics == []
+    assert parse_model("") == (ModelDecl(), [])
 
 
 def test_unresolved_law_reference_gets_diagnostic_with_span():
@@ -64,30 +63,30 @@ def test_unresolved_law_reference_gets_diagnostic_with_span():
 
 
 def test_duplicate_names_rejected():
-    result = parse_model(
+    model, diags = parse_model(
         "substrate S { states a ; step (a) }\nsubstrate S { states b ; step (b) }"
     )
-    assert not result.ok
-    assert any("duplicate" in d.message for d in result.diagnostics)
+    assert model is None
+    assert any("duplicate" in d.message for d in diags)
 
 
 def test_incomplete_step_map_is_not_a_bijection():
-    result = parse_model("substrate S { states a b ; step (a) }")
-    assert not result.ok
-    d = result.diagnostics[0]
+    model, diags = parse_model("substrate S { states a b ; step (a) }")
+    assert model is None
+    d = diags[0]
     assert "not a bijection" in d.message and d.suggestion
 
 
 def test_repeated_state_in_cycles_rejected():
-    result = parse_model("substrate S { states a b ; step (a b)(a) }")
-    assert not result.ok
-    assert any("twice" in d.message for d in result.diagnostics)
+    model, diags = parse_model("substrate S { states a b ; step (a b)(a) }")
+    assert model is None
+    assert any("twice" in d.message for d in diags)
 
 
 def test_unknown_character_reported_not_raised():
-    result = parse_model("law possible € -> y on P")
-    assert not result.ok
-    assert any("unexpected character" in d.message for d in result.diagnostics)
+    model, diags = parse_model("law possible € -> y on P")
+    assert model is None
+    assert any("unexpected character" in d.message for d in diags)
 
 
 def test_status_marks_accepted():
@@ -109,10 +108,10 @@ def test_every_diagnostic_has_a_span_inside_the_input():
         "variable V on S { 0 : a 1.0 }",
     ]
     for text in bad_inputs:
-        result = parse_model(text)
-        assert not result.ok
+        model, diags = parse_model(text)
+        assert model is None
         lines = text.count("\n") + 1
-        for d in result.diagnostics:
+        for d in diags:
             assert 1 <= d.line <= lines + 1
             assert d.column >= 1
 
@@ -238,10 +237,10 @@ def test_generated_models_round_trip():
     for _ in range(300):
         decl = random_decl(rng)
         printed = pretty_print(decl)
-        reparsed = parse_model(printed)
-        assert reparsed.ok, (printed, reparsed.diagnostics)
-        assert reparsed.model == decl, printed
-        assert pretty_print(reparsed.model) == printed
+        reparsed, diags = parse_model(printed)
+        assert reparsed is not None, (printed, diags)
+        assert reparsed == decl, printed
+        assert pretty_print(reparsed) == printed
 
 
 @settings(max_examples=120, deadline=None)
@@ -249,8 +248,7 @@ def test_generated_models_round_trip():
 def test_round_trip_property(seed):
     decl = random_decl(random.Random(seed))
     printed = pretty_print(decl)
-    reparsed = parse_model(printed)
-    assert reparsed.ok and reparsed.model == decl
+    assert parse_model(printed) == (decl, [])
 
 
 def canonical_cycles(states, step):
@@ -308,16 +306,16 @@ def test_fuzz_parser_never_raises():
             cut = rng.randrange(0, len(base))
             insert = "".join(rng.choice(FUZZ_ALPHABET) for _ in range(rng.randrange(0, 10)))
             text = base[:cut] + insert + base[cut:]
-        result = parse_model(text)
-        if not result.ok:
-            assert result.diagnostics
+        model, diags = parse_model(text)
+        if model is None:
+            assert diags
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.text(max_size=120))
 def test_fuzz_parser_total_on_arbitrary_text(text):
-    result = parse_model(text)
-    assert result.ok or result.diagnostics
+    model, diags = parse_model(text)
+    assert model is not None or diags
 
 
 # lexer oracle ------------------------------------------------------------------
@@ -429,7 +427,7 @@ def test_lex_tokens_are_plain_tuples_the_collector_untracks(models_dir):
     # every later collection would walk all of a loaded file's tokens again
     texts = [path.read_text() for path in fixture_texts(models_dir)]
     texts.append(ring_pointer_text(2048))
-    assert parse_model(texts[-1]).ok
+    assert parse_model(texts[-1])[0] is not None
     for text in texts:
         tokens, _ = _lex(text)
         assert all(type(tok) is tuple for tok in tokens)
@@ -465,11 +463,11 @@ def declared_spans(model):
 
 
 def assert_reads_as_tokens(text):
-    got = parse_model(text)
-    want = _parse_tokens(text)
-    assert got.diagnostics == want.diagnostics, text
-    assert got.model == want.model, text
-    assert declared_spans(got.model) == declared_spans(want.model), text
+    got, got_diags = parse_model(text)
+    want, want_diags = _parse_tokens(text)
+    assert got_diags == want_diags, text
+    assert got == want, text
+    assert declared_spans(got) == declared_spans(want), text
 
 
 # lines the reader must leave to the token parser, and some it may read;
@@ -582,9 +580,9 @@ def test_line_reader_rejects_a_long_line_in_linear_time():
     gap = " " * 3000
     text = f"substrate P {{ states{gap}{labels}{gap};{gap}step{gap}({gap}{labels}{gap}){gap}€ }}"
     start = time.perf_counter()
-    result = parse_model(text)
+    _, diags = parse_model(text)
     assert time.perf_counter() - start < 2.0
-    assert [d.message for d in result.diagnostics] == ["unexpected character '€'"]
+    assert [d.message for d in diags] == ["unexpected character '€'"]
 
 
 def test_line_reader_reads_whole_files_without_the_lexer(monkeypatch):
@@ -592,9 +590,9 @@ def test_line_reader_reads_whole_files_without_the_lexer(monkeypatch):
     # a None entry makes any import of the token-parser module raise
     monkeypatch.setitem(sys.modules, "ctm._tokens", None)
     for text in texts:
-        model = parse_model(text).model
+        model, _ = parse_model(text)
         assert model is not None
-        assert not model.empty
+        assert model != ModelDecl()
     assert len(model.laws) == 16 and set(model.timers) == {"C", "P"}
     with pytest.raises(ImportError, match="ctm._tokens"):
         parse_model(texts[1] + "law possible task T0\non R0\n")

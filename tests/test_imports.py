@@ -120,7 +120,7 @@ print(ctm.verify_witness is sys.modules["ctm.witnesses"].verify_witness)
     before, listing, same = run_fresh(code).splitlines()
     assert before == "0"  # importing the package leaves the witness layer unloaded
     count, distinct, missing, unlisted, error = listing.split("|")
-    assert count == distinct and int(count) == 70
+    assert count == distinct and int(count) == 69
     assert (missing, unlisted) == ("[]", "[]")
     assert error == "module 'ctm' has no attribute 'no_such_name'"
     assert same == "True"

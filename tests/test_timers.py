@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import random
 from types import SimpleNamespace
@@ -78,6 +79,47 @@ def test_particle_timer_durations():
     p2 = make_particle_timer(64, 2, 10)
     assert p2.duration == 5
     assert check_simultaneous_halt(p, p2)
+
+
+def timer_facts(make, *args, **kwargs):
+    """What a timer constructor returns, or the message it raises, as plain values."""
+    try:
+        spec = make(*args, **kwargs)
+    except ModelError as e:
+        return ("error", str(e))
+    sub = spec.substrate
+    attrs = (spec.attr0, spec.attrR, spec.attr1, spec.halt_flag)
+    return (
+        spec.name,
+        sub.id,
+        sub.states,
+        sorted(sub.step.items()),
+        [(a.name, sorted(a.members)) for a in attrs],
+        spec.halts,
+        spec.static_horizon,
+        spec.warnings,
+    )
+
+
+def test_counter_and_particle_timers_keep_their_grid():
+    facts = []
+    for bits in range(1, 7):
+        for threshold in range(0, 2**bits + 1):
+            facts.append(timer_facts(make_counter_timer, bits, threshold))
+            if 1 <= threshold < 2**bits:
+                spec = make_counter_timer(bits, threshold)
+                assert spec.static_horizon == 2**bits - threshold - 1
+        given = cyclic_substrate(f"given{bits}", tuple(range(2**bits)))
+        facts.append(timer_facts(make_counter_timer, bits, 1, substrate=given, name="C"))
+    for cells in range(1, 13):
+        for speed in range(0, cells + 1):
+            for target in range(0, cells + 1):
+                facts.append(timer_facts(make_particle_timer, cells, speed, target))
+    facts.append(timer_facts(make_particle_timer, 12, 3, 6, name="P"))
+    assert (len(facts), sum(f[0] == "error" for f in facts)) == (957, 674)
+    # the digest of these facts when each constructor built its own attributes
+    digest = hashlib.sha256(repr(facts).encode()).hexdigest()
+    assert digest == "1eab9c84393cfef8ab58201beea27661aaa465ecc8350408542c41187fb0a24c"
 
 
 def test_particle_timer_requires_whole_steps():

@@ -48,7 +48,7 @@ def test_swap_constructor_performs_flip(abc):
     report = verify_witness(w, Task(singleton(abc, "a"), singleton(abc, "b")))
     assert report.performs
     assert report.halt_steps == {(0, "a"): 1}
-    assert report.cycle_ok and report.halt_on == "device"
+    assert report.reason is None and report.halt_on == "device"
 
 
 def test_identity_task_with_immediate_halt_performs(abc):
@@ -103,10 +103,10 @@ def test_failure_modes(abc):
         max_steps=6,
     )
     report = verify_witness(silent, Task(singleton(abc, "a"), singleton(abc, "b")))
-    assert report.verdict == "fails" and report.reason == "timeout"
+    assert not report.performs and report.reason == "timeout"
 
     wrong = verify_witness(never, Task(singleton(abc, "a"), singleton(abc, "b")))
-    assert wrong.verdict == "fails" and wrong.reason == "wrong output"
+    assert not wrong.performs and wrong.reason == "wrong output"
 
     # device cycles 0 -> 1 -> 2 but the budget ends before it returns to ready
     slow_dev = Substrate("d3", (0, 1, 2), {0: 1, 1: 2, 2: 0})
@@ -119,7 +119,57 @@ def test_failure_modes(abc):
         max_steps=1,
     )
     broken = verify_witness(w, Task(singleton(abc, "a"), singleton(abc, "a")))
-    assert broken.verdict == "fails" and broken.reason == "cycle broken"
+    assert not broken.performs and broken.reason == "cycle broken"
+
+
+# a verifier that performs a task and a search that finds no witness for it ----------
+
+
+def leaking_device():
+    """A 1-state device on the 3-cycle x -> y -> z with its halt flag on {z}.
+
+    Its halt step depends on the input: 2 from x, 1 from y.
+    """
+    sub = cyclic_substrate("XYZ", ("x", "y", "z"))
+    device = Substrate("d1", ("*",), {"*": "*"})
+    w = ConstructorWitness(
+        device=device,
+        substrate=sub,
+        ready=Attribute(device, frozenset({"*"}), name="ready"),
+        halt_flag=singleton(sub, "z"),
+        joint_step={("*", s): ("*", sub.step[s]) for s in sub.states},
+        max_steps=3,
+    )
+    return w, sub
+
+
+def test_leaking_device_performs_each_task_into_z():
+    w, sub = leaking_device()
+    x, y, z = (singleton(sub, s) for s in ("x", "y", "z"))
+    both = verify_witness(w, Task(Attribute(sub, frozenset({"x", "y"})), z))
+    assert both.performs and both.halt_steps == {("*", "x"): 2, ("*", "y"): 1}
+    assert verify_witness(w, Task(x, z)).performs and verify_witness(w, Task(y, z)).performs
+
+
+ITEM_1 = (
+    "ROADMAP item 1: verify_witness accepts a device whose halt step depends on the input, "
+    "which the permutation search assumes no device does"
+)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_1)
+def test_a_task_the_verifier_performs_is_found_by_the_search():
+    w, sub = leaking_device()
+    t = Task(Attribute(sub, frozenset({"x", "y"})), singleton(sub, "z"))
+    assert not verify_witness(w, t).performs or search_impossibility(t).found
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_1)
+def test_pairs_the_verifier_performs_one_at_a_time_are_found_together():
+    w, sub = leaking_device()
+    pairs = [Task(singleton(sub, s), singleton(sub, "z")) for s in ("x", "y")]
+    performs = all(verify_witness(w, t).performs for t in pairs)
+    assert not performs or search_impossibility(pairs).found
 
 
 # accuracy ---------------------------------------------------------------------
@@ -183,21 +233,17 @@ def loop_verify(w, t):
                 if halt_at is None and flag_raised(w, state):
                     halt_at = k
                     if state[1] not in t.output.members:
-                        return VerifyReport(
-                            "fails", "wrong output", (r, sigma), halt_steps, False, w.halt_on
-                        )
+                        return VerifyReport("wrong output", (r, sigma), halt_steps, w.halt_on)
                 if halt_at is not None and state[0] in w.ready.members:
                     cycled = True
                     break
                 state = w.joint_step[state]
             if halt_at is None:
-                return VerifyReport("fails", "timeout", (r, sigma), halt_steps, False, w.halt_on)
+                return VerifyReport("timeout", (r, sigma), halt_steps, w.halt_on)
             if not cycled:
-                return VerifyReport(
-                    "fails", "cycle broken", (r, sigma), halt_steps, False, w.halt_on
-                )
+                return VerifyReport("cycle broken", (r, sigma), halt_steps, w.halt_on)
             halt_steps[(r, sigma)] = halt_at
-    return VerifyReport("performs", None, None, halt_steps, True, w.halt_on)
+    return VerifyReport(None, None, halt_steps, w.halt_on)
 
 
 def loop_accuracy(w, t):
@@ -250,8 +296,9 @@ def test_verify_and_accuracy_match_the_step_loop_on_small_witnesses(nd, ns, stri
     reasons = set()
     for w in witnesses:
         for t in tasks:
-            report = verify_witness(w, t)
-            assert report == loop_verify(w, t), (w.joint_step, w.ready, w.halt_flag, w.max_steps, t)
+            report, want = verify_witness(w, t), loop_verify(w, t)
+            assert report == want, (w.joint_step, w.ready, w.halt_flag, w.max_steps, t)
+            assert report.performs == want.performs == (want.failing_run is None)
             assert accuracy(w, t) == loop_accuracy(w, t), (w.joint_step, w.ready, w.halt_flag, t)
             reasons.add(report.reason)
     assert {"timeout", "wrong output", None} <= reasons
