@@ -55,19 +55,9 @@ def _resolve(path: str) -> str:
     return path
 
 
-def _diag_dict(d: Diagnostic) -> dict:
-    return {
-        "severity": d.severity,
-        "line": d.line,
-        "column": d.column,
-        "message": d.message,
-        "suggestion": d.suggestion,
-    }
-
-
 def _error(message: str, suggestion: str | None = None) -> dict:
     """The report entry of an error diagnostic that no line of a model file carries."""
-    return _diag_dict(Diagnostic("error", 0, 0, message, suggestion))
+    return Diagnostic("error", 0, 0, message, suggestion)._asdict()
 
 
 def _stmt_dict(st: LawStatement) -> dict:
@@ -178,7 +168,7 @@ def cmd_check(args) -> tuple[dict, int]:
     for path in args.models:
         resolved = _resolve(path)
         model, diags = _load_file(resolved)
-        entry: dict = {"path": path, "diagnostics": [_diag_dict(d) for d in diags]}
+        entry: dict = {"path": path, "diagnostics": [d._asdict() for d in diags]}
         if model is None:
             entry["status"] = "input-error"
             files.append(entry)
@@ -215,7 +205,7 @@ def cmd_classify(args) -> tuple[dict, int]:
     status = EXIT_OK
     for path in args.models:
         model, diags = _load_file(_resolve(path))
-        diagnostics += [_diag_dict(d) | {"path": path} for d in diags]
+        diagnostics += [d._asdict() | {"path": path} for d in diags]
         if model is None:
             status = EXIT_INPUT
             continue
@@ -249,7 +239,7 @@ def cmd_classify(args) -> tuple[dict, int]:
 def cmd_dynamics(args) -> tuple[dict, int]:
     path = args.models[0]
     model, diags = _load_file(_resolve(path))
-    report: dict = {"diagnostics": [_diag_dict(d) for d in diags]}
+    report: dict = {"diagnostics": [d._asdict() for d in diags]}
     if model is None:
         return report, EXIT_INPUT
     if args.variable not in model.trajectories:

@@ -3,14 +3,15 @@
 The desk-scale model: a substrate is a finite set of state labels plus a
 bijective one-step evolution map.  An attribute is a subset of a
 substrate's states.  Every verdict exported by the other modules is
-ultimately computed by exhaustive simulation of these maps, so all types
-here are immutable values and all operations are pure functions.
+ultimately computed by exhaustive simulation of these maps, so all
+operations are pure functions.  The types here are immutable by
+convention: each has ``__slots__`` (no attribute can be added), and
+nothing assigns to an instance once it is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Hashable, Iterable, Mapping
@@ -22,7 +23,6 @@ class ModelError(ValueError):
     """A model object or argument violates a structural requirement."""
 
 
-@dataclass(frozen=True, eq=False)
 class Substrate:
     """A finite ordered set of distinct state labels evolving under a bijective one-step map.
 
@@ -31,41 +31,40 @@ class Substrate:
     composition) depend on telling instances apart.
     """
 
-    id: str
-    states: tuple[State, ...]
-    step: Mapping[State, State]
-    children: tuple["Substrate", ...] = ()
     # every state lies on exactly one cycle: the cycles, and each state's (cycle, position)
-    cycles: tuple[tuple[State, ...], ...] = field(init=False, repr=False)
-    cycle_index: Mapping[State, tuple[int, int]] = field(init=False, repr=False)
+    __slots__ = ("id", "states", "step", "children", "cycles", "cycle_index")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "step", dict(self.step))
-        if not self.states:
-            raise ModelError(f"state space {self.id!r} has no states")
-        labels = set(self.states)
+    def __init__(
+        self,
+        id: str,
+        states: Iterable[State],
+        step: Mapping[State, State],
+        children: tuple["Substrate", ...] = (),
+    ) -> None:
+        self.id = id
+        self.states = states = tuple(states)
+        self.step = step = dict(step)
+        self.children = children
+        if not states:
+            raise ModelError(f"state space {id!r} has no states")
+        labels = set(states)
         # a repeated label passes the domain check below, so count the labels here
-        if len(labels) != len(self.states):
-            raise ModelError(f"state space {self.id!r} has duplicate state labels")
-        if set(self.step) != labels:
-            raise ModelError(f"substrate {self.id!r}: step map domain != state set")
-        if set(self.step.values()) != labels:
-            raise ModelError(f"substrate {self.id!r}: step map is not a bijection")
-        cycles = cycle_decomposition(self.states, self.step)
-        object.__setattr__(self, "cycles", cycles)
-        object.__setattr__(
-            self,
-            "cycle_index",
-            {state: (c, i) for c, cyc in enumerate(cycles) for i, state in enumerate(cyc)},
-        )
+        if len(labels) != len(states):
+            raise ModelError(f"state space {id!r} has duplicate state labels")
+        if set(step) != labels:
+            raise ModelError(f"substrate {id!r}: step map domain != state set")
+        if set(step.values()) != labels:
+            raise ModelError(f"substrate {id!r}: step map is not a bijection")
+        self.cycles = cycles = cycle_decomposition(states, step)
+        self.cycle_index = {
+            state: (c, i) for c, cyc in enumerate(cycles) for i, state in enumerate(cyc)
+        }
 
     def __repr__(self) -> str:
         kind = "composite" if self.children else "atomic"
         return f"Substrate({self.id!r}, {len(self.states)} states, {kind})"
 
 
-@dataclass(frozen=True)
 class Attribute:
     """A named subset of a substrate's states.
 
@@ -74,21 +73,28 @@ class Attribute:
     allowed (degenerate timers need them) and flagged by validators.
     """
 
-    substrate: Substrate
-    members: frozenset
-    name: str = field(default="", compare=False)
+    __slots__ = ("substrate", "members", "name")
 
-    def __post_init__(self) -> None:
-        members = frozenset(self.members)
-        object.__setattr__(self, "members", members)
-        step = self.substrate.step
+    def __init__(self, substrate: Substrate, members: Iterable[State], name: str = "") -> None:
+        self.substrate = substrate
+        self.members = members = frozenset(members)
+        self.name = name
+        step = substrate.step
         # one lookup per member, in C: `members - step.keys()` would walk every state
         if not step.keys() >= members:
             stray = [s for s in members if s not in step]
             raise ModelError(
-                f"attribute {self.name or '?'}: members {sorted(map(repr, stray))} "
-                f"not states of {self.substrate.id!r}"
+                f"attribute {name or '?'}: members {sorted(map(repr, stray))} "
+                f"not states of {substrate.id!r}"
             )
+
+    def __eq__(self, other: object):
+        if other.__class__ is not Attribute:
+            return NotImplemented
+        return self.substrate is other.substrate and self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash((self.substrate, self.members))
 
     def __repr__(self) -> str:
         return f"Attribute({self.name or sorted(map(repr, self.members))} on {self.substrate.id!r})"
@@ -109,7 +115,6 @@ def parameter_key(lam) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
-@dataclass(frozen=True, eq=False)
 class Variable:
     """Disjoint attributes of one substrate indexed by a rational parameter.
 
@@ -118,22 +123,21 @@ class Variable:
     `Fraction` accepts.  An entry may be static, which the `.ctm` loader
     warns on: no timed advance leaves it (`check_timed_advance` is False
     there, an empty entry included), and pointer recovery lists every static
-    entry but λ = 0 as unmapped, so none makes a verdict wrong.
+    entry but λ = 0 as unmapped, so none makes a verdict wrong.  Equality is
+    object identity.
     """
 
-    substrate: Substrate
-    entries: Mapping[int | Fraction, Attribute]
-    # the parameter values in increasing order
-    domain: tuple[int | Fraction, ...] = field(init=False, repr=False)
+    # domain: the parameter values in increasing order
+    __slots__ = ("substrate", "entries", "domain")
 
-    def __post_init__(self) -> None:
-        normal = {parameter_key(k): v for k, v in self.entries.items()}
-        object.__setattr__(self, "entries", normal)
-        object.__setattr__(self, "domain", tuple(sorted(normal)))
+    def __init__(self, substrate: Substrate, entries: Mapping[object, Attribute]) -> None:
+        self.substrate = substrate
+        self.entries = normal = {parameter_key(k): v for k, v in entries.items()}
+        self.domain = tuple(sorted(normal))
         seen: set = set()
         for lam in self.domain:
             attr = normal[lam]
-            if attr.substrate is not self.substrate:
+            if attr.substrate is not substrate:
                 raise ModelError(f"variable entry {lam}: attribute on a different substrate")
             if not seen.isdisjoint(attr.members):
                 raise ModelError(f"variable entry {lam}: attributes are not pairwise disjoint")

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .core import (
     Attribute,
@@ -59,8 +58,7 @@ MAX_PARTICLE_CELLS = 4096
 Span = tuple[int, int]  # (line, column), 1-based
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     line: int
     column: int
@@ -75,70 +73,90 @@ class Diagnostic:
 # ---------------------------------------------------------------- declarations
 
 
-@dataclass(frozen=True)
-class SubstrateDecl:
+def _span_free(cls):
+    """Make a declaration record compare and hash by every field but its span, the last.
+
+    A tuple subclass keeps tuple's ``__ne__`` and ``__hash__`` unless it
+    overrides them, so all three are set.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self[:-1] == other[:-1]
+
+    def __ne__(self, other: object) -> bool:
+        return not __eq__(self, other)
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
+
+    cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, __hash__
+    return cls
+
+
+@_span_free
+class SubstrateDecl(NamedTuple):
     name: str
     states: tuple[str, ...]
     step: dict
-    span: Span = field(default=(0, 0), compare=False)
+    span: Span = (0, 0)
 
 
-@dataclass(frozen=True)
-class AttributeDecl:
+@_span_free
+class AttributeDecl(NamedTuple):
     name: str
     substrate: str
     members: frozenset
-    span: Span = field(default=(0, 0), compare=False)
+    span: Span = (0, 0)
 
 
-@dataclass(frozen=True)
-class CounterTimerDecl:
+@_span_free
+class CounterTimerDecl(NamedTuple):
     name: str
     bits: int
     threshold: int
-    span: Span = field(default=(0, 0), compare=False)
+    span: Span = (0, 0)
 
 
-@dataclass(frozen=True)
-class ParticleTimerDecl:
+@_span_free
+class ParticleTimerDecl(NamedTuple):
     name: str
     cells: int
     speed: int
     target: int
-    span: Span = field(default=(0, 0), compare=False)
+    span: Span = (0, 0)
 
 
-@dataclass(frozen=True)
-class CustomTimerDecl:
+@_span_free
+class CustomTimerDecl(NamedTuple):
     name: str
     substrate: str
     start: str
     running: str
     done: str
     halt: str | None = None
-    span: Span = field(default=(0, 0), compare=False)
+    span: Span = (0, 0)
 
 
 TimerDecl = CounterTimerDecl | ParticleTimerDecl | CustomTimerDecl
 
 
-@dataclass(frozen=True)
-class TaskDecl:
+@_span_free
+class TaskDecl(NamedTuple):
     name: str
     substrate: str
     input: str
     output: str
-    span: Span = field(default=(0, 0), compare=False)
+    span: Span = (0, 0)
 
 
-@dataclass(frozen=True)
-class LawDecl:
+@_span_free
+class LawDecl(NamedTuple):
     status: str  # "possible" | "impossible"
     input: str | None = None
     output: str | None = None
     substrate: str | None = None
     task: str | None = None
-    span: Span = field(default=(0, 0), compare=False)
+    span: Span = (0, 0)
 
     def sort_key(self) -> tuple:
         return (
@@ -150,25 +168,41 @@ class LawDecl:
         )
 
 
-@dataclass(frozen=True)
-class VariableDecl:
+@_span_free
+class VariableDecl(NamedTuple):
     name: str
     substrate: str
     entries: dict  # int -> (attribute name, reading)
-    span: Span = field(default=(0, 0), compare=False)
+    span: Span = (0, 0)
 
 
-@dataclass(frozen=True)
 class ModelDecl:
-    substrates: dict = field(default_factory=dict)
-    attributes: dict = field(default_factory=dict)
-    timers: dict = field(default_factory=dict)
-    tasks: dict = field(default_factory=dict)
-    laws: tuple = ()
-    variables: dict = field(default_factory=dict)
+    """A parsed model: each kind's declarations by name, and the laws sorted by ``sort_key``."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "laws", tuple(sorted(self.laws, key=LawDecl.sort_key)))
+    __slots__ = ("substrates", "attributes", "timers", "tasks", "laws", "variables")
+
+    def __init__(
+        self,
+        substrates: dict | None = None,
+        attributes: dict | None = None,
+        timers: dict | None = None,
+        tasks: dict | None = None,
+        laws: tuple = (),
+        variables: dict | None = None,
+    ) -> None:
+        self.substrates = {} if substrates is None else substrates
+        self.attributes = {} if attributes is None else attributes
+        self.timers = {} if timers is None else timers
+        self.tasks = {} if tasks is None else tasks
+        self.laws = tuple(sorted(laws, key=LawDecl.sort_key))
+        self.variables = {} if variables is None else variables
+
+    def __eq__(self, other: object):
+        if other.__class__ is not ModelDecl:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    __hash__ = None  # its tables are dicts
 
 
 # -------------------------------------------------------------- parse tables
@@ -378,16 +412,26 @@ def parse_model(text: str) -> tuple[ModelDecl | None, list[Diagnostic]]:
 # ------------------------------------------------------------------- analysis
 
 
-@dataclass(frozen=True, eq=False)
 class BuiltModel:
-    """Engine objects resolved from a declaration."""
+    """Engine objects resolved from a declaration; equality is object identity."""
 
-    substrates: Mapping[str, Substrate]
-    attributes: Mapping[str, Attribute]
-    timers: Mapping[str, TimerSpec]
-    tasks: Mapping[str, Task]
-    laws: LawSet
-    trajectories: Mapping[str, TrajectoryModel]
+    __slots__ = ("substrates", "attributes", "timers", "tasks", "laws", "trajectories")
+
+    def __init__(
+        self,
+        substrates: Mapping[str, Substrate],
+        attributes: Mapping[str, Attribute],
+        timers: Mapping[str, TimerSpec],
+        tasks: Mapping[str, Task],
+        laws: LawSet,
+        trajectories: Mapping[str, TrajectoryModel],
+    ) -> None:
+        self.substrates = substrates
+        self.attributes = attributes
+        self.timers = timers
+        self.tasks = tasks
+        self.laws = laws
+        self.trajectories = trajectories
 
 
 def analyze_model(decl: ModelDecl) -> tuple[BuiltModel | None, list[Diagnostic]]:

@@ -12,9 +12,8 @@ parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import ModelError, Substrate, Variable, evolve, first_entry, orbit, parameter_key
 from .timers import TimerClass, TimerSpec, make_counter_timer
@@ -29,21 +28,20 @@ class AdvanceCheckFailed(RuntimeError):
         super().__init__(f"advance task from λ={lam} over Δλ={dlam} is not performed")
 
 
-@dataclass(frozen=True, eq=False)
 class TrajectoryModel:
     """A variable together with a numeric reading for each parameter value.
 
     Readings are keyed like the variable's entries, by `parameter_key`;
-    `reading` accepts any value `Fraction` accepts.
+    `reading` accepts any value `Fraction` accepts.  Equality is object
+    identity.
     """
 
-    variable: Variable
-    readings: Mapping[int | Fraction, float]
+    __slots__ = ("variable", "readings")
 
-    def __post_init__(self) -> None:
-        normal = {parameter_key(k): float(v) for k, v in self.readings.items()}
-        object.__setattr__(self, "readings", normal)
-        missing = [lam for lam in self.variable.domain if lam not in normal]
+    def __init__(self, variable: Variable, readings: Mapping[object, float]) -> None:
+        self.variable = variable
+        self.readings = normal = {parameter_key(k): float(v) for k, v in readings.items()}
+        missing = [lam for lam in variable.domain if lam not in normal]
         if missing:
             raise ModelError(f"readings missing for parameters {missing}")
 
@@ -106,8 +104,7 @@ def incremental_ratio(m: TrajectoryModel, lam, dlam, timer: TimerSpec | None = N
     return (m.reading(lam + dlam) - m.reading(lam)) / float(dlam)
 
 
-@dataclass(frozen=True)
-class DerivativeEstimate:
+class DerivativeEstimate(NamedTuple):
     lam: Fraction
     schedule: tuple[int, ...]
     ratios: tuple[float, ...]
@@ -170,8 +167,7 @@ def estimate_derivative(
     return DerivativeEstimate(lam, tuple(steps), tuple(ratios), extrapolated, order, residuals)
 
 
-@dataclass(frozen=True)
-class PointerRecovery:
+class PointerRecovery(NamedTuple):
     """Pointer readings of a clock expressed in timer-duration units."""
 
     mapping: dict

@@ -18,8 +18,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from itertools import chain, permutations
-from dataclasses import dataclass, field
-from typing import Collection, Mapping, Union
+from typing import Collection, Mapping, NamedTuple, Union
 
 from .core import (
     Attribute,
@@ -39,28 +38,47 @@ class CompositionUndefined(ModelError):
     """Serial composition with partially overlapping intermediate attributes."""
 
 
-@dataclass(frozen=True)
 class NullTask:
     """The most lenient task: no substrate, no input or output constraint.
 
     Represented by the empty set of attribute pairs, so serial composition
     with it yields the null task again (there are no pairs to chain).
+    Every null task equals every other.
     """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object):
+        return True if other.__class__ is NullTask else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
+    def __repr__(self) -> str:
+        return "NullTask()"
 
 
 NULL_TASK = NullTask()
 
 
-@dataclass(frozen=True)
 class Task:
-    """Ordered pair of attributes on one substrate."""
+    """Ordered pair of attributes on one substrate, equal to a task with equal attributes."""
 
-    input: Attribute
-    output: Attribute
+    __slots__ = ("input", "output")
 
-    def __post_init__(self) -> None:
-        if self.input.substrate is not self.output.substrate:
+    def __init__(self, input: Attribute, output: Attribute) -> None:
+        if input.substrate is not output.substrate:
             raise ModelError("task input and output must be attributes of the same substrate")
+        self.input = input
+        self.output = output
+
+    def __eq__(self, other: object):
+        if other.__class__ is not Task:
+            return NotImplemented
+        return self.input == other.input and self.output == other.output
+
+    def __hash__(self) -> int:
+        return hash((self.input, self.output))
 
     @property
     def substrate(self) -> Substrate:
@@ -107,7 +125,8 @@ def _task_key(task: TaskLike) -> tuple | None:
     """What a task compares by: its substrate instance and its two member sets.
 
     Names play no part, as in ``Task.__eq__``, and every null task has the
-    key ``_NULL_KEY``.  The tuple hashes in C: ``Substrate`` hashes by
+    key ``_NULL_KEY``.  The tuple hashes in C, where ``Task.__hash__`` and
+    ``Attribute.__hash__`` are Python methods: ``Substrate`` hashes by
     identity and a frozenset caches its hash.
     """
     if isinstance(task, NullTask):
@@ -115,14 +134,12 @@ def _task_key(task: TaskLike) -> tuple | None:
     return (task.input.substrate, task.input.members, task.output.members)
 
 
-@dataclass(frozen=True)
-class Derived:
+class Derived(NamedTuple):
     rule: str
     premises: tuple["LawStatement", ...]
 
 
-@dataclass(frozen=True)
-class LawStatement:
+class LawStatement(NamedTuple):
     """A status on a task; ``provenance`` None means the model states the law."""
 
     task: TaskLike
@@ -142,19 +159,35 @@ def impossible(task: TaskLike) -> LawStatement:
     return LawStatement(task, Possibility.IMPOSSIBLE)
 
 
-@dataclass(frozen=True)
 class LawSet:
     """A collection of law statements plus the substrate registry they mention.
 
-    The composite-substrate cache is part of the value so that repeated
+    A law set carries the composite-substrate cache so that repeated
     closure runs derive tasks on identical composite instances (closure is
-    then idempotent in the strict sense).
+    then idempotent in the strict sense).  Two law sets are equal when
+    their statements are; the cache plays no part.
     """
 
-    statements: tuple[LawStatement, ...]
-    composites: Mapping[tuple[int, int], Substrate] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    __slots__ = ("statements", "composites")
+
+    def __init__(
+        self,
+        statements: tuple[LawStatement, ...],
+        composites: Mapping[tuple[int, int], Substrate] | None = None,
+    ) -> None:
+        self.statements = statements
+        self.composites = {} if composites is None else composites
+
+    def __eq__(self, other: object):
+        if other.__class__ is not LawSet:
+            return NotImplemented
+        return self.statements == other.statements
+
+    def __hash__(self) -> int:
+        return hash(self.statements)
+
+    def __repr__(self) -> str:
+        return f"LawSet(statements={self.statements!r})"
 
     @staticmethod
     def of(*statements: LawStatement) -> "LawSet":
@@ -264,8 +297,8 @@ def deductive_closure(laws: LawSet) -> LawSet:
 
     Two tables keep each tried pair cheap.  Known facts are keyed by value
     (``_task_key``), a tuple that CPython hashes in C; a ``(Task,
-    Possibility)`` key would run the dataclass-generated ``__hash__`` of
-    the task and of both its attributes, and ``Enum.__hash__``, on every
+    Possibility)`` key would run the Python ``__hash__`` methods of the
+    task and of both its attributes, and ``Enum.__hash__``, on every
     lookup.  The key is computed before anything is built, so a pair that
     derives a known fact builds no task and no statement.  And each
     composite pair attribute is built once per run, then shared by every
@@ -460,8 +493,7 @@ def closure_summary(
     return contradictions, null, size
 
 
-@dataclass(frozen=True)
-class Contradiction:
+class Contradiction(NamedTuple):
     task: TaskLike
     possible: LawStatement
     impossible: LawStatement

@@ -11,8 +11,7 @@ partitions any timer catalog into duration classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     Attribute,
@@ -32,7 +31,6 @@ from .core import (
 from .tasks import Task
 
 
-@dataclass(frozen=True, eq=False)
 class TimerSpec:
     """A well-formed null constructor: 0 / R / 1 attributes and a halt flag.
 
@@ -41,17 +39,35 @@ class TimerSpec:
     ascending order, each found within its start's own cycle.  The last is
     the duration; halt_step is the one step shared by every start, or None.
     warnings holds make_timer's notes on a legal but degenerate structure.
+    Equality is object identity.
     """
 
-    name: str
-    substrate: Substrate
-    attr0: Attribute
-    attrR: Attribute
-    attr1: Attribute
-    halt_flag: Attribute
-    halts: tuple[int, ...]
-    static_horizon: int
-    warnings: tuple[str, ...]
+    __slots__ = (
+        "name", "substrate", "attr0", "attrR", "attr1", "halt_flag", "halts",
+        "static_horizon", "warnings",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        substrate: Substrate,
+        attr0: Attribute,
+        attrR: Attribute,
+        attr1: Attribute,
+        halt_flag: Attribute,
+        halts: tuple[int, ...],
+        static_horizon: int,
+        warnings: tuple[str, ...],
+    ) -> None:
+        self.name = name
+        self.substrate = substrate
+        self.attr0 = attr0
+        self.attrR = attrR
+        self.attr1 = attr1
+        self.halt_flag = halt_flag
+        self.halts = halts
+        self.static_horizon = static_horizon
+        self.warnings = warnings
 
     @property
     def duration(self) -> int:
@@ -258,8 +274,7 @@ def _second_parts(c1: TimerSpec, c2: TimerSpec) -> tuple:
     return (c2.name + "'", sub, *(retarget(a, sub) for a in attrs))
 
 
-@dataclass(frozen=True)
-class TimerClass:
+class TimerClass(NamedTuple):
     duration: int
     members: tuple[TimerSpec, ...]
 

@@ -22,9 +22,8 @@ the input, which verify_witness accepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence, Union
 
 from .core import Attribute, ModelError, Substrate, cycle_lengths, evolve, first_entry
 from .tasks import Task, permutation_possible  # the single-pair decision, also read from here
@@ -35,59 +34,67 @@ if TYPE_CHECKING:
 MAX_SEARCH_STATES = 6
 
 
-@dataclass(frozen=True, eq=False)
 class ConstructorWitness:
     """A device, its ready and halt attributes, and the joint step it drives.
 
     The halt flag may live on the device or on the substrate; the report
     records which.  max_steps bounds a run's halt step and its return to
-    ready, standing in for the witness's operating budget.
+    ready, standing in for the witness's operating budget.  Equality is
+    object identity.
     """
 
-    device: Substrate
-    substrate: Substrate
-    ready: Attribute
-    halt_flag: Attribute
-    joint_step: Mapping[tuple, tuple]
-    max_steps: int
-    name: str = ""
-    # the joint step as a substrate, and its states with the flag raised and with the device ready
-    joint: Substrate = field(init=False, repr=False)
-    raised: frozenset = field(init=False, repr=False)
-    ready_states: frozenset = field(init=False, repr=False)
+    # joint: the joint step as a substrate; raised and ready_states: its states with the
+    # flag raised and with the device ready
+    __slots__ = (
+        "device", "substrate", "ready", "halt_flag", "joint_step", "max_steps", "name",
+        "joint", "raised", "ready_states",
+    )
 
-    def __post_init__(self) -> None:
-        if self.device is self.substrate:
+    def __init__(
+        self,
+        device: Substrate,
+        substrate: Substrate,
+        ready: Attribute,
+        halt_flag: Attribute,
+        joint_step: Mapping[tuple, tuple],
+        max_steps: int,
+        name: str = "",
+    ) -> None:
+        if device is substrate:
             raise ModelError("device and substrate must be distinct instances")
-        if self.ready.substrate is not self.device:
+        if ready.substrate is not device:
             raise ModelError("ready must be an attribute of the device")
-        if not self.ready.members:
+        if not ready.members:
             raise ModelError("ready attribute must be non-empty")
-        if self.halt_flag.substrate is not self.device and self.halt_flag.substrate is not self.substrate:
+        if halt_flag.substrate is not device and halt_flag.substrate is not substrate:
             raise ModelError("halt flag must be an attribute of the device or of the substrate")
-        dev, sub = self.device.states, self.substrate.states
-        name = f"{self.device.id}×{self.substrate.id}"
+        dev, sub = device.states, substrate.states
         try:
-            joint = Substrate(name, product(dev, sub), self.joint_step)
+            joint = Substrate(f"{device.id}×{substrate.id}", product(dev, sub), joint_step)
         except ModelError:
             message = "joint step is not a bijection on device × substrate states"
             raise ModelError(message) from None
-        if self.max_steps < 0:
+        if max_steps < 0:
             raise ModelError("max_steps must be non-negative")
-        flag = self.halt_flag.members
+        self.device = device
+        self.substrate = substrate
+        self.ready = ready
+        self.halt_flag = halt_flag
+        self.joint_step = joint.step
+        self.max_steps = max_steps
+        self.name = name
+        self.joint = joint
+        flag = halt_flag.members
         raised = product(flag, sub) if self.halt_on == "device" else product(dev, flag)
-        object.__setattr__(self, "joint_step", joint.step)
-        object.__setattr__(self, "joint", joint)
-        object.__setattr__(self, "raised", frozenset(raised))
-        object.__setattr__(self, "ready_states", frozenset(product(self.ready.members, sub)))
+        self.raised = frozenset(raised)
+        self.ready_states = frozenset(product(ready.members, sub))
 
     @property
     def halt_on(self) -> str:
         return "device" if self.halt_flag.substrate is self.device else "substrate"
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Why the witness fails the task (None when it performs), and on which run."""
 
     reason: str | None  # "timeout" | "wrong output" | "cycle broken"
@@ -178,17 +185,19 @@ def _no_drift(base: ConstructorWitness, k: int) -> ConstructorWitness:
     return base
 
 
-@dataclass(frozen=True, eq=False)
 class ApproximateConstructor:
     """A witness plus a deterministic per-reuse deterioration rule.
 
     drift(base, k) is the witness as of its k-th reuse (k = 0 is the
     pristine device).  The rule must be a pure function; determinism of
-    every verdict depends on it.
+    every verdict depends on it.  Equality is object identity.
     """
 
-    base: ConstructorWitness
-    drift: DriftFn = _no_drift
+    __slots__ = ("base", "drift")
+
+    def __init__(self, base: ConstructorWitness, drift: DriftFn = _no_drift) -> None:
+        self.base = base
+        self.drift = drift
 
 
 def reliability(a: ApproximateConstructor, t: Task, n: int) -> tuple[float | None, ...]:
@@ -198,29 +207,27 @@ def reliability(a: ApproximateConstructor, t: Task, n: int) -> tuple[float | Non
     return tuple(accuracy(a.drift(a.base, k), t) for k in range(n))
 
 
-@dataclass(frozen=True, eq=False)
 class WitnessFamily:
     """Finite prefix of an indexed sequence of (approximate) witnesses.
 
     A plain ``ConstructorWitness`` entry is stored as an
-    ``ApproximateConstructor`` that does not drift.
+    ``ApproximateConstructor`` that does not drift.  Equality is object
+    identity.
     """
 
-    entries: tuple[tuple[int, ApproximateConstructor], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        idx = [k for k, _ in self.entries]
+    def __init__(self, entries: Sequence[tuple[int, ApproximateConstructor]]) -> None:
+        idx = [k for k, _ in entries]
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise ModelError("family indices must be strictly increasing")
-        entries = tuple(
+        self.entries = tuple(
             (k, e if isinstance(e, ApproximateConstructor) else ApproximateConstructor(e))
-            for k, e in self.entries
+            for k, e in entries
         )
-        object.__setattr__(self, "entries", entries)
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(NamedTuple):
     established: bool
     accuracies: tuple[float | None, ...]
     reliability_deviation: float | None
@@ -327,8 +334,7 @@ def timer_witness(c: TimerSpec) -> ConstructorWitness:
     )
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Whether some substrate permutation performs the pairs, and if so the first one.
 
     The search is exact, so found=False means no permutation fits.
@@ -416,8 +422,7 @@ def search_impossibility(tasks: Union[Task, Sequence[Task]]) -> SearchResult:
     return SearchResult(True, wrap_permutation(substrate, action), action)
 
 
-@dataclass(frozen=True)
-class UniformPossibilityResult:
+class UniformPossibilityResult(NamedTuple):
     kind: str  # "uniformly-possible" | "pointwise-only" | "impossible"
     witness: ConstructorWitness | None
     action: Mapping | None

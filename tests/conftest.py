@@ -49,3 +49,23 @@ def call_within(seconds, fn, *args):
 MIXED_LAMBDAS = (3, Fraction(1), Fraction(1, 2), "3/2", 0, "4", Fraction(-7, 3), Fraction(10, 5))
 # the same values and some outside them, in every form a lookup accepts
 LAMBDA_PROBES = (*MIXED_LAMBDAS, 2.0, 0.5, "2/1", 1, "1/2", Fraction(4), 5, "5/2", -1.5)
+
+
+def assert_same_value(a, b):
+    """a and b are equal under ==, != and hash, either way round."""
+    assert a == b and b == a
+    assert not a != b and not b != a
+    assert hash(a) == hash(b)
+
+
+def assert_distinct(a, b):
+    """a and b are unequal under == and !=, either way round."""
+    assert a != b and b != a
+    assert not a == b and not b == a
+
+
+def assert_slotted(*objs):
+    """Each object refuses an attribute its class does not declare."""
+    for obj in objs:
+        with pytest.raises(AttributeError):
+            obj.undeclared = None

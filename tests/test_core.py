@@ -26,7 +26,14 @@ from ctm import (
     static_horizon,
 )
 from ctm.core import entry_states, parameter_key
-from conftest import LAMBDA_PROBES, MIXED_LAMBDAS, singleton
+from conftest import (
+    LAMBDA_PROBES,
+    MIXED_LAMBDAS,
+    assert_distinct,
+    assert_same_value,
+    assert_slotted,
+    singleton,
+)
 
 
 def label_perm_substrates(max_size=8):
@@ -409,3 +416,30 @@ def test_variable_lookups_match_a_fraction_keyed_reference():
             with pytest.raises(ModelError) as err:
                 v.attribute(probe)
             assert str(err.value) == f"parameter {probe} outside the variable's domain"
+
+
+# equality and hashing --------------------------------------------------------
+
+
+def test_attribute_equality_ignores_the_name_and_compares_the_substrate_by_identity(counter16):
+    a = Attribute(counter16, {1, 2}, name="a")
+    assert_same_value(a, Attribute(counter16, frozenset({2, 1}), name="b"))
+    assert_distinct(a, Attribute(counter16, {1}, name="a"))
+    twin = Substrate(counter16.id, counter16.states, counter16.step)
+    assert_distinct(a, Attribute(twin, {1, 2}, name="a"))
+    assert_distinct(a, frozenset({1, 2}))
+
+
+def test_substrates_and_variables_equal_only_themselves(counter16):
+    twin = Substrate(counter16.id, counter16.states, counter16.step)
+    assert_same_value(counter16, counter16)
+    assert_distinct(counter16, twin)
+    entries = {0: singleton(counter16, 0), 1: singleton(counter16, 1)}
+    var = Variable(counter16, entries)
+    assert_same_value(var, var)
+    assert_distinct(var, Variable(counter16, entries))
+
+
+def test_core_records_take_no_undeclared_attribute(counter16):
+    attr = singleton(counter16, 0)
+    assert_slotted(counter16, attr, Variable(counter16, {0: attr}))

@@ -27,7 +27,7 @@ from ctm.dsl import (
     pretty_print,
 )
 from ctm._tokens import _lex, _parse_tokens
-from conftest import MODELS_DIR
+from conftest import MODELS_DIR, assert_distinct, assert_same_value, assert_slotted
 
 
 def parse_ok(text):
@@ -653,3 +653,60 @@ def test_parse_then_build():
     assert model.timers["C"].duration == 5
     with pytest.raises(ModelError):
         build_model(parse_ok("timer counter C { bits 3 ; threshold 9 }"))
+
+
+# equality and hashing -------------------------------------------------------------
+
+
+# one declaration of each kind, less its span
+DECLS = [
+    (SubstrateDecl, ("S", ("a", "b"), {"a": "b", "b": "a"})),
+    (AttributeDecl, ("x", "S", frozenset({"a"}))),
+    (CounterTimerDecl, ("C", 4, 5)),
+    (ParticleTimerDecl, ("P", 16, 2, 8)),
+    (CustomTimerDecl, ("K", "S", "x", "r", "o", None)),
+    (TaskDecl, ("T", "S", "x", "y")),
+    (LawDecl, ("possible", "x", "y", "S", None)),
+    (VariableDecl, ("V", "S", {0: ("x", 0.0)})),
+]
+
+
+@pytest.mark.parametrize("cls, fields", DECLS, ids=[cls.__name__ for cls, _ in DECLS])
+def test_declarations_that_differ_only_in_span_are_equal(cls, fields):
+    here, there = cls(*fields, (1, 1)), cls(*fields, (7, 3))
+    assert here == there and there == here
+    assert not here != there and not there != here
+    if any(isinstance(f, dict) for f in fields):  # a dict field has no hash, span or not
+        with pytest.raises(TypeError):
+            hash(here)
+    else:
+        assert hash(here) == hash(there)
+    assert_distinct(here, cls(fields[0] + "2", *fields[1:], (1, 1)))
+    assert_distinct(here, (*fields, (1, 1)))
+    assert_slotted(here)
+
+
+def test_model_decl_sorts_its_laws_and_gives_each_instance_its_own_tables():
+    a = LawDecl("possible", "x", "y", "S")
+    b = LawDecl("impossible", task="T")
+    model = ModelDecl(laws=(b, a))
+    assert model.laws == (a, b)
+    assert model == ModelDecl(laws=(a, b)) and not model != ModelDecl(laws=(a, b))
+    assert model != ModelDecl(laws=(a,))
+    first, second = ModelDecl(), ModelDecl()
+    for table in ("substrates", "attributes", "timers", "tasks", "variables"):
+        assert getattr(first, table) == {}
+        assert getattr(first, table) is not getattr(second, table)
+    assert_slotted(model)
+
+
+def test_diagnostics_compare_by_value_and_built_models_by_identity(models_dir):
+    diag = Diagnostic("error", 3, 1, "no", "yes")
+    assert_same_value(diag, Diagnostic("error", 3, 1, "no", "yes"))
+    assert_distinct(diag, Diagnostic("error", 3, 2, "no", "yes"))
+    assert str(diag) == "error:3:1: no (yes)"
+    decl = parse_ok((models_dir / "linear.ctm").read_text())
+    model = build_model(decl)
+    assert_same_value(model, model)
+    assert_distinct(model, build_model(decl))
+    assert_slotted(diag, model)

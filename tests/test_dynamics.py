@@ -19,7 +19,16 @@ from ctm import (
     make_counter_timer,
     recover_clock_pointer,
 )
-from conftest import LAMBDA_PROBES, MIXED_LAMBDAS, call_within, prime_cycle_substrate, singleton
+from conftest import (
+    LAMBDA_PROBES,
+    MIXED_LAMBDAS,
+    assert_distinct,
+    assert_same_value,
+    assert_slotted,
+    call_within,
+    prime_cycle_substrate,
+    singleton,
+)
 
 OMEGA = 2 * math.pi / 64
 
@@ -283,3 +292,24 @@ def test_missing_readings_are_listed_as_canonical_values():
     with pytest.raises(ModelError) as err:
         TrajectoryModel(var, {0: 0.0})
     assert str(err.value) == "readings missing for parameters [Fraction(5, 2), 3]"
+
+
+# equality and hashing -------------------------------------------------------------
+
+
+def test_trajectory_models_equal_only_themselves(linear_model):
+    twin = TrajectoryModel(linear_model.variable, linear_model.readings)
+    assert_same_value(linear_model, linear_model)
+    assert_distinct(linear_model, twin)
+    assert_slotted(linear_model)
+
+
+def test_estimates_and_recoveries_compare_by_value(linear_model, sine_model):
+    first = estimate_derivative(sine_model, 0, [4, 2, 1])
+    assert_same_value(first, estimate_derivative(sine_model, 0, [4, 2, 1]))
+    assert_distinct(first, estimate_derivative(sine_model, 1, [4, 2, 1]))
+    recovery = recover_clock_pointer(linear_model, reference_classes())
+    # the mapping is a dict, so a recovery compares by value but has no hash
+    assert recovery == recover_clock_pointer(linear_model, reference_classes())
+    assert recovery != recover_clock_pointer(linear_model, reference_classes(range(1, 3)))
+    assert_slotted(first, recovery)

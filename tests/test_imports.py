@@ -2,7 +2,8 @@
 
 No command runs the witness layer (`ctm.witnesses`), and a file the line
 reader reads whole never reaches the token parser (`ctm._tokens`), so a
-`ctm` process on such files loads neither.  Each test runs in a fresh
+`ctm` process on such files loads neither.  No module of the package
+loads `dataclasses` or, through it, `inspect`.  Each test runs in a fresh
 interpreter, since this one has imported every module already.
 """
 
@@ -14,10 +15,12 @@ import sys
 from conftest import MODELS_DIR, REPO_ROOT
 
 ON_DEMAND = ("ctm.witnesses", "ctm._tokens")
+# standard modules the package never needs
+UNNEEDED = ("dataclasses", "inspect")
 
 # runs main on each argv of the JSON list in argv[1]; prints the exit statuses,
-# the reports and the ctm modules loaded
-PROBE = """
+# the reports, and the ctm modules and UNNEEDED modules loaded
+PROBE = f"""
 import contextlib, io, json, sys
 import ctm.cli
 statuses, reports = [], []
@@ -26,8 +29,8 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(out):
         statuses.append(ctm.cli.main(argv))
     reports.append(json.loads(out.getvalue()))
-loaded = sorted(name for name in sys.modules if name.startswith("ctm"))
-print(json.dumps({"statuses": statuses, "reports": reports, "loaded": loaded}))
+loaded = sorted(name for name in sys.modules if name.startswith("ctm") or name in {UNNEEDED})
+print(json.dumps({{"statuses": statuses, "reports": reports, "loaded": loaded}}))
 """
 
 
@@ -60,7 +63,7 @@ def test_commands_on_well_formed_files_load_neither_witnesses_nor_token_parser()
     # no file drew a parse diagnostic, so none reached the token parser
     assert result["statuses"][:2] == [1, 1] and result["statuses"][-1] == 0
     assert "ctm.cli" in result["loaded"]
-    assert not set(ON_DEMAND) & set(result["loaded"])
+    assert not set(ON_DEMAND + UNNEEDED) & set(result["loaded"])
 
 
 # a model with one misspelt keyword and, after it, a statement missing its arrow
@@ -100,14 +103,14 @@ def test_a_malformed_file_loads_the_token_parser_for_its_diagnostics(tmp_path):
     assert check["files"][0]["diagnostics"] == MALFORMED_DIAGNOSTICS
     assert dynamics["diagnostics"] == MALFORMED_DIAGNOSTICS
     assert "ctm._tokens" in result["loaded"]
-    assert "ctm.witnesses" not in result["loaded"]
+    assert not {"ctm.witnesses", *UNNEEDED} & set(result["loaded"])
 
 
 def test_every_public_name_resolves_and_is_listed():
     code = """
 import sys
 import ctm
-print(int("ctm.witnesses" in sys.modules))
+print(int("ctm.witnesses" in sys.modules), [name for name in sys.argv[1:] if name in sys.modules])
 missing = [name for name in ctm.__all__ if getattr(ctm, name, None) is None]
 unlisted = sorted(set(ctm.__all__) - set(dir(ctm)))
 try:
@@ -117,10 +120,16 @@ except AttributeError as e:
 print(len(ctm.__all__), len(set(ctm.__all__)), missing, unlisted, error, sep="|")
 print(ctm.verify_witness is sys.modules["ctm.witnesses"].verify_witness)
 """
-    before, listing, same = run_fresh(code).splitlines()
-    assert before == "0"  # importing the package leaves the witness layer unloaded
+    before, listing, same = run_fresh(code, *UNNEEDED).splitlines()
+    # importing the package leaves the witness layer and the unneeded modules unloaded
+    assert before == "0 []"
     count, distinct, missing, unlisted, error = listing.split("|")
     assert count == distinct and int(count) == 69
     assert (missing, unlisted) == ("[]", "[]")
     assert error == "module 'ctm' has no attribute 'no_such_name'"
     assert same == "True"
+
+
+def test_the_witness_layer_loads_no_unneeded_module():
+    code = "import sys, ctm.witnesses; print([m for m in sys.argv[1:] if m in sys.modules])"
+    assert run_fresh(code, *UNNEEDED) == "[]\n"

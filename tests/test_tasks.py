@@ -33,7 +33,7 @@ from ctm import (
 from ctm.cli import main
 from ctm.dsl import analyze_model, parse_model
 from ctm.tasks import _composite_facts, _fact_counts, closure_summary
-from conftest import singleton
+from conftest import assert_distinct, assert_same_value, assert_slotted, singleton
 
 
 @pytest.fixture()
@@ -850,3 +850,50 @@ def test_uniform_implies_pointwise():
 def test_empty_family_rejected():
     with pytest.raises(ModelError, match="non-empty"):
         uniform_possibility([], [], [])
+
+
+# equality and hashing ------------------------------------------------------------
+
+
+def test_task_equality_ignores_names_and_compares_the_substrate_by_identity(s4):
+    x, y = attrs(s4, "x", "y")
+    renamed = Task(singleton(s4, "s0", name="u"), singleton(s4, "s1", name="v"))
+    assert_same_value(Task(x, y), renamed)
+    assert_distinct(Task(x, y), Task(y, x))
+    twin = cyclic_substrate("S4", s4.states)
+    assert_distinct(Task(x, y), Task(*attrs(twin, "x", "y")))
+    assert_distinct(Task(x, y), NULL_TASK)
+
+
+def test_every_null_task_is_equal():
+    assert_same_value(NullTask(), NULL_TASK)
+    assert repr(NullTask()) == "NullTask()"
+    assert_distinct(NULL_TASK, ())
+
+
+def test_law_set_equality_ignores_the_composite_cache(s4):
+    x, y = attrs(s4, "x", "y")
+    statements = (possible(Task(x, y)), impossible(Task(y, x)))
+    cache = {(0, 1): compose_substrates(s4, cyclic_substrate("T", ("t0",)))}
+    assert_same_value(LawSet(statements), LawSet(statements, composites=cache))
+    assert_distinct(LawSet(statements), LawSet(statements[:1]))
+    assert LawSet(statements).composites == {}
+    assert LawSet(statements).composites is not LawSet(statements).composites
+
+
+def test_statements_compare_by_task_status_and_provenance(s4):
+    x, y = attrs(s4, "x", "y")
+    plain = possible(Task(x, y))
+    assert_same_value(plain, LawStatement(Task(x, y), Possibility.POSSIBLE))
+    assert_distinct(plain, impossible(Task(x, y)))
+    derived = LawStatement(Task(x, y), Possibility.POSSIBLE, Derived("serial", (plain, plain)))
+    assert_distinct(plain, derived)
+    assert_same_value(derived.provenance, Derived("serial", (plain, plain)))
+    (clash,) = check_consistency(LawSet.of(plain, impossible(Task(x, y))))
+    assert_same_value(clash, check_consistency(LawSet.of(plain, impossible(Task(x, y))))[0])
+
+
+def test_task_records_take_no_undeclared_attribute(s4):
+    x, y = attrs(s4, "x", "y")
+    task = Task(x, y)
+    assert_slotted(task, NULL_TASK, LawSet((possible(task),)), possible(task))

@@ -35,6 +35,7 @@ from ctm import (
     timer_witness,
     verify_witness,
 )
+from conftest import assert_distinct, assert_same_value, assert_slotted
 
 
 def naive_halt_step(spec, start):
@@ -808,3 +809,16 @@ def test_timer_witness_halts_at_the_timer_halt_steps():
     skewed = skewed_timer()
     report = verify_witness(timer_witness(skewed), Task(skewed.attr0, skewed.attr1))
     assert (skewed.halts, report.halt_steps) == ((2, 3), {("*", "s0"): 3, ("*", "s1"): 2})
+
+
+# equality and hashing ------------------------------------------------------------------
+
+
+def test_timer_specs_equal_only_themselves_and_classes_compare_by_value():
+    spec = make_counter_timer(3, 2)
+    assert_same_value(spec, spec)
+    assert_distinct(spec, make_counter_timer(3, 2))
+    (cls,) = classify_timers([spec])
+    assert_same_value(cls, timers.TimerClass(2, (spec,)))
+    assert_distinct(cls, timers.TimerClass(2, (make_counter_timer(3, 2),)))
+    assert_slotted(spec, cls)

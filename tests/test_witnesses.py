@@ -28,7 +28,13 @@ from ctm import (
     wrap_permutation,
 )
 from ctm.witnesses import VerifyReport, _distance, permutation_possible
-from conftest import prime_cycle_substrate, singleton
+from conftest import (
+    assert_distinct,
+    assert_same_value,
+    assert_slotted,
+    prime_cycle_substrate,
+    singleton,
+)
 
 
 @pytest.fixture()
@@ -589,3 +595,25 @@ def test_uniform_possibility_matches_enumeration():
         assert (res.kind, res.action, res.member_actions) == expected
         kinds.add(res.kind)
     assert kinds == {"uniformly-possible", "pointwise-only", "impossible"}
+
+
+# equality and hashing --------------------------------------------------------
+
+
+def test_witnesses_equal_only_themselves_and_reports_compare_by_value(abc):
+    w = flip_witness(abc)
+    assert w.joint_step is w.joint.step
+    assert w.raised == {(1, s) for s in abc.states}
+    assert w.ready_states == {(0, s) for s in abc.states}
+    twin = flip_witness(abc)
+    assert_same_value(w, w)
+    assert_distinct(w, twin)
+    approx = ApproximateConstructor(w)
+    family = WitnessFamily(((0, w), (1, approx)))
+    assert family.entries[1][1] is approx and family.entries[0][1].base is w
+    assert_distinct(approx, ApproximateConstructor(w))
+    task = Task(singleton(abc, "a"), singleton(abc, "b"))
+    report = verify_witness(w, task)
+    assert report == verify_witness(twin, task)
+    assert report == VerifyReport(None, None, {(0, "a"): 1}, "device") and report.performs
+    assert_slotted(w, approx, family, report)
