@@ -9,6 +9,7 @@ Exit status: 0 success, 1 refutation or contradiction, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -327,6 +328,7 @@ def _render_text(report: dict, elapsed_ms: float) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the `ctm` command line; each call builds a fresh one."""
     parser = argparse.ArgumentParser(
         prog="ctm", description="Verify task-possibility models, classify timers, recover dynamics."
     )
@@ -357,9 +359,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser `main` reuses, built on its first call, not at import.
+
+    Reuse is safe: `parse_args` writes only to a new Namespace; every default
+    is immutable (None, "json", "0", 0.05, the command functions and the
+    `options` tuples); `nargs` lists are built fresh on each parse; `prog` is
+    fixed at "ctm"; help formatters are made when help or an error is
+    formatted, so COLUMNS still applies then; and `parser.error` and
+    `--version` raise SystemExit without changing the parser.
+    """
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one `ctm` command line and return its exit status.
+
+    May be called many times in one process; every call after the first
+    reuses one parser, and each report is byte-identical to a `ctm` run's.
+    """
     started = time.perf_counter()
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "dynamics" and not (math.isfinite(args.tol) and args.tol >= 0):
         parser.error("--tol must be finite and >= 0")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import ModelError, Substrate, Variable, evolve, first_entry, orbit, parameter_key
-from .timers import TimerClass, TimerSpec, make_counter_timer
+from .timers import TimerClass, TimerSpec
 
 
 class AdvanceCheckFailed(RuntimeError):
@@ -66,18 +66,16 @@ def check_timed_advance(m: TrajectoryModel, timer: TimerSpec, lam) -> bool:
     The halt steps are timer.halts, found by make_timer within each start's
     own cycle.
     """
-    lam = Fraction(lam)
-    dlam = Fraction(timer.duration)
+    return _advances(m, Fraction(lam), Fraction(timer.duration), timer.halts)
+
+
+def _advances(m: TrajectoryModel, lam: Fraction, dlam: Fraction, halts) -> bool:
+    """Does every state of a non-empty v(lam) lie in v(lam + dlam) after each of halts steps?"""
     x = m.variable.attribute(lam)
     x_next = m.variable.attribute(lam + dlam)
     return bool(x.members) and all(
-        evolve(m.substrate, sigma, h) in x_next.members for h in timer.halts for sigma in x.members
+        evolve(m.substrate, sigma, h) in x_next.members for h in halts for sigma in x.members
     )
-
-
-def _default_timer(dlam: int) -> TimerSpec:
-    bits = max(3, int(2 * dlam + 1).bit_length())
-    return make_counter_timer(bits, dlam)
 
 
 def incremental_ratio(m: TrajectoryModel, lam, dlam, timer: TimerSpec | None = None) -> float:
@@ -85,7 +83,11 @@ def incremental_ratio(m: TrajectoryModel, lam, dlam, timer: TimerSpec | None = N
 
     Refuses (raises AdvanceCheckFailed) whenever the timed advance task is
     not performed: the ratio is grounded in a verified task, never in bare
-    arithmetic on the readings.
+    arithmetic on the readings.  Without a timer the advance is checked
+    against an ideal timer of duration Δλ, which halts at step Δλ from
+    every start: each state of v(λ) must lie in v(λ + Δλ) after Δλ steps.
+    λ + Δλ is checked against the variable's domain before any timer, so
+    a Δλ far past the domain costs nothing.
     """
     lam = Fraction(lam)
     dlam = Fraction(dlam)
@@ -93,13 +95,12 @@ def incremental_ratio(m: TrajectoryModel, lam, dlam, timer: TimerSpec | None = N
         raise ModelError("Δλ must be positive")
     if dlam.denominator != 1:
         raise ModelError("Δλ must be a whole number of steps in this model")
-    if timer is None:
-        timer = _default_timer(int(dlam))
-    if Fraction(timer.duration) != dlam:
-        raise ModelError(f"timer duration {timer.duration} does not match Δλ = {dlam}")
     if lam + dlam not in m.variable:
         raise ModelError(f"λ + Δλ = {lam + dlam} outside the variable's domain")
-    if not check_timed_advance(m, timer, lam):
+    if timer is not None and Fraction(timer.duration) != dlam:
+        raise ModelError(f"timer duration {timer.duration} does not match Δλ = {dlam}")
+    halts = (int(dlam),) if timer is None else timer.halts
+    if not _advances(m, lam, dlam, halts):
         raise AdvanceCheckFailed(lam, dlam)
     return (m.reading(lam + dlam) - m.reading(lam)) / float(dlam)
 
@@ -133,11 +134,12 @@ def estimate_derivative(
 ) -> DerivativeEstimate:
     """Ratios over a shrinking-step schedule, extrapolated to step zero.
 
-    Each schedule entry needs a timer of that duration (default: counter
-    timers).  The extrapolated value is the intercept of the least-squares
-    line ratio = L + c * Δλ; the convergence order is the log-log slope of
-    the residuals against the step sizes (None when the fit is exact, as
-    for linear readings).  Ratios or an extrapolation that overflow to a
+    Each schedule entry is checked against `timers[Δλ]`, or without `timers`
+    against an ideal timer of duration Δλ (see incremental_ratio).  The
+    extrapolated value is the intercept of the least-squares line
+    ratio = L + c * Δλ; the convergence order is the log-log slope of the
+    residuals against the step sizes (None when the fit is exact, as for
+    linear readings).  Ratios or an extrapolation that overflow to a
     non-finite value raise ModelError.
     """
     steps = [int(d) for d in schedule]
@@ -148,7 +150,7 @@ def estimate_derivative(
     lam = Fraction(lam)
     ratios = []
     for d in steps:
-        timer = timers[d] if timers is not None else _default_timer(d)
+        timer = timers[d] if timers is not None else None
         ratios.append(incremental_ratio(m, lam, d, timer))
     extrapolated, _ = _ols([float(d) for d in steps], ratios)
     residuals = tuple(r - extrapolated for r in ratios)

@@ -1,10 +1,13 @@
 import json
+import resource
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
 
+import ctm.cli
 import ctm.tasks
 from ctm.cli import main
 from conftest import REPO_ROOT, prime_cycle_substrate
@@ -480,6 +483,40 @@ def test_dynamics_overflowing_estimate_exits_two(capsys, tmp_path, readings):
     assert any("overflow" in d["message"] for d in report["diagnostics"])
 
 
+# each schedule runs far past linear.ctm's domain (λ = 0..12); the last passes 2^64
+PAST_THE_DOMAIN = [
+    "400000,200000,100000",
+    "40000000,20000000,10000000",
+    ",".join(str(2**k) for k in (66, 65, 64)),
+]
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("schedule", PAST_THE_DOMAIN, ids=["4e5", "4e7", "2^66"])
+def test_dynamics_past_the_domain_exits_two_in_bounded_time_and_memory(models_dir, schedule):
+    # one child process per schedule, its address space capped at 1 GiB
+    argv = ["dynamics", str(models_dir / "linear.ctm"), "--variable", "pos", "--at", "0"]
+    started = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "ctm.cli", *argv, "--schedule", schedule],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=limit_address_space,
+    )
+    elapsed = time.perf_counter() - started
+    assert "Traceback" not in result.stderr
+    assert result.returncode == 2
+    report = json.loads(result.stdout)
+    assert report["exit_status"] == 2
+    errors = [d["message"] for d in report["diagnostics"] if d["severity"] == "error"]
+    assert errors == [f"λ + Δλ = {schedule.split(',')[0]} outside the variable's domain"]
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-0.5"])
 def test_tol_must_be_finite_and_non_negative(capsys, models_dir, tol):
     with pytest.raises(SystemExit) as exc:
@@ -512,6 +549,68 @@ def test_reports_byte_identical_across_runs(capsys, models_dir):
     _, c1 = run_cli(capsys, "classify", str(models_dir / "timers.ctm"))
     _, c2 = run_cli(capsys, "classify", str(models_dir / "timers.ctm"))
     assert c1 == c2
+
+
+def parser_sequence(models_dir, tmp_path):
+    """Command lines that mix reports of every exit status with argparse exits."""
+    bad = tmp_path / "bad.ctm"
+    bad.write_text("substrate S { states a b ; step (a) }")
+    linear = str(models_dir / "linear.ctm")
+    variables = {"linear.ctm": "pos", "rotation.ctm": "theta"}
+    argvs = []
+    for path in sorted(models_dir.glob("*.ctm")):
+        variable = variables.get(path.name, "pos")
+        argvs += [
+            ["check", str(path)],
+            ["check", str(path), "--horizon", "3"],
+            ["classify", str(path)],
+            ["dynamics", str(path), "--variable", variable, "--schedule", "8,4,2,1"],
+        ]
+    return argvs + [
+        ["check", str(bad)],
+        ["check", linear, "--budget", "1"],
+        ["dynamics", linear, "--schedule", "4,2,1"],
+        ["dynamics", linear, "--variable", "pos", "--schedule", "4,2,1", "--tol", "nan"],
+        ["check", linear, "--horizon", "-1"],
+        ["--version"],
+    ]
+
+
+def outcome(capsys, argv):
+    """The exit status (or SystemExit code), stdout and stderr of one main call."""
+    try:
+        status = main(argv)
+    except SystemExit as e:
+        status = ("SystemExit", e.code)
+    out, err = capsys.readouterr()
+    return status, out, err
+
+
+def test_main_reuses_one_parser_and_prints_what_a_fresh_parser_prints(
+    capsys, tmp_path, models_dir, monkeypatch
+):
+    argvs = parser_sequence(models_dir, tmp_path)
+    fresh = []
+    for argv in argvs:
+        ctm.cli._parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    builds = []
+    build_parser = ctm.cli.build_parser
+
+    def counted_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(ctm.cli, "build_parser", counted_build)
+    ctm.cli._parser.cache_clear()
+    reused = [outcome(capsys, argv) for argv in argvs]
+    assert len(builds) == 1
+    for argv, want, got in zip(argvs, fresh, reused):
+        assert got == want, argv
+    statuses = {status for status, _, _ in fresh}
+    assert {0, 1, 2, ("SystemExit", 0), ("SystemExit", 2)} <= statuses
+    # a direct call still hands each caller a parser of its own
+    assert build_parser() is not build_parser()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -98,6 +99,32 @@ def test_advance_transitivity(linear_model, sine_model):
             assert check_timed_advance(model, make_counter_timer(5, d1), lam)
             assert check_timed_advance(model, make_counter_timer(5, d2), lam + d1)
             assert check_timed_advance(model, make_counter_timer(5, d1 + d2), lam)
+
+
+def test_ideal_advance_check_agrees_with_counter_timers():
+    # each entry λ of a 4-entry variable on an 8-ring is {λ}, the misaligned {λ + 4},
+    # the empty {} or {λ, λ + 4}: 256 variables, each advance checked without a timer
+    # and against counter timers of three widths
+    ring = cyclic_substrate("ring8", tuple(range(8)))
+    choices = [lambda k: {k}, lambda k: {k + 4}, lambda k: set(), lambda k: {k, k + 4}]
+    widths = {d: max(3, (2 * d + 1).bit_length()) for d in (1, 2, 3)}
+    counters = {
+        d: [make_counter_timer(bits, d) for bits in range(low, low + 3)]
+        for d, low in widths.items()
+    }
+    outcomes = set()
+    for picks in itertools.product(choices, repeat=4):
+        entries = {k: Attribute(ring, frozenset(pick(k))) for k, pick in enumerate(picks)}
+        model = TrajectoryModel(Variable(ring, entries), {k: float(k) for k in range(4)})
+        for lam, d in ((lam, d) for lam in range(3) for d in range(1, 4 - lam)):
+            try:
+                incremental_ratio(model, lam, d)
+                ideal = True
+            except AdvanceCheckFailed:
+                ideal = False
+            assert [check_timed_advance(model, t, lam) for t in counters[d]] == [ideal] * 3
+            outcomes.add(ideal)
+    assert outcomes == {True, False}
 
 
 # incremental ratios -------------------------------------------------------------

@@ -133,3 +133,9 @@ print(ctm.verify_witness is sys.modules["ctm.witnesses"].verify_witness)
 def test_the_witness_layer_loads_no_unneeded_module():
     code = "import sys, ctm.witnesses; print([m for m in sys.argv[1:] if m in sys.modules])"
     assert run_fresh(code, *UNNEEDED) == "[]\n"
+
+
+def test_importing_the_cli_builds_no_parser():
+    # main builds its parser on first use, so a process pays for one build, not two
+    code = "import ctm.cli; print(ctm.cli._parser.cache_info().currsize)"
+    assert run_fresh(code) == "0\n"
