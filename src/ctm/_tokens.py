@@ -1,12 +1,14 @@
-"""The `.ctm` token parser: the reader of every line the line reader in `ctm.dsl` does not accept.
+"""The `.ctm` token parser: it reads the statements the line reader in `ctm.dsl` does not accept.
 
 `ctm.dsl.parse_model` imports this module only when a file has such a
-line, so a well-formed file loads without it.  The lexer takes one regex
-match per token, blanks and comments absorbed into the match; the parser
-fills the line reader's declaration tables and makes every diagnostic of a
-parse, resynchronizing at the next top-level keyword after each error.
-Over a whole text, `_parse_tokens` is the oracle the line reader must agree
-with.
+statement, so a well-formed file loads without it.  The parser walks the
+statement forms of `ctm.dsl._FORMS`, the table the line reader builds its
+patterns from, and makes every diagnostic of a parse, resynchronizing at
+the next top-level keyword after each error.  It lexes on demand, one
+regex match per token with blanks and comments absorbed into the match.
+At each keyword that starts a line after its first statement, it gives
+the lines back to the line reader and goes on from the first line that
+the line reader does not accept, so a typo costs only its own statement.
 """
 
 from __future__ import annotations
@@ -15,19 +17,14 @@ import math
 import re
 
 from .dsl import (
+    _BRANCH,
+    _FORMS,
     _KEYWORDS,
-    AttributeDecl,
-    CounterTimerDecl,
-    CustomTimerDecl,
+    _STATUS,
     Diagnostic,
-    LawDecl,
     ModelDecl,
-    ParticleTimerDecl,
-    Span,
-    SubstrateDecl,
-    TaskDecl,
-    TimerDecl,
-    VariableDecl,
+    _add_cycle,
+    _read_lines,
     _Tables,
 )
 
@@ -62,21 +59,20 @@ _TOKEN_RE = re.compile(
 )
 
 
-# A token is an exact tuple (kind, text, line, column), with a 1-based
-# (line, column) span.  The garbage collector stops tracking a tuple whose
-# items are all str and int at its first collection, so a loaded file's tokens
-# are not walked again by every later collection; a NamedTuple subclass would
-# stay tracked, and its Python-level constructor costs a call per token.
-_Token = tuple[str, str, int, int]
+# A token is an exact tuple (kind, text, line, column, offset), with a
+# 1-based (line, column) span.  The garbage collector stops tracking a tuple
+# whose items are all str and int at its first collection; a NamedTuple
+# subclass would stay tracked, and its Python-level constructor costs a call
+# per token.
+_Token = tuple[str, str, int, int, int]
 
 
-def _lex(text: str, start: int = 0, line: int = 1) -> tuple[list[_Token], list[Diagnostic]]:
-    """Tokens `(kind, text, line, column)`, in one pass over `text` from `start`.
+def _lex(text: str, start: int, line: int, diags: list[Diagnostic]):
+    """The tokens from offset `start`, the first character of line `line`, one at a time.
 
-    `start` is the offset of the first character of line number `line`.
+    The last is ("eof", "", ...).  Each character no token takes adds a
+    diagnostic to `diags` as the lexer passes it.
     """
-    tokens: list[_Token] = []
-    diags: list[Diagnostic] = []
     line_start = start  # offset of the current line's first character
     for m in _TOKEN_RE.finditer(text, start):
         kind = m.lastgroup
@@ -87,9 +83,9 @@ def _lex(text: str, start: int = 0, line: int = 1) -> tuple[list[_Token], list[D
             column = m.start(kind) - line_start + 1
             diags.append(Diagnostic("error", line, column, f"unexpected character {m[kind]!r}"))
         elif kind is not None:
-            tokens.append((kind, m[kind], line, m.start(kind) - line_start + 1))
-    tokens.append(("eof", "", line, len(text) - line_start + 1))
-    return tokens, diags
+            at = m.start(kind)
+            yield kind, m[kind], line, at - line_start + 1, at
+    yield "eof", "", line, len(text) - line_start + 1, len(text)
 
 
 # --------------------------------------------------------------------- parser
@@ -100,77 +96,138 @@ class _Recover(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], diags: list[Diagnostic]):
-        self.tokens = tokens
-        self.pos = 0
-        self.diags = diags
+    """Reads the statements of `text`, split into `lines`, from line `line` at offset `start`."""
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def __init__(self, text: str, lines: list[str], start: int, line: int):
+        self.text = text
+        self.lines = lines
+        self.lexed: list[Diagnostic] = []  # the lexer's diagnostics, which come first
+        self.diags: list[Diagnostic] = []
+        self.lex_from(start, line)
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
+    def lex_from(self, start: int, line: int) -> None:
+        self.next = _lex(self.text, start, line, self.lexed).__next__
+        self.tok: _Token = self.next()
 
     def fail(self, message: str, tok: _Token | None = None, suggestion: str | None = None):
-        tok = tok or self.peek()
+        tok = tok or self.tok
         self.diags.append(Diagnostic("error", tok[2], tok[3], message, suggestion))
         raise _Recover()
 
-    # a token that matched an expected kind or word is not eof, so the methods
-    # below step past it with `pos += 1` instead of `advance()`
+    # the lexer yields nothing after eof, so only a token that is not eof
+    # is stepped past, with `self.tok = self.next()`
     def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
+        tok = self.tok
         if tok[0] != kind:
             self.fail(f"expected {what}, found {tok[1]!r}" if tok[1] else f"expected {what}")
-        self.pos += 1
+        self.tok = self.next()
         return tok
 
-    def expect_word(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok[0] != "ident" or tok[1] != word:
-            self.fail(f"expected {word!r}, found {tok[1]!r}" if tok[1] else f"expected {word!r}")
-        self.pos += 1
-        return tok
+    def walk(self, parts: tuple, values: list | None = None) -> list:
+        """Read `parts` of a statement form: `values`, with the value of each value part added."""
+        values = [] if values is None else values
+        start = self.tok  # the first token of the part before a check
+        for part in parts:
+            tok = self.tok
+            if part.__class__ is str:
+                if tok[1] != part:
+                    found = f", found {tok[1]!r}" if tok[1] else ""
+                    self.fail(f"expected {part!r}{found}")
+                self.tok = self.next()
+            elif part[0] == "check":
+                rejected = part[1](*values)
+                if rejected is not None:
+                    self.fail(rejected[0], start, rejected[1])
+                continue
+            else:
+                values.append(getattr(self, part[0])(part[1]))
+            start = tok
+        return values
 
-    def accept_word(self, word: str) -> bool:
-        tok = self.peek()
-        if tok[0] == "ident" and tok[1] == word:
-            self.pos += 1
-            return True
-        return False
+    # value parts ------------------------------------------------------------
 
     def name(self, what: str) -> str:
         return self.expect("ident", what)[1]
-
-    def labels(self, stop: str | None = None) -> list[str]:
-        """The run of state labels (identifiers or integers) up to the word `stop`."""
-        run = []
-        while (tok := self.peek())[0] in ("ident", "int") and tok[1] != stop:
-            run.append(tok[1])
-            self.pos += 1
-        return run
 
     def integer(self, what: str) -> int:
         return int(self.expect("int", what)[1])
 
     def number(self, what: str) -> float:
-        tok = self.peek()
+        tok = self.tok
         if tok[0] not in ("int", "float"):
             self.fail(f"expected {what}, found {tok[1]!r}")
         value = float(tok[1])
         if not math.isfinite(value):
             self.fail(f"{what} must be finite, found {tok[1]!r}")
-        self.pos += 1
+        self.tok = self.next()
         return value
+
+    def status(self, _) -> str:
+        tok = self.tok
+        if tok[1] not in _STATUS:
+            self.fail("expected law status: 'possible', 'impossible', '✓' or '✗'")
+        self.tok = self.next()
+        return tok[1]
+
+    def labels(self, stop: str | None) -> list[str]:
+        """The run of state labels (identifiers or integers) up to the word `stop`."""
+        run = []
+        while (tok := self.tok)[0] in ("ident", "int") and tok[1] != stop:
+            run.append(tok[1])
+            self.tok = self.next()
+        return run
+
+    def cycles(self, item: tuple) -> dict:
+        start = self.tok
+        step: dict = {}
+        while self.tok[1] == item[0]:
+            twice = _add_cycle(step, self.walk(item)[0])
+            if twice is not None:
+                self.fail(f"state {twice!r} appears twice in the step map", start)
+        if not step:
+            self.fail("step map needs at least one cycle, e.g. (a b c)")
+        return step
+
+    def entries(self, item: tuple) -> dict:
+        entries: dict = {}
+        while self.tok[0] == "int":
+            start = self.tok
+            lam, attr, reading = self.walk(item)
+            if lam in entries:
+                self.fail(f"duplicate parameter value {lam}", start)
+            entries[lam] = (attr, reading)
+            if self.tok[0] != "semi":
+                break
+            self.tok = self.next()
+        return entries
+
+    def optional(self, parts: tuple):
+        return self.walk(parts)[0] if self.tok[1] == parts[0] else None
+
+    # statements --------------------------------------------------------------
+
+    def statement(self, keyword: str, span: tuple[int, int]):
+        """The declaration of the statement after `keyword`: the form its parts pick, walked."""
+        forms = _FORMS[keyword]
+        at = _BRANCH[keyword]
+        values = self.walk(forms[0][1][:at])
+        if len(forms) > 1:
+            tok = self.tok
+            picked = [form for form in forms if form[1][at] == tok[1]]
+            picked = picked or [form for form in forms if form[1][at].__class__ is not str]
+            if not picked:
+                words = [repr(form[1][at]) for form in forms]
+                self.fail(f"expected {keyword} kind {', '.join(words[:-1])} or {words[-1]}", tok)
+            forms = picked
+        make, parts = forms[0]
+        self.walk(parts[at:], values)
+        return make(*values, span)
 
     def sync(self) -> None:
         """Skip to the next top-level keyword (or EOF)."""
         depth = 0
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok[0] == "eof":
                 return
             if tok[0] == "lbrace":
@@ -179,167 +236,28 @@ class _Parser:
                 depth = max(0, depth - 1)
             elif depth == 0 and tok[0] == "ident" and tok[1] in _KEYWORDS:
                 return
-            self.advance()
+            self.tok = self.next()  # not eof
 
-    # individual statements -------------------------------------------------
+    def parse(self, tables: _Tables) -> tuple[ModelDecl | None, list[Diagnostic]]:
+        """Read the statements into `tables`: the declaration (None on any error) and every diagnostic.
 
-    def parse_substrate(self, span: Span) -> SubstrateDecl:
-        name = self.name("substrate name")
-        self.expect("lbrace", "'{'")
-        self.expect_word("states")
-        states = self.labels(stop="step")
-        if not states:
-            self.fail("substrate needs at least one state")
-        self.expect("semi", "';'")
-        self.expect_word("step")
-        step: dict = {}
-        cycle_tok = self.peek()
-        while self.peek()[0] == "lparen":
-            self.advance()
-            cyc = self.labels()
-            self.expect("rparen", "')'")
-            for i, lab in enumerate(cyc):
-                if lab in step:
-                    self.fail(f"state {lab!r} appears twice in the step map", cycle_tok)
-                step[lab] = cyc[(i + 1) % len(cyc)]
-        if not step:
-            self.fail("step map needs at least one cycle, e.g. (a b c)")
-        missing = [s for s in states if s not in step]
-        if missing:
-            self.fail(
-                f"step map is not a bijection: state {missing[0]!r} unmapped",
-                cycle_tok,
-                suggestion=f"add ({missing[0]}) for a fixed point",
-            )
-        labels = set(states)
-        stray = [s for s in step if s not in labels]
-        if stray:
-            self.fail(f"step map mentions unknown state {stray[0]!r}", cycle_tok)
-        self.expect("rbrace", "'}'")
-        return SubstrateDecl(name, tuple(states), step, span)
-
-    def parse_attribute(self, span: Span) -> AttributeDecl:
-        name = self.name("attribute name")
-        self.expect_word("on")
-        substrate = self.name("substrate name")
-        self.expect("lbrace", "'{'")
-        members = self.labels()
-        self.expect("rbrace", "'}'")
-        return AttributeDecl(name, substrate, frozenset(members), span)
-
-    def parse_timer(self, span: Span) -> TimerDecl:
-        kind_tok = self.peek()
-        if self.accept_word("counter"):
-            name = self.name("timer name")
-            self.expect("lbrace", "'{'")
-            self.expect_word("bits")
-            bits = self.integer("bit count")
-            self.expect("semi", "';'")
-            self.expect_word("threshold")
-            threshold = self.integer("threshold")
-            self.expect("rbrace", "'}'")
-            return CounterTimerDecl(name, bits, threshold, span)
-        if self.accept_word("particle"):
-            name = self.name("timer name")
-            self.expect("lbrace", "'{'")
-            self.expect_word("cells")
-            cells = self.integer("cell count")
-            self.expect("semi", "';'")
-            self.expect_word("speed")
-            speed = self.integer("speed")
-            self.expect("semi", "';'")
-            self.expect_word("target")
-            target = self.integer("target cell")
-            self.expect("rbrace", "'}'")
-            return ParticleTimerDecl(name, cells, speed, target, span)
-        if self.accept_word("custom"):
-            name = self.name("timer name")
-            self.expect_word("on")
-            substrate = self.name("substrate name")
-            self.expect("lbrace", "'{'")
-            self.expect_word("start")
-            start = self.name("attribute name")
-            self.expect("semi", "';'")
-            self.expect_word("running")
-            running = self.name("attribute name")
-            self.expect("semi", "';'")
-            self.expect_word("done")
-            done = self.name("attribute name")
-            halt = None
-            if self.peek()[0] == "semi":
-                self.advance()
-                self.expect_word("halt")
-                halt = self.name("attribute name")
-            self.expect("rbrace", "'}'")
-            return CustomTimerDecl(name, substrate, start, running, done, halt, span)
-        self.fail("expected timer kind 'counter', 'particle' or 'custom'", kind_tok)
-        raise AssertionError
-
-    def parse_task(self, span: Span) -> TaskDecl:
-        name = self.name("task name")
-        self.expect_word("on")
-        substrate = self.name("substrate name")
-        self.expect("colon", "':'")
-        inp = self.name("input attribute")
-        self.expect("arrow", "'->'")
-        out = self.name("output attribute")
-        return TaskDecl(name, substrate, inp, out, span)
-
-    def parse_law(self, span: Span) -> LawDecl:
-        tok = self.peek()
-        if tok[0] == "check":
-            status = "possible"
-            self.advance()
-        elif tok[0] == "cross":
-            status = "impossible"
-            self.advance()
-        elif tok[0] == "ident" and tok[1] in ("possible", "impossible"):
-            status = self.advance()[1]
-        else:
-            self.fail("expected law status: 'possible', 'impossible', '✓' or '✗'", tok)
-            raise AssertionError
-        if self.accept_word("task"):
-            task = self.name("task name")
-            substrate = None
-            if self.accept_word("on"):
-                substrate = self.name("substrate name")
-            return LawDecl(status, task=task, substrate=substrate, span=span)
-        inp = self.name("input attribute")
-        self.expect("arrow", "'->'")
-        out = self.name("output attribute")
-        self.expect_word("on")
-        substrate = self.name("substrate name")
-        return LawDecl(status, input=inp, output=out, substrate=substrate, span=span)
-
-    def parse_variable(self, span: Span) -> VariableDecl:
-        name = self.name("variable name")
-        self.expect_word("on")
-        substrate = self.name("substrate name")
-        self.expect("lbrace", "'{'")
-        entries: dict = {}
-        while self.peek()[0] == "int":
-            lam_tok = self.peek()
-            lam = self.integer("parameter value")
-            self.expect("colon", "':'")
-            attr = self.name("attribute name")
-            self.expect("at", "'@'")
-            reading = self.number("a numeric reading")
-            if lam in entries:
-                self.fail(f"duplicate parameter value {lam}", lam_tok)
-            entries[lam] = (attr, reading)
-            if self.peek()[0] == "semi":
-                self.advance()
-            else:
-                break
-        self.expect("rbrace", "'}'")
-        return VariableDecl(name, substrate, entries, span)
-
-    # top level --------------------------------------------------------------
-
-    def parse(self, tables: _Tables) -> ModelDecl | None:
-        """Parse to the end of the tokens, adding each declaration to `tables`."""
-        while self.peek()[0] != "eof":
-            tok = self.peek()
+        The line reader takes the lines back at each keyword after the
+        first statement with nothing but blanks before it on its line, and
+        the parser goes on, lexing anew, from the first line it does not
+        accept.
+        """
+        resume = False  # whether the line reader may take the lines from this token on
+        while (tok := self.tok)[0] != "eof":
+            if resume and tok[0] == "ident" and tok[1] in _KEYWORDS:
+                line_start = tok[4] - tok[3] + 1
+                if not self.text[line_start : tok[4]].strip(" \t\r"):
+                    at = _read_lines(self.lines, line_start, tok[2], tables)
+                    if at is None:
+                        break
+                    self.lex_from(*at)
+                    resume = False
+                    continue
+            resume = True
             try:
                 if tok[0] != "ident" or tok[1] not in _KEYWORDS:
                     self.fail(
@@ -348,26 +266,14 @@ class _Parser:
                         suggestion="one of: " + ", ".join(_KEYWORDS),
                     )
                 span = (tok[2], tok[3])
-                keyword = self.advance()[1]
-                decl = getattr(self, "parse_" + keyword)(span)
+                keyword = tok[1]
+                self.tok = self.next()
+                decl = self.statement(keyword, span)
                 if not tables.add(keyword, decl):
                     self.diags.append(
                         Diagnostic("error", *span, f"duplicate {keyword} name {decl.name!r}")
                     )
             except _Recover:
                 self.sync()
-        if any(d.severity == "error" for d in self.diags):
-            return None
-        return tables.model()
-
-
-def _parse_tokens(
-    text: str, start: int = 0, line: int = 1, tables: _Tables | None = None
-) -> tuple[ModelDecl | None, list[Diagnostic]]:
-    """The token parser from offset `start`, the first character of line `line`, to the end.
-
-    Over the whole text with no tables it is the parse that the line reader
-    must agree with, and the tests keep it as that oracle.
-    """
-    tokens, diags = _lex(text, start, line)
-    return _Parser(tokens, diags).parse(_Tables() if tables is None else tables), diags
+        diags = self.lexed + self.diags
+        return (None if diags else tables.model()), diags

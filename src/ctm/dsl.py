@@ -1,17 +1,17 @@
-"""The `.ctm` model format: declarations, line reader, analysis, pretty-printer.
+"""The `.ctm` model format: declarations, grammar, line reader, analysis, pretty-printer.
 
 Line-oriented keyword grammar; `#` starts a comment.  Loading is linear in
-the text.  A line reader takes the leading lines that each hold one
-complete, well-formed statement with one regex match per line (and per
-variable entry): substrates, attributes, counter and particle timers,
-tasks, `law STATUS ATTR -> ATTR on SUBSTRATE` and variables.  From the
-first line it does not accept to the end of the file, the token parser
-(`ctm._tokens`, imported only then) reads the text, one regex match per
-token with blanks and comments absorbed into the match, and fills the same
-declaration tables.  Every diagnostic comes from the token parser, which
-the reader agrees with on each line it accepts.  Step maps are written in
-cycle notation and must mention every state exactly once, so a
-well-formed step map is a bijection by construction.
+the text.  Each statement form is written once, in the table `_FORMS`, as
+the parts that follow its keyword, and two readers read the table.  The
+line reader matches each line that holds one complete, well-formed
+statement with one regex built from its form.  A line it does not accept
+goes to the token parser (`ctm._tokens`, imported only then), which walks
+the same parts over tokens, makes every diagnostic, and hands the lines
+back at the next statement that starts a line; so a typo costs only its
+own statement.  Both fill the same declaration tables, and the checks a
+form makes, such as the step map's, are functions both call.  Step maps
+are written in cycle notation and must mention every state exactly once,
+so a well-formed step map is a bijection by construction.
 
     substrate NAME { states L1 L2 ... ; step (L1 L2)(L3) }
     attribute NAME on SUBSTRATE { L1 L2 ... }
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import cache
 from typing import Mapping, NamedTuple
 
 from .core import (
@@ -229,184 +230,341 @@ class _Tables:
         return True
 
     def model(self) -> ModelDecl:
-        named = self.named
-        return ModelDecl(
-            named["substrate"],
-            named["attribute"],
-            named["timer"],
-            named["task"],
-            tuple(self.laws),
-            named["variable"],
+        # ModelDecl takes its tables in the order of the keywords
+        return ModelDecl(*(tuple(self.laws) if k == "law" else self.named[k] for k in _KEYWORDS))
+
+
+# -------------------------------------------------------------------- grammar
+
+# Each statement form is written once, as the parts that follow its keyword,
+# and both readers read it from this table: the line reader matches a regex
+# built from the parts, and the token parser (`ctm._tokens`) walks them.
+# A part is
+#   a str               that word or punctuation, exactly ('on', '{', '->', ...)
+#   ("name", what)      an identifier; `what` names it in a diagnostic
+#   ("integer", what)   an integer
+#   ("number", what)    a finite number, integer or float
+#   ("status", None)    possible, impossible, ✓ or ✗
+#   ("labels", stop)    a run of state labels, identifiers or integers, up to the word `stop`
+#   ("cycles", item)    the step map: a run of cycles, no state in two
+#   ("entries", item)   the variable's entries, separated by ';', no parameter value twice
+#   ("optional", parts) the parts, when the first of them comes next, or nothing
+#   ("check", fn)       fn(*values): a (message, suggestion) that rejects the statement, or None
+# Each part but a str or a check reads one value, and a form makes its
+# declaration with `make(*values, span)`.  The forms of one keyword first
+# differ at one part: a str there picks its form, and a form with a value
+# part there is the default.
+
+
+def _some_states(name: str, states: list, *_) -> tuple[str, None] | None:
+    return None if states else ("substrate needs at least one state", None)
+
+
+def _bijective(name: str, states: list, step: dict, *_) -> tuple[str, str | None] | None:
+    """Rejects a step map that leaves a state unmapped or maps a state the substrate lacks.
+
+    The cycles mention no state twice, so a step map that passes is a bijection.
+    """
+    labels = set(states)
+    if step.keys() == labels:
+        return None
+    for s in states:
+        if s not in step:
+            unmapped = f"step map is not a bijection: state {s!r} unmapped"
+            return unmapped, f"add ({s}) for a fixed point"
+    stray = next(s for s in step if s not in labels)
+    return f"step map mentions unknown state {stray!r}", None
+
+
+def _add_cycle(step: dict, cycle: list) -> str | None:
+    """Add a cycle's steps to `step`, or return its first state already mapped or repeated."""
+    if len(set(cycle)) == len(cycle) and step.keys().isdisjoint(cycle):
+        step.update(zip(cycle, cycle[1:] + cycle[:1]))
+        return None
+    seen = set(step)
+    for label in cycle:
+        if label in seen:
+            return label
+        seen.add(label)
+
+
+_STATUS = {"possible": "possible", "✓": "possible", "impossible": "impossible", "✗": "impossible"}
+_SUBSTRATE = ("name", "substrate name")
+_ATTRIBUTE = ("name", "attribute name")
+_TIMER = ("name", "timer name")
+_ARROW = (("name", "input attribute"), "->", ("name", "output attribute"))
+_CYCLE = ("(", ("labels", None), ")")
+_ENTRY = (("integer", "parameter value"), ":", _ATTRIBUTE, "@", ("number", "a numeric reading"))
+
+_FORMS = {
+    "substrate": [
+        (
+            lambda name, states, step, span: SubstrateDecl(name, tuple(states), step, span),
+            (("name", "substrate name"), "{", "states", ("labels", "step"), ("check", _some_states),
+             ";", "step", ("cycles", _CYCLE), ("check", _bijective), "}"),
         )
+    ],
+    "attribute": [
+        (
+            lambda name, sub, members, span: AttributeDecl(name, sub, frozenset(members), span),
+            (_ATTRIBUTE, "on", _SUBSTRATE, "{", ("labels", None), "}"),
+        )
+    ],
+    "timer": [
+        (CounterTimerDecl, ("counter", _TIMER, "{", "bits", ("integer", "bit count"), ";",
+                            "threshold", ("integer", "threshold"), "}")),
+        (ParticleTimerDecl, ("particle", _TIMER, "{", "cells", ("integer", "cell count"), ";",
+                             "speed", ("integer", "speed"), ";",
+                             "target", ("integer", "target cell"), "}")),
+        (CustomTimerDecl, ("custom", _TIMER, "on", _SUBSTRATE, "{", "start", _ATTRIBUTE, ";",
+                           "running", _ATTRIBUTE, ";", "done", _ATTRIBUTE,
+                           ("optional", (";", "halt", _ATTRIBUTE)), "}")),
+    ],
+    "task": [(TaskDecl, (("name", "task name"), "on", _SUBSTRATE, ":", *_ARROW))],
+    "law": [
+        (
+            lambda status, inp, out, sub, span: LawDecl(_STATUS[status], inp, out, sub, None, span),
+            (("status", None), *_ARROW, "on", _SUBSTRATE),
+        ),
+        (
+            lambda status, task, sub, span: LawDecl(_STATUS[status], None, None, sub, task, span),
+            (("status", None), "task", ("name", "task name"), ("optional", ("on", _SUBSTRATE))),
+        ),
+    ],
+    "variable": [
+        (VariableDecl, (("name", "variable name"), "on", _SUBSTRATE, "{", ("entries", _ENTRY), "}"))
+    ],
+}
+# where the forms of each keyword first differ (0 for a single form)
+_BRANCH = {
+    keyword: next((i for i, ps in enumerate(zip(*(p for _, p in forms))) if len(set(ps)) > 1), 0)
+    for keyword, forms in _FORMS.items()
+}
 
 
 # ---------------------------------------------------------------- line reader
 
-# The line reader builds the declarations of a file's leading lines that
-# each hold one complete, well-formed statement, with one regex match per
-# line and per variable entry.  Its patterns accept a subset of what the
-# token parser accepts, and each token they match ends where the lexer ends
-# it: a name or label at a blank or a delimiter, a number at a blank, ';' or
-# '}'.  A statement it accepts cannot continue onto the next line.  At the
-# first line it does not accept, or whose statement would draw a diagnostic,
-# the token parser takes over to the end of the file, so every diagnostic
-# comes from the token parser.
+# The line reader builds the declarations of the lines that each hold one
+# complete, well-formed statement, with one regex match per line.  Each
+# pattern accepts a subset of what the token parser accepts, and each token
+# it matches ends where the lexer ends it: a name or label at a blank or a
+# delimiter, a number at a blank, ';' or '}'.  A statement it accepts cannot
+# continue onto the next line.  A line it does not accept, or whose
+# statement would draw a diagnostic, goes to the token parser, which hands
+# the lines back at the next statement that starts a line.
 
 _B = r"[ \t\r]*"  # optional blanks
 _BB = r"[ \t\r]+"  # required blanks
-_NAME = r"([A-Za-z_][A-Za-z0-9_]*)"
-_INT = r"(-?[0-9]+)"
-_NUMBER = r"(-?[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?|-?[0-9]+[eE][+-]?[0-9]+|-?[0-9]+)"
 _END = _B + r"(?:\#.*)?"  # blanks, then a comment to the end of the line
+_NAME = "[A-Za-z_][A-Za-z0-9_]*"
+_INT = "-?[0-9]+"
+# a blank or comment line, or the keyword that opens a statement
+_HEAD_RE = re.compile(_B + r"(?:(?:\#.*)?\Z|(" + "|".join(_KEYWORDS) + ")" + _BB + ")")
+_CYCLE_RE = re.compile(r"\(([^)]*)\)")
 
 
-def _labels(close: str) -> str:
-    """A run of labels, each ending at a blank or at the `close` after the run.
+def _labels(close: str, stop: str | None) -> str:
+    """A run of labels other than `stop`, each ending at a blank or at the `close` after the run.
 
     Each label takes the blanks after it, so no two blank runs meet and a
     line that fails to match fails in linear time.
     """
-    return r"(?:(?:[A-Za-z_][A-Za-z0-9_]*|-?[0-9]+)(?![^ \t\r" + close + "])" + _B + ")*"
+    skip = "" if stop is None else "(?!" + stop + "(?![A-Za-z0-9_]))"
+    return "(?:" + skip + "(?:" + _NAME + "|" + _INT + r")(?![^ \t\r" + close + "])" + _B + ")*"
 
 
-# a blank or comment line, or the keyword that opens a statement
-_HEAD_RE = re.compile(_B + r"(?:(?:\#.*)?\Z|(" + "|".join(_KEYWORDS) + ")" + _BB + ")")
-# each statement pattern matches the rest of its line after the keyword
-_SUBSTRATE_RE = re.compile(
-    _NAME + _B + r"\{" + _B + "states" + _BB + "(" + _labels(";") + ");" + _B + "step"
-    + "((?:" + _B + r"\(" + _B + _labels(")") + r"\))*)" + _B + r"\}" + _END
-)
-_CYCLE_RE = re.compile(r"\(([^)]*)\)")
-_ATTRIBUTE_RE = re.compile(
-    _NAME + _BB + "on" + _BB + _NAME + _B + r"\{" + _B + "(" + _labels("}") + r")\}" + _END
-)
-_TIMER_RE = re.compile(
-    "(?:counter" + _BB + _NAME + _B + r"\{" + _B + "bits" + _BB + _INT + _B + ";"
-    + _B + "threshold" + _BB + _INT
-    + "|particle" + _BB + _NAME + _B + r"\{" + _B + "cells" + _BB + _INT + _B + ";"
-    + _B + "speed" + _BB + _INT + _B + ";" + _B + "target" + _BB + _INT
-    + ")" + _B + r"\}" + _END
-)
-_TASK_RE = re.compile(
-    _NAME + _BB + "on" + _BB + _NAME + _B + ":" + _B + _NAME + _B + "->" + _B + _NAME + _END
-)
-_LAW_RE = re.compile(
-    "(possible|impossible|✓|✗)" + _BB + _NAME + _B + "->" + _B + _NAME + _BB + "on" + _BB
-    + _NAME + _END
-)
-_VARIABLE_RE = re.compile(_NAME + _BB + "on" + _BB + _NAME + _B + r"\{")
-_ENTRY_RE = re.compile(_B + _INT + _B + ":" + _B + _NAME + _B + "@" + _B + _NUMBER + _B + "(;?)")
-_CLOSE_RE = re.compile(_B + r"\}" + _END)
-_STATUS = {"possible": "possible", "✓": "possible", "impossible": "impossible", "✗": "impossible"}
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
-def _read_substrate(line: str, pos: int, span: Span) -> SubstrateDecl | None:
-    m = _SUBSTRATE_RE.fullmatch(line, pos)
-    if m is None:
-        return None
-    states = m[2].split()
-    if not states or "step" in states:  # the token parser ends the states at 'step'
-        return None
+def _read_cycles(text: str) -> dict:
+    if _CYCLES_RE.fullmatch(text) is None:
+        raise ValueError(text)
     step: dict = {}
-    mentioned = 0
-    for run in _CYCLE_RE.findall(m[3]):
-        cycle = run.split()
-        step.update(zip(cycle, cycle[1:] + cycle[:1]))
-        mentioned += len(cycle)
-    # the step map must mention each state once and nothing else
-    if mentioned != len(step) or step.keys() != set(states):
-        return None
-    return SubstrateDecl(m[1], tuple(states), step, span)
+    for cycle in _CYCLE_RE.findall(text):
+        if _add_cycle(step, cycle.split()) is not None:
+            raise ValueError(cycle)
+    if not step:
+        raise ValueError(text)
+    return step
 
 
-def _read_attribute(line: str, pos: int, span: Span) -> AttributeDecl | None:
-    m = _ATTRIBUTE_RE.fullmatch(line, pos)
-    return None if m is None else AttributeDecl(m[1], m[2], frozenset(m[3].split()), span)
+def _read_entries(text: str) -> dict:
+    """The entries of the text before a variable's '}', each matched on its own.
 
-
-def _read_timer(line: str, pos: int, span: Span) -> TimerDecl | None:
-    m = _TIMER_RE.fullmatch(line, pos)
-    if m is None:
-        return None
-    if m[1] is not None:
-        return CounterTimerDecl(m[1], int(m[2]), int(m[3]), span)
-    return ParticleTimerDecl(m[4], int(m[5]), int(m[6]), int(m[7]), span)
-
-
-def _read_task(line: str, pos: int, span: Span) -> TaskDecl | None:
-    m = _TASK_RE.fullmatch(line, pos)
-    return None if m is None else TaskDecl(m[1], m[2], m[3], m[4], span)
-
-
-def _read_law(line: str, pos: int, span: Span) -> LawDecl | None:
-    m = _LAW_RE.fullmatch(line, pos)
-    if m is None or m[2] == "task":  # the token parser reads 'task' here as the task form
-        return None
-    return LawDecl(_STATUS[m[1]], input=m[2], output=m[3], substrate=m[4], span=span)
-
-
-def _read_variable(line: str, pos: int, span: Span) -> VariableDecl | None:
-    m = _VARIABLE_RE.match(line, pos)
-    if m is None:
-        return None
+    One pattern repeated over all the entries of a long line would grow
+    the regex engine's backtracking stack by a kilobyte or so per entry.
+    """
+    *items, last = text.split(";")
+    if last.strip(" \t\r"):  # no ';' after the last entry
+        items.append(last)
     entries: dict = {}
-    at = m.end()
-    # one match per entry, each from where the last one ended: one pattern
-    # repeating over all the entries would grow the regex engine's stack
-    while (e := _ENTRY_RE.match(line, at)) is not None:
-        lam, attr, number, semi = e.groups()
-        lam = int(lam)
-        reading = float(number)
-        if lam in entries or not math.isfinite(reading):
-            return None
-        entries[lam] = (attr, reading)
-        at = e.end()
-        if not semi:
-            break
-    if _CLOSE_RE.fullmatch(line, at) is None:
-        return None
-    return VariableDecl(m[1], m[2], entries, span)
+    for item in items:
+        m = _ENTRY_RE.fullmatch(item)
+        if m is None:
+            raise ValueError(item)
+        lam, attr, number = m.groups()
+        entries[int(lam)] = (attr, _finite(number))
+    if len(entries) < len(items):
+        raise ValueError(text)  # a parameter value twice
+    return entries
 
 
-_READERS = {
-    "substrate": _read_substrate,
-    "attribute": _read_attribute,
-    "timer": _read_timer,
-    "task": _read_task,
-    "law": _read_law,
-    "variable": _read_variable,
+# the regex of each value part's text, and how to read its value (None: the text
+# itself); a reader raises ValueError to leave the line to the token parser
+_VALUES = {
+    "name": (_NAME, None),
+    "integer": (_INT, int),
+    "number": (r"-?[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?|-?[0-9]+[eE][+-]?[0-9]+|-?[0-9]+", _finite),
+    "status": ("possible|impossible|✓|✗", None),
+    "labels": (None, str.split),
+    "cycles": (None, _read_cycles),
+    "entries": (None, _read_entries),
 }
 
 
-def _read_lines(text: str, tables: _Tables) -> tuple[int, int] | None:
-    """Add to `tables` the declarations of the leading lines that the line reader accepts.
+def _kind(part) -> str:
+    return "word" if part.__class__ is str else part[0]
 
-    Returns the offset and the number of the first line it does not
-    accept, or None when it accepts them all.
+
+def _wordlike(part) -> bool:
+    if part.__class__ is str:
+        return part[0].isalpha()
+    return part[0] in ("name", "integer", "number", "status", "labels")
+
+
+def _pattern(parts: tuple, prev=None, lead=(None, "")) -> tuple[str, list]:
+    """The regex of `parts` after the part `prev`, and how to read each group's value.
+
+    Each value part's text is one group.  Two word-like parts have blanks
+    between them and other parts may, but a run takes the blanks after
+    each of its items itself.  The regex `lead[1]` goes before the part at
+    index `lead[0]`.
     """
-    offset = 0
-    for number, line in enumerate(text.split("\n"), 1):
+    out, reads = [], []
+    for i, part in enumerate(parts):
+        kind = _kind(part)
+        if kind == "check":
+            continue
+        if kind == "optional":
+            inner, inner_reads = _pattern(part[1], prev)
+            out.append("(?:" + inner + ")?")
+            reads += inner_reads
+            prev = part[1][-1]
+            continue
+        if prev is not None and _kind(prev) not in ("labels", "cycles", "entries"):
+            out.append(_BB if _wordlike(prev) and _wordlike(part) else _B)
+        if i == lead[0]:
+            out.append(lead[1])
+        close = next((p for p in parts[i + 1 :] if _kind(p) != "check"), None)
+        if kind == "word":
+            out.append(re.escape(part))
+            prev = part
+            continue
+        regex, read = _VALUES[kind]
+        if kind == "labels":
+            regex = _labels(close, part[1])
+        elif kind in ("cycles", "entries"):  # the text up to the `close`, which the reader checks
+            regex = "[^" + re.escape(close) + "]*"
+        out.append("(" + regex + ")")
+        reads.append(read)
+        prev = part
+    return "".join(out), reads
+
+
+_CYCLES_RE = re.compile(_B + "(?:" + _pattern(_CYCLE)[0] + _B + ")*")
+_ENTRY_RE = re.compile(_B + _pattern(_ENTRY)[0] + _B)
+
+
+@cache
+def _line_forms(keyword: str) -> list:
+    """Each form of `keyword`, compiled on first use.
+
+    A form is its make, its regex, a (group, reader) pair for each group
+    with a reader, its checks, and whether it ends in an optional part.
+    """
+    forms = _FORMS[keyword]
+    at = _BRANCH[keyword]
+    words = "|".join(parts[at] for _, parts in forms if parts[at].__class__ is str)
+    compiled = []
+    for make, parts in forms:
+        lead = (None, "")
+        if len(forms) > 1 and parts[at].__class__ is not str:
+            lead = (at, "(?!(?:" + words + ")(?![A-Za-z0-9_]))")  # no word that picks another form
+        regex, reads = _pattern(parts, lead=lead)
+        reads = [(i, read) for i, read in enumerate(reads) if read is not None]
+        checks = [part[1] for part in parts if _kind(part) == "check"]
+        open_end = _kind(parts[-1]) == "optional"
+        compiled.append((make, re.compile(regex + _END), reads, checks, open_end))
+    return compiled
+
+
+def _ends_before(lines: list[str], index: int) -> bool:
+    """Whether the first line from `index` that is not blank or a comment opens a statement.
+
+    True, too, when there is no such line: a statement that may go on past
+    its line ends before it.
+    """
+    for i in range(index, len(lines)):
+        head = _HEAD_RE.match(lines[i])
+        if head is None or head[1] is not None:
+            return head is not None
+    return True
+
+
+def _read_lines(lines: list[str], offset: int, number: int, tables: _Tables) -> tuple | None:
+    """Add to `tables` the declarations of `lines` from line `number`, which starts at `offset`.
+
+    Returns the offset and the number of the first line the line reader
+    does not accept, or None when it accepts every line to the end.
+    """
+    first = number
+    for number in range(number, len(lines) + 1):
+        line = lines[number - 1]
         head = _HEAD_RE.match(line)
         if head is None:
-            return offset, number
+            break
         keyword = head[1]
-        if keyword is not None:
-            decl = _READERS[keyword](line, head.end(), (number, head.start(1) + 1))
-            if decl is None or not tables.add(keyword, decl):
-                return offset, number
-        offset += len(line) + 1
-    return None
+        if keyword is None:
+            continue
+        for make, pattern, reads, checks, open_end in _line_forms(keyword):
+            m = pattern.fullmatch(line, head.end())
+            if m is not None:
+                break
+        else:  # no form matches the line
+            break
+        values = m.groups()
+        if reads:
+            values = list(values)
+            try:
+                for i, read in reads:
+                    values[i] = read(values[i])
+            except ValueError:
+                break
+        if checks and any(check(*values) for check in checks):
+            break
+        if open_end and values[-1] is None and not _ends_before(lines, number):
+            break
+        if not tables.add(keyword, make(*values, (number, head.start(1) + 1))):
+            break
+    else:
+        return None
+    return offset + sum(map(len, lines[first - 1 : number - 1])) + number - first, number
 
 
 def parse_model(text: str) -> tuple[ModelDecl | None, list[Diagnostic]]:
     """Parse `.ctm` text: the declaration (None on any error) and every diagnostic."""
     tables = _Tables()
-    resume = _read_lines(text, tables)
-    if resume is None:
+    lines = text.split("\n")
+    at = _read_lines(lines, 0, 1, tables)
+    if at is None:
         return tables.model(), []
-    from ._tokens import _parse_tokens
+    from ._tokens import _Parser
 
-    return _parse_tokens(text, *resume, tables)
+    return _Parser(text, lines, *at).parse(tables)
 
 
 # ------------------------------------------------------------------- analysis

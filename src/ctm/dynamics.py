@@ -135,7 +135,8 @@ def estimate_derivative(
     """Ratios over a shrinking-step schedule, extrapolated to step zero.
 
     Each schedule entry is checked against `timers[Δλ]`, or without `timers`
-    against an ideal timer of duration Δλ (see incremental_ratio).  The
+    against an ideal timer of duration Δλ (see incremental_ratio); a
+    schedule entry that `timers` lacks raises ModelError.  The
     extrapolated value is the intercept of the least-squares line
     ratio = L + c * Δλ; the convergence order is the log-log slope of the
     residuals against the step sizes (None when the fit is exact, as for
@@ -150,7 +151,11 @@ def estimate_derivative(
     lam = Fraction(lam)
     ratios = []
     for d in steps:
-        timer = timers[d] if timers is not None else None
+        timer = None
+        if timers is not None:
+            timer = timers.get(d)
+            if timer is None:
+                raise ModelError(f"no timer for Δλ = {d}")
         ratios.append(incremental_ratio(m, lam, d, timer))
     extrapolated, _ = _ols([float(d) for d in steps], ratios)
     residuals = tuple(r - extrapolated for r in ratios)

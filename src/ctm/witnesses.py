@@ -31,8 +31,6 @@ from .tasks import Task, permutation_possible  # the single-pair decision, also 
 if TYPE_CHECKING:
     from .timers import TimerSpec
 
-MAX_SEARCH_STATES = 6
-
 
 class ConstructorWitness:
     """A device, its ready and halt attributes, and the joint step it drives.
@@ -345,14 +343,6 @@ class SearchResult(NamedTuple):
     action: Mapping | None
 
 
-def _check_size(substrate: Substrate) -> None:
-    if len(substrate.states) > MAX_SEARCH_STATES:
-        raise ModelError(
-            f"substrate has {len(substrate.states)} states; the witness search is capped at "
-            f"{MAX_SEARCH_STATES}"
-        )
-
-
 def _allowed_images(states: Sequence, pairs: Sequence[Task]) -> dict:
     """Each state's admissible images: the outputs of every pair whose input holds it."""
     allowed = {s: frozenset(states) for s in states}
@@ -414,7 +404,6 @@ def search_impossibility(tasks: Union[Task, Sequence[Task]]) -> SearchResult:
     """
     pairs = _as_pairs(tasks)
     substrate = pairs[0].substrate
-    _check_size(substrate)
     states = substrate.states
     action = _first_permutation(states, _allowed_images(states, pairs))
     if action is None:
@@ -457,7 +446,6 @@ def uniform_possibility(
     labels = set(members[0].states)
     if any(set(m.states) != labels for m in members):
         raise ModelError("family members must share one state-label set")
-    _check_size(members[0])
     tasks = [_member_pairs(m, i, o) for m, i, o in zip(members, in_attrs, out_attrs)]
     for m, pairs in zip(members, tasks):
         if any(t.substrate is not m for t in pairs):

@@ -26,8 +26,10 @@ from ctm.dsl import (
     parse_model,
     pretty_print,
 )
-from ctm._tokens import _lex, _parse_tokens
+import ctm._tokens
+from ctm._tokens import _lex
 from conftest import MODELS_DIR, assert_distinct, assert_same_value, assert_slotted
+from reference_parser import _parse_tokens, seed_lex
 
 
 def parse_ok(text):
@@ -309,6 +311,7 @@ def test_fuzz_parser_never_raises():
         model, diags = parse_model(text)
         if model is None:
             assert diags
+        assert_reads_as_tokens(text)
 
 
 @settings(max_examples=200, deadline=None)
@@ -316,73 +319,30 @@ def test_fuzz_parser_never_raises():
 def test_fuzz_parser_total_on_arbitrary_text(text):
     model, diags = parse_model(text)
     assert model is not None or diags
+    assert_reads_as_tokens(text)
 
 
 # lexer oracle ------------------------------------------------------------------
 
 
-SEED_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
-  | (?P<arrow>->)
-  | (?P<float>-?\d+\.\d+(?:[eE][+-]?\d+)?|-?\d+[eE][+-]?\d+)
-  | (?P<int>-?\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<lbrace>\{)
-  | (?P<rbrace>\})
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<semi>;)
-  | (?P<colon>:)
-  | (?P<at>@)
-  | (?P<check>✓)
-  | (?P<cross>✗)
-    """,
-    re.VERBOSE,
-)
-
-
-def seed_lex(text):
-    """Oracle: the original match-at-position lexer, one step per token, blank or comment."""
-    tokens = []
+def lex_all(text, start=0, line=1):
     diags = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = SEED_TOKEN_RE.match(text, pos)
-        if m is None:
-            diags.append(
-                Diagnostic("error", line, col, f"unexpected character {text[pos]!r}")
-            )
-            pos += 1
-            col += 1
-            continue
-        kind = m.lastgroup or ""
-        tok = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(tok)
-        else:
-            tokens.append((kind, tok, line, col))
-            col += len(tok)
-        pos = m.end()
-    tokens.append(("eof", "", line, col))
-    return tokens, diags
+    return list(_lex(text, start, line, diags)), diags
 
 
 def assert_lex_matches_seed(text):
-    tokens, diags = _lex(text)
+    tokens, diags = lex_all(text)
     want_tokens, want_diags = seed_lex(text)
-    assert tokens == want_tokens, text
+    assert [tok[:4] for tok in tokens] == want_tokens, text
     assert diags == want_diags, text
+    # a token's offset is where its text starts, column - 1 past its line's start
+    for _, word, _, column, offset in tokens:
+        assert text.startswith(word, offset), (text, offset)
+        assert offset == column - 1 or text[offset - column] == "\n", (text, offset)
     # lexing from a line's first character gives the tail of the whole lex
     start = 0
     for line, row in enumerate(text.split("\n"), 1):
-        tail = _lex(text, start, line)
+        tail = lex_all(text, start, line)
         assert tail[0] == [tok for tok in tokens if tok[2] >= line], (text, line)
         assert tail[1] == [d for d in diags if d.line >= line], (text, line)
         start += len(row) + 1
@@ -429,7 +389,7 @@ def test_lex_tokens_are_plain_tuples_the_collector_untracks(models_dir):
     texts.append(ring_pointer_text(2048))
     assert parse_model(texts[-1])[0] is not None
     for text in texts:
-        tokens, _ = _lex(text)
+        tokens, _ = lex_all(text)
         assert all(type(tok) is tuple for tok in tokens)
         gc.collect()
         assert not any(gc.is_tracked(tok) for tok in tokens)
@@ -499,6 +459,26 @@ READER_CASES = (
     "substrate P { states a b ; step (a) }\n",
     "substrate P { states a ; step (a b) }\n",
     "substrate P { states a a ; step (a)() }\n",
+    # the token parser hands the lines back at the next statement that starts a line:
+    # a typo followed by two statements on its line
+    "attribute a on P { c0 }\natribute b on P { c1 } attribute c on P { c2 } law ✓ a -> c on P\n"
+    "attribute d on P { c3 }\n",
+    # a typo inside a statement over several lines
+    "variable v on P {\n 0 : a @ 1.0 ;\n 1 : b 2.0 ;\n 2 : c @ 3.0\n}\nattribute a on P { c0 }\n",
+    "attribute a on P {\n c0\n c1 ;\n}\nattribute b on P { c1 }\nlaw possible a -> b on P\n",
+    # a typo, and a bad character 50 lines later: the lexer's diagnostic comes first
+    "atribute a on P { c0 }\n"
+    + "".join(f"attribute a{i} on P {{ c{i} }}\n" for i in range(49))
+    + "attribute z on P { c0 }€\nlaw possible a -> z on P\n",
+    # a duplicate name after the line reader takes the lines back
+    "atribute a on P { c0 }\nattribute b on P { c1 }\nattribute b on P { c2 }\n",
+    # a keyword inside a line the line reader would accept, reached by resynchronizing
+    "attribute y on P {\nlaw ✓ task T on P\n",
+    # a bad character before a keyword that starts a line
+    "atribute a on P { c0 }\n€ attribute b on P { c1 }\n\fattribute c on P { c2 }\n",
+    "law possible task T\n\n# comment\n  on P\nlaw possible task T on P\nlaw ✗ task T\n",
+    "law possible task T\n\n\nlaw ✗ task T # c\n law possible task U\nlaw ✓ task V\n€\n",
+    "law ✓ task T\n law ✓ task U\non P\nlaw ✓ task V\n# on P",
 )
 
 
@@ -579,10 +559,37 @@ def test_line_reader_rejects_a_long_line_in_linear_time():
     labels = " ".join(f"c{i}" for i in range(3000))
     gap = " " * 3000
     text = f"substrate P {{ states{gap}{labels}{gap};{gap}step{gap}({gap}{labels}{gap}){gap}€ }}"
-    start = time.perf_counter()
-    _, diags = parse_model(text)
-    assert time.perf_counter() - start < 2.0
-    assert [d.message for d in diags] == ["unexpected character '€'"]
+    blanks = " " * 30
+    entries = f"{blanks};{blanks}".join(f"{i}{blanks}:{blanks}a{i}{blanks}@{blanks}{i}.5" for i in range(3000))
+    variable = f"variable v on P {{{gap}{entries}{gap};{gap}€ }}"
+    for line in (text, variable):
+        start = time.perf_counter()
+        _, diags = parse_model(line)
+        assert time.perf_counter() - start < 2.0
+        assert [d.message for d in diags] == ["unexpected character '€'"]
+
+
+def test_a_typo_costs_only_its_own_statement(monkeypatch):
+    lines = ring_pointer_text(2048).split("\n")
+    lines[2] = lines[2].replace("attribute", "atribute", 1)
+    text = "\n".join(lines)
+    lexed = []
+
+    def recording_lex(*args):
+        for tok in real_lex(*args):
+            lexed.append(tok)
+            yield tok
+
+    real_lex = ctm._tokens._lex
+    monkeypatch.setattr(ctm._tokens, "_lex", recording_lex)
+    model, diags = parse_model(text)
+    assert model is None
+    assert [(d.line, d.column, d.message) for d in diags] == [
+        (3, 1, "expected a declaration keyword, found 'atribute'")
+    ]
+    # the token parser read line 3 and the keyword that starts line 4, no further
+    assert [tok[2] for tok in lexed] == [3] * 7 + [4]
+    assert lexed[-1][:2] == ("ident", "attribute")
 
 
 def test_line_reader_reads_whole_files_without_the_lexer(monkeypatch):
@@ -594,6 +601,11 @@ def test_line_reader_reads_whole_files_without_the_lexer(monkeypatch):
         assert model is not None
         assert model != ModelDecl()
     assert len(model.laws) == 16 and set(model.timers) == {"C", "P"}
+    # a task law without its substrate, when no line after it can continue it
+    tail = "law possible task T0\n\n# c\nlaw ✗ task T1 on R1\ntimer custom K on R0 { start A0_0 ; "
+    tail += "running A0_1 ; done A0_2 }\nlaw ✓ task T2"
+    model, _ = parse_model(texts[1] + tail)
+    assert len(model.laws) == 19 and set(model.timers) == {"C", "P", "K"}
     with pytest.raises(ImportError, match="ctm._tokens"):
         parse_model(texts[1] + "law possible task T0\non R0\n")
 

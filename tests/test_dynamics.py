@@ -203,6 +203,12 @@ def test_estimate_accepts_model_timers(sine_model):
     assert abs(est.extrapolated - OMEGA) / OMEGA < 0.05
 
 
+def test_estimate_names_a_schedule_step_without_a_timer(linear_model):
+    timers = {4: make_counter_timer(4, 4)}
+    with pytest.raises(ModelError, match="no timer for Δλ = 2"):
+        estimate_derivative(linear_model, 0, [4, 2, 1], timers=timers)
+
+
 # pointer recovery -------------------------------------------------------------------
 
 

@@ -1,10 +1,11 @@
 """What a fresh `ctm` process imports.
 
-No command runs the witness layer (`ctm.witnesses`), and a file the line
-reader reads whole never reaches the token parser (`ctm._tokens`), so a
-`ctm` process on such files loads neither.  No module of the package
-loads `dataclasses` or, through it, `inspect`.  Each test runs in a fresh
-interpreter, since this one has imported every module already.
+No command runs the witness layer (`ctm.witnesses`), and the token parser
+(`ctm._tokens`) reads only the statements the line reader does not
+accept, so a `ctm` process on well-formed files loads neither.  No module
+of the package loads `dataclasses` or, through it, `inspect`.  Each test
+runs in a fresh interpreter, since this one has imported every module
+already.
 """
 
 import json

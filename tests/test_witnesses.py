@@ -460,10 +460,40 @@ def test_search_certificate_counts_whole_space(abc):
     assert merged.witness is None
 
 
-def test_search_budget_limits():
-    big = identity_substrate("BIG", tuple(range(7)))
-    with pytest.raises(ModelError, match="capped"):
-        search_impossibility(Task(singleton(big, 0), singleton(big, 1)))
+def random_pairs(rng, substrate, count):
+    states = substrate.states
+    return [
+        Task(
+            Attribute(substrate, frozenset(rng.sample(states, rng.randint(0, len(states))))),
+            Attribute(substrate, frozenset(rng.sample(states, rng.randint(1, len(states))))),
+        )
+        for _ in range(count)
+    ]
+
+
+def test_search_serves_substrates_past_six_states():
+    rng = random.Random(20261019)
+    outcomes = set()
+    for _ in range(30):
+        n = rng.randint(7, 64)
+        sub = identity_substrate(f"S{n}", tuple(f"q{i}" for i in range(n)))
+        (single,) = random_pairs(rng, sub, 1)
+        assert search_impossibility(single).found == permutation_possible(single)
+        pairs = random_pairs(rng, sub, rng.randint(1, 3))
+        res = search_impossibility(pairs)
+        outcomes.add(res.found)
+        if res.found:
+            assert sorted(res.action) == sorted(res.action.values()) == sorted(sub.states)
+            for t in pairs:
+                assert all(res.action[s] in t.output.members for s in t.input.members)
+    assert outcomes == {True, False}
+    labels = tuple(f"q{i}" for i in range(7))
+    members = [identity_substrate(f"M{m}", labels) for m in range(2)]
+    ins = [singleton(members[0], "q0"), singleton(members[1], "q1")]
+    outs = [singleton(members[0], "q1"), singleton(members[1], "q2")]
+    res = uniform_possibility(members, ins, outs)
+    assert res.kind == "uniformly-possible"
+    assert res.action["q0"] == "q1" and res.action["q1"] == "q2"
 
 
 def test_search_soundness_random_sampling(abc):
