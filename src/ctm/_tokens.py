@@ -150,7 +150,11 @@ class _Parser:
         return self.expect("ident", what)[1]
 
     def integer(self, what: str) -> int:
-        return int(self.expect("int", what)[1])
+        tok = self.expect("int", what)
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than the interpreter converts to an int
+            self.fail(f"{what} has too many digits", tok)
 
     def number(self, what: str) -> float:
         tok = self.tok

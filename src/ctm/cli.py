@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -43,6 +44,12 @@ ENV_MODEL_ROOT = "CTM_MODEL_ROOT"
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INPUT = 2
+
+# `dynamics` reads --at and each --schedule step only up to this length and with
+# an exponent within ±999: every number it forms or prints then has at most about
+# 2,000 digits, inside the interpreter's 4,300-digit limit on printing an int
+MAX_ARGUMENT_CHARS = 1000
+_EXPONENT_RE = re.compile(r"[eE][-+]?(\d+)")
 
 
 def _resolve(path: str) -> str:
@@ -76,6 +83,8 @@ def _stmt_dict(st: LawStatement) -> dict:
 
 
 def _load_file(path: str) -> tuple[BuiltModel | None, list[Diagnostic]]:
+    """The model at `path`, looked up under CTM_MODEL_ROOT too, and every diagnostic of its load."""
+    path = _resolve(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -167,8 +176,7 @@ def cmd_check(args) -> tuple[dict, int]:
     status = EXIT_OK
     checks_run = 0
     for path in args.models:
-        resolved = _resolve(path)
-        model, diags = _load_file(resolved)
+        model, diags = _load_file(path)
         entry: dict = {"path": path, "diagnostics": [d._asdict() for d in diags]}
         if model is None:
             entry["status"] = "input-error"
@@ -205,7 +213,7 @@ def cmd_classify(args) -> tuple[dict, int]:
     diagnostics = []
     status = EXIT_OK
     for path in args.models:
-        model, diags = _load_file(_resolve(path))
+        model, diags = _load_file(path)
         diagnostics += [d._asdict() | {"path": path} for d in diags]
         if model is None:
             status = EXIT_INPUT
@@ -237,80 +245,82 @@ def cmd_classify(args) -> tuple[dict, int]:
     return report, status
 
 
+def _bounded(text: str, read):
+    """`read(text)`; ValueError, before any arithmetic, for a text that could name a huge number.
+
+    A text of at most MAX_ARGUMENT_CHARS characters whose exponent, if any,
+    lies within ±999 names a number of at most about 2,000 digits.  The
+    exponent is read as `Fraction` reads it: without underscores, and in
+    any script's decimal digits.
+    """
+    too_long = len(text) > MAX_ARGUMENT_CHARS
+    if too_long or any(int(e) > 999 for e in _EXPONENT_RE.findall(text.replace("_", ""))):
+        limits = f"at most {MAX_ARGUMENT_CHARS} characters and an exponent within ±999"
+        raise ValueError(f"a number may have {limits}")
+    return read(text)
+
+
 def cmd_dynamics(args) -> tuple[dict, int]:
     path = args.models[0]
-    model, diags = _load_file(_resolve(path))
+    model, diags = _load_file(path)
     report: dict = {"diagnostics": [d._asdict() for d in diags]}
     if model is None:
         return report, EXIT_INPUT
-    if args.variable not in model.trajectories:
-        report["diagnostics"].append(
-            _error(
+    try:
+        if args.variable not in model.trajectories:
+            raise ModelError(
                 f"no variable named {args.variable!r} in {path!r}",
                 f"declared variables: {sorted(model.trajectories) or 'none'}",
             )
-        )
-        return report, EXIT_INPUT
-    try:
-        schedule = [int(s) for s in args.schedule.split(",") if s.strip()]
-        at = Fraction(args.at)
-    except (ValueError, ZeroDivisionError) as e:
-        report["diagnostics"].append(
-            _error(
+        try:
+            schedule = [_bounded(s, int) for s in args.schedule.split(",") if s.strip()]
+            at = _bounded(args.at, Fraction)
+        except (ValueError, ZeroDivisionError) as e:
+            raise ModelError(
                 f"bad argument: {e}",
                 "schedule is a comma-separated decreasing list, e.g. 8,4,2,1; "
                 "--at is a rational like 0 or 3/2",
-            )
-        )
-        return report, EXIT_INPUT
-    trajectory = model.trajectories[args.variable]
-    by_duration = {}
-    for name in sorted(model.timers):
-        spec = model.timers[name]
-        by_duration.setdefault(spec.duration, spec)
-    timers = {d: by_duration[d] for d in schedule if d in by_duration}
-    try:
+            ) from None
+        # of the model's timers of one duration, the first by name
+        by_duration = {s.duration: s for _, s in sorted(model.timers.items(), reverse=True)}
+        timers = {d: by_duration[d] for d in schedule if d in by_duration}
         est = estimate_derivative(
-            trajectory,
+            model.trajectories[args.variable],
             at,
             schedule,
             timers=timers if len(timers) == len(schedule) else None,
         )
+        residual_max = max(abs(r) for r in est.residuals)
+        report.update(
+            {
+                "variable": args.variable,
+                "at": str(est.lam),
+                "schedule": list(est.schedule),
+                "ratios": list(est.ratios),
+                "extrapolated": est.extrapolated,
+                "order": est.order,
+                "residual_max": residual_max,
+                "fit_ok": residual_max <= args.tol,
+                "timers_from_model": len(timers) == len(schedule),
+                "timing": {"checks_run": len(est.schedule)},
+            }
+        )
+        if args.csv:
+            import csv
+
+            rows = [("dlam", "ratio"), *zip(est.schedule, map(repr, est.ratios))]
+            try:
+                with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+                    csv.writer(fh).writerows(rows)
+            except OSError as e:
+                raise ModelError(f"cannot write {args.csv!r}: {e.strerror}") from None
+            report["csv"] = args.csv
     except AdvanceCheckFailed as e:
         report["advance_failure"] = {"lam": str(e.lam), "dlam": str(e.dlam)}
         return report, EXIT_REFUTED
     except ModelError as e:
-        report["diagnostics"].append(_error(str(e)))
+        report["diagnostics"].append(_error(*e.args))
         return report, EXIT_INPUT
-    residual_max = max(abs(r) for r in est.residuals)
-    report.update(
-        {
-            "variable": args.variable,
-            "at": str(est.lam),
-            "schedule": list(est.schedule),
-            "ratios": list(est.ratios),
-            "extrapolated": est.extrapolated,
-            "order": est.order,
-            "residual_max": residual_max,
-            "fit_ok": residual_max <= args.tol,
-            "timers_from_model": len(timers) == len(schedule),
-            "timing": {"checks_run": len(est.schedule)},
-        }
-    )
-    if args.csv:
-        import csv
-
-        try:
-            with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["dlam", "ratio"])
-                for d, r in zip(est.schedule, est.ratios):
-                    writer.writerow([d, repr(r)])
-        except OSError as e:
-            message = f"cannot write {args.csv!r}: {e.strerror}"
-            report["diagnostics"].append(_error(message))
-            return report, EXIT_INPUT
-        report["csv"] = args.csv
     return report, EXIT_OK
 
 

@@ -45,7 +45,7 @@ from .core import (
     is_static,
 )
 from .dynamics import TrajectoryModel
-from .tasks import LawSet, Task, impossible, possible
+from .tasks import LawSet, LawStatement, Task, impossible, possible
 from .timers import (
     TimerSpec,
     make_counter_timer,
@@ -592,148 +592,127 @@ class BuiltModel:
         self.trajectories = trajectories
 
 
+# the message of an attribute that is not on the substrate a task or timer names
+_NOT_ON = "attribute {0!r} is not on substrate {1!r}"
+
+
+def _find(table: Mapping, name: str, unknown: str, context: str | None = None):
+    """`table[name]`, or ModelError(unknown.format(name, context)) when the table lacks it."""
+    found = table.get(name)
+    if found is None:
+        raise ModelError(unknown.format(name, context))
+    return found
+
+
 def analyze_model(decl: ModelDecl) -> tuple[BuiltModel | None, list[Diagnostic]]:
-    """Resolve a declaration once: the built model (None on any error) and every diagnostic."""
+    """Resolve a declaration once: the built model (None on any error) and every diagnostic.
+
+    Each declaration kind has one builder, which returns the engine object
+    or raises ModelError at the first fault it finds.  One loop calls the
+    builders, kind by kind in the order of the tables, and turns each
+    ModelError into an error at the declaration's span.  A builder adds its
+    declaration's warnings (a timer's, or a variable's static entries) as
+    it runs, so they follow the diagnostics of the declarations before it.
+    The two lookups, a substrate by name (`_find`) and an attribute by
+    name on a given substrate (`attribute_on`), each take their caller's
+    messages.  The laws are held by position, not by declaration: two
+    equal laws on different lines are two statements.
+    """
     diags: list[Diagnostic] = []
+    # the engine objects of each kind by name, the law statements by position
+    substrates, attributes, timers, tasks, statements, trajectories = {}, {}, {}, {}, {}, {}
 
-    def err(span: Span, message: str, suggestion: str | None = None) -> None:
-        diags.append(Diagnostic("error", span[0], span[1], message, suggestion))
+    def warn(d, message: str) -> None:
+        diags.append(Diagnostic("warning", *d.span, message))
 
-    def warn(span: Span, message: str) -> None:
-        diags.append(Diagnostic("warning", span[0], span[1], message))
+    def attribute_on(sub: Substrate, name: str, unknown: str, elsewhere: str, context: str):
+        """The attribute `name`, checked to be on `sub`; messages are formatted as in `_find`."""
+        attr = attributes.get(name)
+        if attr is None:
+            raise ModelError(unknown.format(name, context))
+        if attr.substrate is not sub:
+            raise ModelError(elsewhere.format(name, context))
+        return attr
 
-    substrates: dict[str, Substrate] = {}
-    for d in decl.substrates.values():
-        try:
-            substrates[d.name] = Substrate(d.name, d.states, d.step)
-        except ModelError as e:
-            err(d.span, str(e))
+    def task(d: TaskDecl | LawDecl) -> Task:
+        """The task of a task declaration, or of a law that names its attributes."""
+        sub = _find(substrates, d.substrate, "unknown substrate {0!r}")
+        return Task(
+            attribute_on(sub, d.input, "unknown attribute {0!r}", _NOT_ON, d.substrate),
+            attribute_on(sub, d.output, "unknown attribute {0!r}", _NOT_ON, d.substrate),
+        )
 
-    attributes: dict[str, Attribute] = {}
-    for d in decl.attributes.values():
-        sub = substrates.get(d.substrate)
-        if sub is None:
-            err(d.span, f"attribute {d.name!r}: unknown substrate {d.substrate!r}")
-            continue
-        try:
-            attributes[d.name] = Attribute(sub, d.members, name=d.name)
-        except ModelError as e:
-            err(d.span, str(e))
+    def substrate(d: SubstrateDecl) -> Substrate:
+        return Substrate(d.name, d.states, d.step)
 
-    timers: dict[str, TimerSpec] = {}
-    for d in decl.timers.values():
-        try:
-            if isinstance(d, CounterTimerDecl):
-                if not 1 <= d.bits <= MAX_COUNTER_BITS:
-                    raise ModelError(f"bits must be in 1..{MAX_COUNTER_BITS}")
-                spec = make_counter_timer(d.bits, d.threshold, name=d.name)
-            elif isinstance(d, ParticleTimerDecl):
-                if not 2 <= d.cells <= MAX_PARTICLE_CELLS:
-                    raise ModelError(f"cells must be in 2..{MAX_PARTICLE_CELLS}")
-                spec = make_particle_timer(d.cells, d.speed, d.target, name=d.name)
-            else:
-                sub = substrates.get(d.substrate)
-                if sub is None:
-                    raise ModelError(f"unknown substrate {d.substrate!r}")
-                parts = {}
-                for role, attr_name in (
-                    ("start", d.start),
-                    ("running", d.running),
-                    ("done", d.done),
-                    ("halt", d.halt or d.done),
-                ):
-                    attr = attributes.get(attr_name)
-                    if attr is None:
-                        raise ModelError(f"unknown attribute {attr_name!r} for {role!r}")
-                    if attr.substrate is not sub:
-                        raise ModelError(
-                            f"attribute {attr_name!r} is not on substrate {d.substrate!r}"
-                        )
-                    parts[role] = attr
-                spec = make_timer(
-                    d.name, sub, parts["start"], parts["running"], parts["done"], parts["halt"]
-                )
-            for w in spec.warnings:
-                warn(d.span, f"timer {d.name!r}: {w}")
-            timers[d.name] = spec
-        except ModelError as e:
-            err(d.span, str(e))
+    def attribute(d: AttributeDecl) -> Attribute:
+        unknown = "attribute {1!r}: unknown substrate {0!r}"
+        return Attribute(_find(substrates, d.substrate, unknown, d.name), d.members, d.name)
 
-    def resolve_pair(span: Span, in_name: str, out_name: str, sub_name: str) -> Task | None:
-        sub = substrates.get(sub_name)
-        if sub is None:
-            err(span, f"unknown substrate {sub_name!r}")
-            return None
-        pair = []
-        for attr_name in (in_name, out_name):
-            attr = attributes.get(attr_name)
-            if attr is None:
-                err(span, f"unknown attribute {attr_name!r}")
-                return None
-            if attr.substrate is not sub:
-                err(span, f"attribute {attr_name!r} is not on substrate {sub_name!r}")
-                return None
-            pair.append(attr)
-        return Task(pair[0], pair[1])
-
-    tasks: dict[str, Task] = {}
-    for d in decl.tasks.values():
-        t = resolve_pair(d.span, d.input, d.output, d.substrate)
-        if t is not None:
-            tasks[d.name] = t
-
-    statements = []
-    for d in decl.laws:
-        if d.task is not None:
-            t = tasks.get(d.task)
-            if t is None:
-                err(d.span, f"unknown task {d.task!r}")
-                continue
-            if d.substrate is not None and t.substrate.id != d.substrate:
-                err(d.span, f"task {d.task!r} is not on substrate {d.substrate!r}")
-                continue
+    def timer(d: TimerDecl) -> TimerSpec:
+        if isinstance(d, CounterTimerDecl):
+            if not 1 <= d.bits <= MAX_COUNTER_BITS:
+                raise ModelError(f"bits must be in 1..{MAX_COUNTER_BITS}")
+            spec = make_counter_timer(d.bits, d.threshold, name=d.name)
+        elif isinstance(d, ParticleTimerDecl):
+            if not 2 <= d.cells <= MAX_PARTICLE_CELLS:
+                raise ModelError(f"cells must be in 2..{MAX_PARTICLE_CELLS}")
+            spec = make_particle_timer(d.cells, d.speed, d.target, name=d.name)
         else:
-            t = resolve_pair(d.span, d.input, d.output, d.substrate)
-            if t is None:
-                continue
-        statements.append(possible(t) if d.status == "possible" else impossible(t))
-    laws = LawSet.of(*statements)
+            sub = _find(substrates, d.substrate, "unknown substrate {0!r}")
+            roles = dict(start=d.start, running=d.running, done=d.done, halt=d.halt or d.done)
+            parts = [
+                attribute_on(sub, a, f"unknown attribute {{0!r}} for {r!r}", _NOT_ON, d.substrate)
+                for r, a in roles.items()
+            ]
+            spec = make_timer(d.name, sub, *parts)
+        for w in spec.warnings:
+            warn(d, f"timer {d.name!r}: {w}")
+        return spec
 
-    trajectories: dict[str, TrajectoryModel] = {}
-    for d in decl.variables.values():
-        sub = substrates.get(d.substrate)
-        if sub is None:
-            err(d.span, f"variable {d.name!r}: unknown substrate {d.substrate!r}")
-            continue
-        entries = {}
-        readings = {}
-        bad = False
-        for lam, (attr_name, reading) in d.entries.items():
-            attr = attributes.get(attr_name)
-            if attr is None:
-                err(d.span, f"variable {d.name!r}: unknown attribute {attr_name!r}")
-                bad = True
-                break
-            if attr.substrate is not sub:
-                err(d.span, f"variable {d.name!r}: attribute {attr_name!r} is on another substrate")
-                bad = True
-                break
-            entries[lam] = attr
-            readings[lam] = reading
-        if bad:
-            continue
+    def law(d: LawDecl) -> LawStatement:
+        if d.task is None:
+            t = task(d)
+        else:
+            t = _find(tasks, d.task, "unknown task {0!r}")
+            if d.substrate is not None and t.substrate.id != d.substrate:
+                raise ModelError(f"task {d.task!r} is not on substrate {d.substrate!r}")
+        return possible(t) if d.status == "possible" else impossible(t)
+
+    def variable(d: VariableDecl) -> TrajectoryModel:
+        sub = _find(substrates, d.substrate, "variable {1!r}: unknown substrate {0!r}", d.name)
+        unknown = "variable {1!r}: unknown attribute {0!r}"
+        elsewhere = "variable {1!r}: attribute {0!r} is on another substrate"
+        entries = {
+            lam: attribute_on(sub, a, unknown, elsewhere, d.name)
+            for lam, (a, _) in d.entries.items()
+        }
         try:
-            variable = Variable(sub, entries)
+            v = Variable(sub, entries)
         except ModelError as e:
-            err(d.span, f"variable {d.name!r}: {e}")
-            continue
-        for lam in variable.domain:
-            if is_static(variable.entries[lam]):
-                warn(d.span, f"variable {d.name!r}: attribute at λ={lam} is static")
-        trajectories[d.name] = TrajectoryModel(variable, readings)
+            raise ModelError(f"variable {d.name!r}: {e}") from None
+        for lam in v.domain:
+            if is_static(v.entries[lam]):
+                warn(d, f"variable {d.name!r}: attribute at λ={lam} is static")
+        return TrajectoryModel(v, {lam: reading for lam, (_, reading) in d.entries.items()})
+
+    for built, build, items in (
+        (substrates, substrate, decl.substrates.items()),
+        (attributes, attribute, decl.attributes.items()),
+        (timers, timer, decl.timers.items()),
+        (tasks, task, decl.tasks.items()),
+        (statements, law, enumerate(decl.laws)),
+        (trajectories, variable, decl.variables.items()),
+    ):
+        for key, d in items:
+            try:
+                built[key] = build(d)
+            except ModelError as e:
+                diags.append(Diagnostic("error", *d.span, str(e)))
 
     if any(x.severity == "error" for x in diags):
         return None, diags
+    laws = LawSet.of(*statements.values())
     return BuiltModel(substrates, attributes, timers, tasks, laws, trajectories), diags
 
 

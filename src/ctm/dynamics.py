@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import ModelError, Substrate, Variable, evolve, first_entry, orbit, parameter_key
+from .core import ModelError, Substrate, Variable, evolve, first_entry, parameter_key
 from .timers import TimerClass, TimerSpec
 
 
@@ -194,7 +194,8 @@ def recover_clock_pointer(m: TrajectoryModel, reference: Sequence[TimerClass]) -
     if 0 not in m.variable:
         raise ModelError("pointer recovery needs an entry at λ = 0")
     v0 = m.variable.attribute(0)
-    period = math.lcm(*(len(orbit(m.substrate, s)) for s in v0.members))
+    cycles, index = m.substrate.cycles, m.substrate.cycle_index
+    period = math.lcm(*(len(cycles[index[s][0]]) for s in v0.members))
     by_duration = {cls.duration: cls for cls in reference}
     mapping: dict = {0: 0}
     unmapped = []

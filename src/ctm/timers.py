@@ -23,7 +23,6 @@ from .core import (
     evolve,
     first_entry,
     is_static,
-    orbit,
     pair_attribute,
     retarget,
     static_horizon,
@@ -232,9 +231,9 @@ def recurrence_horizon(c: TimerSpec) -> int:
     The representative is the starting state that comes first in the
     substrate's state order, so the result does not depend on set order.
     """
-    members = c.attr0.members
-    rep = next(s for s in c.substrate.states if s in members)
-    return len(orbit(c.substrate, rep))
+    members, sub = c.attr0.members, c.substrate
+    rep = next(s for s in sub.states if s in members)
+    return len(sub.cycles[sub.cycle_index[rep][0]])
 
 
 def check_staggered_halt(c1: TimerSpec, c2: TimerSpec) -> bool:

@@ -489,19 +489,23 @@ PAST_THE_DOMAIN = [
     "40000000,20000000,10000000",
     ",".join(str(2**k) for k in (66, 65, 64)),
 ]
+# each --at names a number of over 4,300 digits, which no message may print; the last
+# two would take seconds, then minutes, to build as a Fraction
+HUGE_AT = ["1e5000", "1e10000000", "1e100000000"]
+BAD_SIZE = (
+    "bad argument: a number may have at most 1000 characters and an exponent within ±999"
+)
 
 
 def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("schedule", PAST_THE_DOMAIN, ids=["4e5", "4e7", "2^66"])
-def test_dynamics_past_the_domain_exits_two_in_bounded_time_and_memory(models_dir, schedule):
-    # one child process per schedule, its address space capped at 1 GiB
-    argv = ["dynamics", str(models_dir / "linear.ctm"), "--variable", "pos", "--at", "0"]
+def run_bounded(*argv):
+    """`ctm argv` in a child process capped at 1 GiB: its JSON report, exit status and wall time."""
     started = time.perf_counter()
     result = subprocess.run(
-        [sys.executable, "-m", "ctm.cli", *argv, "--schedule", schedule],
+        [sys.executable, "-m", "ctm.cli", *argv],
         capture_output=True,
         text=True,
         timeout=20,
@@ -509,11 +513,90 @@ def test_dynamics_past_the_domain_exits_two_in_bounded_time_and_memory(models_di
     )
     elapsed = time.perf_counter() - started
     assert "Traceback" not in result.stderr
-    assert result.returncode == 2
     report = json.loads(result.stdout)
-    assert report["exit_status"] == 2
-    errors = [d["message"] for d in report["diagnostics"] if d["severity"] == "error"]
-    assert errors == [f"λ + Δλ = {schedule.split(',')[0]} outside the variable's domain"]
+    assert report["exit_status"] == result.returncode
+    return report, result.returncode, elapsed
+
+
+@pytest.mark.parametrize(
+    "at, schedule, error",
+    [
+        *(("0", s, f"λ + Δλ = {s.split(',')[0]} outside the variable's domain")
+          for s in PAST_THE_DOMAIN),
+        *((at, "8,4,2,1", BAD_SIZE) for at in HUGE_AT),
+    ],
+    ids=["4e5", "4e7", "2^66", *HUGE_AT],
+)
+def test_dynamics_past_the_domain_exits_two_in_bounded_time_and_memory(
+    models_dir, at, schedule, error
+):
+    report, status, elapsed = run_bounded(
+        "dynamics", str(models_dir / "linear.ctm"), "--variable", "pos",
+        "--at", at, "--schedule", schedule,
+    )
+    assert status == 2
+    assert [d["message"] for d in report["diagnostics"] if d["severity"] == "error"] == [error]
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "at, schedule",
+    [
+        ("1" * 1001, "8,4,2,1"),  # too long
+        ("0", "1" * 1001 + ",2,1"),
+        ("1e-1000", "8,4,2,1"),  # an exponent past ±999, in any spelling
+        ("1.5E+01000", "8,4,2,1"),
+        ("1e9_999", "8,4,2,1"),  # Fraction reads this exponent as 9999
+        ("1e\u0661\u0660\u0660\u0660", "8,4,2,1"),  # and this one, in Arabic-Indic digits, as 1000
+        ("0", "1e1000,2,1"),
+    ],
+    ids=["long-at", "long-step", "1e-1000", "1.5E+01000", "1e9_999", "arabic-indic", "step-1e1000"],
+)
+def test_dynamics_arguments_that_could_name_a_huge_number_are_bad(capsys, models_dir, at, schedule):
+    status, report = run_json(
+        capsys, "dynamics", str(models_dir / "linear.ctm"), "--variable", "pos",
+        "--at", at, "--schedule", schedule,
+    )
+    assert status == 2
+    assert report["diagnostics"][-1]["message"] == BAD_SIZE
+
+
+@pytest.mark.parametrize(
+    "at, schedule, sum_",
+    [
+        # the largest numbers the bounds let through: λ + Δλ has about 2,000 digits,
+        # and every message still prints it
+        ("9" * 996 + "e999", "8,4,2,1", 10**1995 - 10**999 + 8),
+        ("1/" + "9" * 998, "9" * 1000 + ",2,1", None),
+        ("1e-999", "9" * 1000 + ",2,1", None),
+    ],
+    ids=["9e1994", "1/(10^998-1)", "1e-999"],
+)
+def test_dynamics_prints_the_largest_numbers_it_reads(capsys, models_dir, at, schedule, sum_):
+    status, report = run_json(
+        capsys, "dynamics", str(models_dir / "linear.ctm"), "--variable", "pos",
+        "--at", at, "--schedule", schedule,
+    )
+    assert status == 2
+    message = report["diagnostics"][-1]["message"]
+    assert message.startswith("λ + Δλ = ") and message.endswith(" outside the variable's domain")
+    if sum_ is not None:
+        assert message == f"λ + Δλ = {sum_} outside the variable's domain"
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="int() reads any number of digits",
+)
+def test_an_integer_literal_past_the_digit_limit_exits_two(tmp_path):
+    model = tmp_path / "long.ctm"
+    model.write_text(f"timer counter C {{ bits {'7' * 5000} ; threshold 1 }}\n")
+    report, status, elapsed = run_bounded("check", str(model))
+    assert status == 2
+    assert report["files"][0]["diagnostics"] == [
+        {"severity": "error", "line": 1, "column": 24, "message": "bit count has too many digits",
+         "suggestion": None}
+    ]
     assert elapsed < 1.0
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctm import make_counter_timer
+from ctm.tasks import task_label
 from ctm.dsl import (
     AttributeDecl,
     CounterTimerDecl,
@@ -29,6 +30,7 @@ from ctm.dsl import (
 import ctm._tokens
 from ctm._tokens import _lex
 from conftest import MODELS_DIR, assert_distinct, assert_same_value, assert_slotted
+from reference_analysis import analyze_model as reference_analyze
 from reference_parser import _parse_tokens, seed_lex
 
 
@@ -320,6 +322,74 @@ def test_fuzz_parser_total_on_arbitrary_text(text):
     model, diags = parse_model(text)
     assert model is not None or diags
     assert_reads_as_tokens(text)
+
+
+# the most digits `int` reads from text here; 0 when this interpreter has no limit
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not INT_DIGITS, reason="int() reads any number of digits")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "statement, what",
+    [
+        ("timer counter C {{ bits {} ; threshold 1 }}", "bit count"),
+        ("timer counter C {{ bits 3 ; threshold {} }}", "threshold"),
+        ("timer particle P {{ cells {} ; speed 1 ; target 2 }}", "cell count"),
+        ("timer particle P {{ cells 8 ; speed -{} ; target 2 }}", "speed"),
+        ("timer particle P {{ cells 8 ; speed 1 ;\n target {} }}", "target cell"),
+        ("variable v on P {{ {} : a @ 1.0 }}", "parameter value"),
+        ("variable v on P {{\n 0 : a @ 1.0 ;\n -{} : b @ 2.0 }}", "parameter value"),
+    ],
+    ids=["bits", "threshold", "cells", "speed", "target", "lambda", "negative-lambda"],
+)
+def test_an_integer_literal_past_the_digit_limit_is_a_diagnostic(statement, what):
+    digits = "7" * (INT_DIGITS + 1)
+    text = statement.format(digits) + "\nattribute x on { a }\n"
+    at = text.index(digits) - text[: text.index(digits)].endswith("-")
+    line = text.count("\n", 0, at) + 1
+    column = at - (text.rfind("\n", 0, at) + 1) + 1
+    model, diags = parse_model(text)
+    assert model is None
+    # the literal costs only its own statement: the fault on the next line is reported too
+    assert diags == [
+        Diagnostic("error", line, column, f"{what} has too many digits"),
+        Diagnostic("error", line + 1, 16, "expected substrate name, found '{'"),
+    ]
+
+
+@needs_digit_limit
+def test_an_integer_literal_at_the_digit_limit_is_read():
+    text = "timer counter C {{ bits {} ; threshold 1 }}".format("0" * (INT_DIGITS - 1) + "3")
+    assert build_model(parse_ok(text)).timers["C"].duration == 1
+
+
+def test_fuzz_parser_total_on_long_digit_runs(models_dir):
+    """Digit runs around the interpreter's limit, spliced in anywhere, never make parsing raise.
+
+    The reference parser raises ValueError on an integer literal past the
+    limit, where `parse_model` reports the literal; otherwise the two agree.
+    """
+    rng = random.Random(4300)
+    bases = [path.read_text() for path in fixture_texts(models_dir)] + [ring_pointer_text(3)]
+    lengths = [max(INT_DIGITS, 4300) + k for k in (-1, 0, 1, 700)]
+    for _ in range(300):
+        base = rng.choice(bases)
+        cut = rng.randrange(len(base) + 1)
+        # in place of a whole number, or glued onto the text around the cut
+        end = cut
+        numbers = [m.span() for m in re.finditer(r"(?<![\w.])-?\d+(?![\w.])", base)]
+        if numbers and rng.random() < 0.5:
+            cut, end = rng.choice(numbers)
+        text = base[:cut] + rng.choice(["", "-"]) + "1" * rng.choice(lengths) + base[end:]
+        model, diags = parse_model(text)
+        assert model is not None or diags
+        try:
+            want = _parse_tokens(text)
+        except ValueError:  # the literal the reference parser cannot convert
+            assert INT_DIGITS and any(d.message.endswith("has too many digits") for d in diags)
+        else:
+            assert (model, diags) == want
 
 
 # lexer oracle ------------------------------------------------------------------
@@ -665,6 +735,176 @@ def test_parse_then_build():
     assert model.timers["C"].duration == 5
     with pytest.raises(ModelError):
         build_model(parse_ok("timer counter C { bits 3 ; threshold 9 }"))
+
+
+# the analysis against the frozen reference -------------------------------------------
+
+
+RING = tuple(f"r{i}" for i in range(8))
+# attributes on R (an 8-ring) and on F (three fixed points); "nope" is never declared
+RING_ATTRIBUTES = {
+    "z": {"r0"}, "run": {"r1", "r2"}, "done": {"r3", "r4", "r5", "r6", "r7"},
+    "late": {"r1", "r2", "r3", "r4", "r5", "r6", "r7"}, "all": set(RING), "none": set(),
+    "stray": {"r0", "q9"},
+}
+FIXED_ATTRIBUTES = {"f0": {"a"}, "f1": {"b"}, "f2": {"c"}}
+ATTRIBUTE_NAMES = [*RING_ATTRIBUTES, *FIXED_ATTRIBUTES, "nope"]
+SUBSTRATE_NAMES = ["R", "F", "B", "nope"]
+
+
+def analysis_decl(rng: random.Random) -> ModelDecl:
+    """A model of every declaration kind, with distinct spans; each choice is sometimes a fault."""
+    line = iter(range(1, 1000))
+    pick = rng.choice
+
+    def span():
+        return next(line), rng.randrange(1, 4)
+
+    def fault():
+        return rng.random() < 0.03
+
+    def attr(good):
+        """One of `good`, or sometimes any attribute name, declared or not."""
+        return pick(ATTRIBUTE_NAMES) if fault() else pick(good)
+
+    def sub_name(good):
+        return pick(SUBSTRATE_NAMES) if fault() else good
+
+    substrates = {
+        "R": SubstrateDecl("R", RING, dict(zip(RING, RING[1:] + RING[:1])), span()),
+        "F": SubstrateDecl("F", ("a", "b", "c"), {"a": "a", "b": "b", "c": "c"}, span()),
+    }
+    if rng.random() < 0.3:
+        broken = [
+            (("x", "y"), {"x": "y", "y": "y"}),  # not a bijection
+            (("x", "y"), {"x": "y"}),  # a state unmapped
+            (("x", "x"), {"x": "x"}),  # a state twice
+            ((), {}),
+        ]
+        states, step = pick(broken) if fault() or fault() else (("x",), {"x": "x"})
+        substrates["B"] = SubstrateDecl("B", states, step, span())
+    attributes = {}
+    for name in rng.sample(ATTRIBUTE_NAMES[:-1], len(ATTRIBUTE_NAMES) - 1):
+        if fault():  # left undeclared
+            continue
+        if name in RING_ATTRIBUTES:
+            sub, members = ("nope", ()) if fault() else ("R", RING_ATTRIBUTES[name])
+            if name == "stray" and not fault():
+                continue
+        else:
+            sub, members = (pick(["B", "nope"]) if fault() else "F"), FIXED_ATTRIBUTES[name]
+        attributes[name] = AttributeDecl(name, sub, frozenset(members), span())
+    timers = {}
+    for i in range(rng.randrange(0, 6)):
+        name, kind = f"t{i}", rng.randrange(3)
+        if kind == 0:
+            bits = rng.randrange(0, 14) if fault() else rng.randrange(2, 6)
+            threshold = rng.randrange(-1, 70) if fault() else rng.randrange(1, 4)
+            timers[name] = CounterTimerDecl(name, bits, threshold, span())
+        elif kind == 1:
+            cells, speed = (pick([1, 5000]), 1) if fault() else (16, pick([1, 2]))
+            speed = rng.randrange(-1, 4) if fault() else speed
+            target = rng.randrange(-1, 18) if fault() else speed * rng.randrange(1, 5)
+            timers[name] = ParticleTimerDecl(name, cells, speed, target, span())
+        else:
+            start, running, done = pick([("z", "run", "done"), ("z", "none", "late")])
+            halt = pick([None, done]) if not fault() else attr(["done", "late", "run"])
+            timers[name] = CustomTimerDecl(
+                name, sub_name("R"), attr([start]), attr([running]), attr([done]), halt, span()
+            )
+    tasks = {}
+    for i in range(rng.randrange(0, 4)):
+        names = list(RING_ATTRIBUTES) if rng.random() < 0.7 else list(FIXED_ATTRIBUTES)
+        sub = "R" if names[0] == "z" else "F"
+        tasks[f"T{i}"] = TaskDecl(f"T{i}", sub_name(sub), attr(names), attr(names), span())
+    laws = []
+    for _ in range(rng.randrange(0, 6)):
+        status = pick(("possible", "impossible"))
+        if laws and rng.random() < 0.2:  # the same law again, on another line
+            laws.append(pick(laws)._replace(span=span()))
+        elif tasks and rng.random() < 0.4:
+            task = pick([*tasks, "Tx"]) if fault() else pick(list(tasks))
+            sub = pick([None, None, tasks[task].substrate if task in tasks else "R"])
+            laws.append(LawDecl(status, None, None, sub_name(sub), task, span()))
+        else:
+            names = list(RING_ATTRIBUTES) if rng.random() < 0.7 else list(FIXED_ATTRIBUTES)
+            sub = "R" if names[0] == "z" else "F"
+            laws.append(LawDecl(status, attr(names), attr(names), sub_name(sub), None, span()))
+    variables = {}
+    for i in range(rng.randrange(0, 3)):
+        on_ring = rng.random() < 0.7
+        names = ["z", "run", "done", pick(["all", "z"])] if on_ring else list(FIXED_ATTRIBUTES)
+        lams = rng.sample(range(-3, 9), rng.randrange(0, 4))
+        pool = rng.sample(names, len(names))  # distinct attributes, unless a fault repeats one
+        entries = {lam: (attr([a]), round(rng.uniform(-4, 4), 3)) for lam, a in zip(lams, pool)}
+        sub = sub_name("R" if on_ring else "F")
+        variables[f"v{i}"] = VariableDecl(f"v{i}", sub, entries, span())
+    return ModelDecl(substrates, attributes, timers, tasks, tuple(laws), variables)
+
+
+# a pattern for each error branch of the analysis, and for each kind of warning
+ANALYSIS_BRANCHES = [
+    r"^substrate 'B': step map is not a bijection$",
+    r"^substrate 'B': step map domain != state set$",
+    r"^state space 'B' has duplicate state labels$",
+    r"^state space 'B' has no states$",
+    r"^attribute '\w+': unknown substrate '\w+'$",
+    r"^attribute \w+: members .* not states of '\w+'$",
+    r"^bits must be in 1\.\.12$",
+    r"^threshold must satisfy",
+    r"^cells must be in 2\.\.4096$",
+    r"^speed must be at least 1",
+    r"^target cell must lie strictly inside",
+    r"^target cell \d+ is not reached",
+    r"^unknown substrate '\w+'$",
+    r"^unknown attribute '\w+' for '(start|running|done|halt)'$",
+    r"^attribute '\w+' is not on substrate '\w+'$",
+    r"^timer 't\d' is not a well-formed null constructor",
+    r"^timer 't\d': starting attribute must be non-empty$",
+    r"^unknown attribute '\w+'$",
+    r"^unknown task '\w+'$",
+    r"^task 'T\d' is not on substrate '\w+'$",
+    r"^variable 'v\d': unknown substrate '\w+'$",
+    r"^variable 'v\d': unknown attribute '\w+'$",
+    r"^variable 'v\d': attribute '\w+' is on another substrate$",
+    r"^variable 'v\d': variable entry -?\d+: attributes are not pairwise disjoint$",
+    r"^timer 't\d': running attribute is empty",
+    r"^timer 't\d': completed attribute stays static for",
+    r"^variable 'v\d': attribute at λ=-?\d+ is static$",
+]
+
+
+def built_summary(model):
+    """The names each table of a built model holds, and each law's label and status."""
+    if model is None:
+        return None
+    tables = (model.substrates, model.attributes, model.timers, model.tasks, model.trajectories)
+    laws = [(task_label(st.task), st.status) for st in model.laws.statements]
+    return [list(table) for table in tables], laws
+
+
+def test_analysis_matches_the_frozen_reference_on_every_branch():
+    rng = random.Random(20250817)
+    reached = set()
+    built = interleaved = repeated = 0
+    for i in range(10_000):
+        decl = analysis_decl(rng)
+        model, diags = analyze_model(decl)
+        want_model, want_diags = reference_analyze(decl)
+        assert diags == want_diags, i
+        assert built_summary(model) == built_summary(want_model), i
+        built += model is not None
+        # a timer's warnings between two timer errors, and a law's error on two lines
+        timer_spans = {d.span for d in decl.timers.values()}
+        kinds = "".join(d.severity[0] for d in diags if (d.line, d.column) in timer_spans)
+        interleaved += "ewe" in kinds or "wew" in kinds
+        law_errors = [d.message for d in diags if any(d.line == law.span[0] for law in decl.laws)]
+        repeated += len(law_errors) > len(set(law_errors))
+        for d in diags:
+            reached.update(p for p in ANALYSIS_BRANCHES if re.search(p, d.message))
+            assert any(re.search(p, d.message) for p in ANALYSIS_BRANCHES), d.message
+    assert reached == set(ANALYSIS_BRANCHES)
+    assert 1_000 < built < 9_000 and interleaved > 100 and repeated > 100
 
 
 # equality and hashing -------------------------------------------------------------
