@@ -41,7 +41,6 @@ from .tasks import (
     impossible,
     parallel_compose,
     possible,
-    premise_chain,
     serial_compose,
 )
 from .timers import (
@@ -113,7 +112,7 @@ __all__ = [
     # tasks
     "NULL_TASK", "CompositionUndefined", "Contradiction", "Derived", "LawSet",
     "LawStatement", "NullTask", "Possibility", "Task", "check_consistency", "deductive_closure",
-    "impossible", "parallel_compose", "possible", "premise_chain", "serial_compose",
+    "impossible", "parallel_compose", "possible", "serial_compose",
     # timers
     "TimerClass", "TimerSpec", "check_simultaneous_halt", "check_staggered_halt",
     "check_synchrony", "classify_timers", "composite_timer", "duration_task",

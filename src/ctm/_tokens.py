@@ -18,8 +18,11 @@ import re
 
 from .dsl import (
     _BRANCH,
+    _FLOAT,
     _FORMS,
+    _INT,
     _KEYWORDS,
+    _NAME,
     _STATUS,
     Diagnostic,
     ModelDecl,
@@ -39,9 +42,9 @@ _TOKEN_RE = re.compile(
     (?:
       (?P<nl>\n)
     | (?P<arrow>->)
-    | (?P<float>-?\d+\.\d+(?:[eE][+-]?\d+)?|-?\d+[eE][+-]?\d+)
-    | (?P<int>-?\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<float>""" + _FLOAT + r""")
+    | (?P<int>""" + _INT + r""")
+    | (?P<ident>""" + _NAME + r""")
     | (?P<lbrace>\{)
     | (?P<rbrace>\})
     | (?P<lparen>\()

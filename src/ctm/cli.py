@@ -229,7 +229,7 @@ def cmd_classify(args) -> tuple[dict, int]:
             diagnostics.append(_error("no timers declared") | {"path": path})
             status = EXIT_INPUT
     report: dict = {"diagnostics": diagnostics}
-    if status == EXIT_OK and pool:
+    if status == EXIT_OK:
         classes = classify_timers([pool[name] for name in sorted(pool)])
         report["classes"] = [
             {

@@ -356,8 +356,12 @@ _BRANCH = {
 _B = r"[ \t\r]*"  # optional blanks
 _BB = r"[ \t\r]+"  # required blanks
 _END = _B + r"(?:\#.*)?"  # blanks, then a comment to the end of the line
-_NAME = "[A-Za-z_][A-Za-z0-9_]*"
-_INT = "-?[0-9]+"
+# the text of a name, an integer and a float, for the lexer too; a digit is a decimal digit
+# of any script, as `int` and `float` read it
+_NAME_CHAR = "[A-Za-z0-9_]"  # a character that continues a name
+_NAME = "[A-Za-z_]" + _NAME_CHAR + "*"
+_INT = r"-?\d+"
+_FLOAT = r"-?\d+\.\d+(?:[eE][+-]?\d+)?|-?\d+[eE][+-]?\d+"
 # a blank or comment line, or the keyword that opens a statement
 _HEAD_RE = re.compile(_B + r"(?:(?:\#.*)?\Z|(" + "|".join(_KEYWORDS) + ")" + _BB + ")")
 _CYCLE_RE = re.compile(r"\(([^)]*)\)")
@@ -369,7 +373,7 @@ def _labels(close: str, stop: str | None) -> str:
     Each label takes the blanks after it, so no two blank runs meet and a
     line that fails to match fails in linear time.
     """
-    skip = "" if stop is None else "(?!" + stop + "(?![A-Za-z0-9_]))"
+    skip = "" if stop is None else "(?!" + stop + "(?!" + _NAME_CHAR + "))"
     return "(?:" + skip + "(?:" + _NAME + "|" + _INT + r")(?![^ \t\r" + close + "])" + _B + ")*"
 
 
@@ -418,7 +422,7 @@ def _read_entries(text: str) -> dict:
 _VALUES = {
     "name": (_NAME, None),
     "integer": (_INT, int),
-    "number": (r"-?[0-9]+\.[0-9]+(?:[eE][+-]?[0-9]+)?|-?[0-9]+[eE][+-]?[0-9]+|-?[0-9]+", _finite),
+    "number": (_FLOAT + "|" + _INT, _finite),
     "status": ("possible|impossible|✓|✗", None),
     "labels": (None, str.split),
     "cycles": (None, _read_cycles),
@@ -493,7 +497,8 @@ def _line_forms(keyword: str) -> list:
     for make, parts in forms:
         lead = (None, "")
         if len(forms) > 1 and parts[at].__class__ is not str:
-            lead = (at, "(?!(?:" + words + ")(?![A-Za-z0-9_]))")  # no word that picks another form
+            # no word that picks another form
+            lead = (at, "(?!(?:" + words + ")(?!" + _NAME_CHAR + "))")
         regex, reads = _pattern(parts, lead=lead)
         reads = [(i, read) for i, read in enumerate(reads) if read is not None]
         checks = [part[1] for part in parts if _kind(part) == "check"]

@@ -78,6 +78,9 @@ def _advances(m: TrajectoryModel, lam: Fraction, dlam: Fraction, halts) -> bool:
     )
 
 
+_FRACTIONAL_STEP = "Δλ must be a whole number of steps in this model"
+
+
 def incremental_ratio(m: TrajectoryModel, lam, dlam, timer: TimerSpec | None = None) -> float:
     """Forward-difference ratio of readings over a verified advance.
 
@@ -94,7 +97,7 @@ def incremental_ratio(m: TrajectoryModel, lam, dlam, timer: TimerSpec | None = N
     if dlam <= 0:
         raise ModelError("Δλ must be positive")
     if dlam.denominator != 1:
-        raise ModelError("Δλ must be a whole number of steps in this model")
+        raise ModelError(_FRACTIONAL_STEP)
     if lam + dlam not in m.variable:
         raise ModelError(f"λ + Δλ = {lam + dlam} outside the variable's domain")
     if timer is not None and Fraction(timer.duration) != dlam:
@@ -143,6 +146,8 @@ def estimate_derivative(
     linear readings).  Ratios or an extrapolation that overflow to a
     non-finite value raise ModelError.
     """
+    if any(Fraction(d).denominator != 1 for d in schedule):
+        raise ModelError(_FRACTIONAL_STEP)
     steps = [int(d) for d in schedule]
     if len(steps) < 3:
         raise ModelError("schedule must contain at least 3 step sizes")

@@ -335,7 +335,7 @@ def deductive_closure(laws: LawSet) -> LawSet:
                 return False
             task = Task(t1.input, t2.output) if chained else NULL_TASK
             rule = "serial"
-        elif id(sub1) in base and id(sub2) in base:
+        else:  # two declared substrates, the only ones the loop below pairs across
             composite = composites.get((id(sub1), id(sub2)))
             if composite is None:
                 composite = composites[id(sub1), id(sub2)] = compose_substrates(sub1, sub2)
@@ -344,8 +344,6 @@ def deductive_closure(laws: LawSet) -> LawSet:
             if key in known:
                 return False
             task, rule = Task(inp, out), "parallel"
-        else:
-            return False
         known.add(key)
         order.append(LawStatement(task, Possibility.POSSIBLE, Derived(rule, (s1, s2))))
         return True
@@ -519,20 +517,6 @@ def check_consistency(laws: LawSet) -> tuple[Contradiction, ...]:
         for key, task in first.items()
         if key in possibles and key in impossibles
     )
-
-
-def premise_chain(st: LawStatement) -> list[LawStatement]:
-    """Statements supporting st, depth-first, declared leaves included."""
-    out: list[LawStatement] = []
-
-    def walk(s: LawStatement) -> None:
-        out.append(s)
-        if isinstance(s.provenance, Derived):
-            for p in s.provenance.premises:
-                walk(p)
-
-    walk(st)
-    return out
 
 
 def _walks(laws: list[LawStatement]) -> dict[frozenset, dict[frozenset, LawStatement]]:

@@ -44,7 +44,7 @@ class ConstructorWitness:
     # joint: the joint step as a substrate; raised and ready_states: its states with the
     # flag raised and with the device ready
     __slots__ = (
-        "device", "substrate", "ready", "halt_flag", "joint_step", "max_steps", "name",
+        "device", "substrate", "ready", "halt_flag", "joint_step", "max_steps",
         "joint", "raised", "ready_states",
     )
 
@@ -56,7 +56,6 @@ class ConstructorWitness:
         halt_flag: Attribute,
         joint_step: Mapping[tuple, tuple],
         max_steps: int,
-        name: str = "",
     ) -> None:
         if device is substrate:
             raise ModelError("device and substrate must be distinct instances")
@@ -80,7 +79,6 @@ class ConstructorWitness:
         self.halt_flag = halt_flag
         self.joint_step = joint.step
         self.max_steps = max_steps
-        self.name = name
         self.joint = joint
         flag = halt_flag.members
         raised = product(flag, sub) if self.halt_on == "device" else product(dev, flag)
@@ -287,7 +285,7 @@ def _as_pairs(tasks: Union[Task, Sequence[Task]]) -> tuple[Task, ...]:
     return out
 
 
-def wrap_permutation(substrate: Substrate, action: Mapping, name: str = "") -> ConstructorWitness:
+def wrap_permutation(substrate: Substrate, action: Mapping) -> ConstructorWitness:
     """Canonical witness applying a substrate permutation once.
 
     Two-state device: ready {0}, halt flag {1}; the permutation fires on
@@ -307,7 +305,6 @@ def wrap_permutation(substrate: Substrate, action: Mapping, name: str = "") -> C
         halt_flag=Attribute(device, frozenset({1}), name="halt"),
         joint_step=joint,
         max_steps=4,
-        name=name or "permutation-witness",
     )
 
 
@@ -328,7 +325,6 @@ def timer_witness(c: TimerSpec) -> ConstructorWitness:
         halt_flag=c.halt_flag,
         joint_step=joint,
         max_steps=max(cycle_lengths(c.substrate)),
-        name=f"{c.name}-as-witness",
     )
 
 
@@ -341,15 +337,6 @@ class SearchResult(NamedTuple):
     found: bool
     witness: ConstructorWitness | None
     action: Mapping | None
-
-
-def _allowed_images(states: Sequence, pairs: Sequence[Task]) -> dict:
-    """Each state's admissible images: the outputs of every pair whose input holds it."""
-    allowed = {s: frozenset(states) for s in states}
-    for t in pairs:
-        for s in t.input.members:
-            allowed[s] &= t.output.members
-    return allowed
 
 
 def _matchable(rows: Sequence, allowed: Mapping, free: set) -> bool:
@@ -372,15 +359,19 @@ def _matchable(rows: Sequence, allowed: Mapping, free: set) -> bool:
     return all(augment(s, set()) for s in rows)
 
 
-def _first_permutation(states: Sequence, allowed: Mapping) -> dict | None:
+def _first_permutation(states: Sequence, pairs: Sequence[Task]) -> dict | None:
     """The lexicographically first hit among the permutations of states, or None.
 
-    A hit maps every state into its admissible images.  Each state, in
-    state order, takes the first unused image (in state order) that leaves
-    the later states matchable; that greedy choice is exactly the
-    lexicographically first hit.  There is no hit iff there is no perfect
-    matching (Hall's theorem).
+    A hit maps every state into its admissible images: the outputs of every
+    pair whose input holds it.  Each state, in state order, takes the first
+    unused image (in state order) that leaves the later states matchable;
+    that greedy choice is exactly the lexicographically first hit.  There
+    is no hit iff there is no perfect matching (Hall's theorem).
     """
+    allowed = {s: frozenset(states) for s in states}
+    for t in pairs:
+        for s in t.input.members:
+            allowed[s] &= t.output.members
     free = list(states)
     action = {}
     for i, s in enumerate(states):
@@ -404,8 +395,7 @@ def search_impossibility(tasks: Union[Task, Sequence[Task]]) -> SearchResult:
     """
     pairs = _as_pairs(tasks)
     substrate = pairs[0].substrate
-    states = substrate.states
-    action = _first_permutation(states, _allowed_images(states, pairs))
+    action = _first_permutation(substrate.states, pairs)
     if action is None:
         return SearchResult(False, None, None)
     return SearchResult(True, wrap_permutation(substrate, action), action)
@@ -418,7 +408,7 @@ class UniformPossibilityResult(NamedTuple):
     member_actions: tuple[Mapping | None, ...]
 
 
-def _member_pairs(member: Substrate, ins, outs) -> tuple[Task, ...]:
+def _member_pairs(ins, outs) -> tuple[Task, ...]:
     ins_t = (ins,) if isinstance(ins, Attribute) else tuple(ins)
     outs_t = (outs,) if isinstance(outs, Attribute) else tuple(outs)
     if len(ins_t) != len(outs_t):
@@ -446,23 +436,19 @@ def uniform_possibility(
     labels = set(members[0].states)
     if any(set(m.states) != labels for m in members):
         raise ModelError("family members must share one state-label set")
-    tasks = [_member_pairs(m, i, o) for m, i, o in zip(members, in_attrs, out_attrs)]
+    tasks = [_member_pairs(i, o) for i, o in zip(in_attrs, out_attrs)]
     for m, pairs in zip(members, tasks):
         if any(t.substrate is not m for t in pairs):
             raise ModelError("attributes must live on their own family member")
 
-    states = members[0].states
     every_pair = [t for pairs in tasks for t in pairs]
-    action = _first_permutation(states, _allowed_images(states, every_pair))
+    action = _first_permutation(members[0].states, every_pair)
     if action is not None:
-        witness = wrap_permutation(members[0], action, name="uniform-witness")
+        witness = wrap_permutation(members[0], action)
         return UniformPossibilityResult(
             "uniformly-possible", witness, action, (action,) * len(members)
         )
 
-    member_actions = tuple(
-        _first_permutation(m.states, _allowed_images(m.states, pairs))
-        for m, pairs in zip(members, tasks)
-    )
+    member_actions = tuple(_first_permutation(m.states, pairs) for m, pairs in zip(members, tasks))
     kind = "pointwise-only" if all(a is not None for a in member_actions) else "impossible"
     return UniformPossibilityResult(kind, None, None, member_actions)

@@ -68,7 +68,7 @@ def test_check_contradiction_exits_one(capsys, models_dir):
     assert refuted and refuted[0]["task"] == "x -> z on P3"
 
 
-def test_check_malformed_file_exits_two(capsys, tmp_path):
+def test_check_malformed_file_exits_two(capsys, tmp_path, models_dir):
     bad = tmp_path / "bad.ctm"
     bad.write_text("substrate S { states a b ; step (a) }")
     status, report = run_json(capsys, "check", str(bad))
@@ -76,6 +76,15 @@ def test_check_malformed_file_exits_two(capsys, tmp_path):
     entry = report["files"][0]
     assert entry["status"] == "input-error"
     assert any("bijection" in d["message"] for d in entry["diagnostics"])
+    # a path that cannot be opened; the other files of the run are still checked
+    missing = str(tmp_path / "missing.ctm")
+    status, report = run_json(capsys, "check", missing, str(models_dir / "timers.ctm"))
+    assert status == 2
+    entry = report["files"][0]
+    assert entry["status"] == "input-error"
+    message = f"cannot read {missing!r}: No such file or directory"
+    assert [d["message"] for d in entry["diagnostics"]] == [message]
+    assert report["files"][1]["status"] == "ok"
 
 
 def test_check_null_task_trace(capsys, models_dir):
@@ -293,11 +302,21 @@ def test_classify_single_timer(capsys, tmp_path):
     assert report["classes"] == [{"duration": 6, "members": ["C"]}]
 
 
-def test_classify_invalid_timer_exits_two(capsys, tmp_path):
+def test_classify_invalid_timer_exits_two(capsys, tmp_path, models_dir):
     bad = tmp_path / "bad.ctm"
     bad.write_text("timer counter C { bits 3 ; threshold 9 }\n")
     status, report = run_json(capsys, "classify", str(bad))
     assert status == 2
+    assert report["classes"] == []
+    # the same timers in two files: one error per timer, in file order
+    timers = str(models_dir / "timers.ctm")
+    status, report = run_json(capsys, "classify", timers, timers)
+    assert status == 2
+    errors = [(d["message"], d["path"]) for d in report["diagnostics"] if d["severity"] == "error"]
+    assert errors == [
+        (f"timer {name!r} declared in more than one file", timers)
+        for name in ("C45", "C65", "P5", "C47")
+    ]
     assert report["classes"] == []
 
 
@@ -739,6 +758,11 @@ def test_model_root_env_var(capsys, models_dir, monkeypatch):
     status, report = run_json(capsys, "classify", "timers.ctm")
     assert status == 0
     assert report["inputs"] == ["timers.ctm"]
+    # a file in neither place is reported under the name it was given
+    status, report = run_json(capsys, "classify", "missing.ctm")
+    assert status == 2
+    message = "cannot read 'missing.ctm': No such file or directory"
+    assert [d["message"] for d in report["diagnostics"]] == [message]
 
 
 def test_text_format(capsys, models_dir):

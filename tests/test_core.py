@@ -121,6 +121,16 @@ def test_pair_attribute_is_cartesian_product():
     assert pa.members == {("a0", "b0"), ("a0", "b1")}
 
 
+def test_pair_attribute_needs_the_components_of_a_binary_composite():
+    a = cyclic_substrate("A", ("a0", "a1"))
+    b = cyclic_substrate("B", ("b0", "b1"))
+    with pytest.raises(ModelError, match="'A' is not a binary composite"):
+        pair_attribute(a, singleton(a, "a0"), singleton(b, "b0"))
+    swapped = compose_substrates(b, a)
+    with pytest.raises(ModelError, match="do not match the composite's components"):
+        pair_attribute(swapped, singleton(a, "a0"), singleton(b, "b0"))
+
+
 # evolution ------------------------------------------------------------------
 
 
@@ -136,6 +146,8 @@ def test_evolve_rejects_unknown_state_and_negative_steps(counter16):
         evolve(counter16, 99, 1)
     with pytest.raises(ModelError, match="non-negative"):
         evolve(counter16, 0, -1)
+    with pytest.raises(ModelError, match="unknown state 99 of substrate"):
+        orbit(counter16, 99)
 
 
 @settings(max_examples=60)
@@ -323,6 +335,9 @@ def test_distinguishability_examples(counter16):
     assert not are_distinguishable([a, b])  # share state 4
     with pytest.raises(ModelError):
         are_distinguishable([zero])
+    other = cyclic_substrate("C2", (0, 1))
+    with pytest.raises(ModelError, match="on different substrates are not comparable"):
+        are_distinguishable([zero, singleton(other, 1)])
 
 
 # membership tests against the seed's expressions ---------------------------
@@ -375,6 +390,9 @@ def test_variable_requires_disjoint_nonstatic_entries():
     overlapping = {0: singleton(ring, 0), 1: singleton(ring, 0)}
     with pytest.raises(ModelError, match="disjoint"):
         Variable(ring, overlapping)
+    elsewhere = {0: singleton(ring, 0), 1: singleton(cyclic_substrate("ring", (0, 1)), 1)}
+    with pytest.raises(ModelError, match="entry 1: attribute on a different substrate"):
+        Variable(ring, elsewhere)
 
 
 def test_variable_admits_a_static_entry():

@@ -945,6 +945,7 @@ def test_model_decl_sorts_its_laws_and_gives_each_instance_its_own_tables():
     assert model.laws == (a, b)
     assert model == ModelDecl(laws=(a, b)) and not model != ModelDecl(laws=(a, b))
     assert model != ModelDecl(laws=(a,))
+    assert_distinct(ModelDecl(), ())
     first, second = ModelDecl(), ModelDecl()
     for table in ("substrates", "attributes", "timers", "tasks", "variables"):
         assert getattr(first, table) == {}

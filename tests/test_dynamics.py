@@ -197,6 +197,23 @@ def test_estimate_schedule_guards(linear_model):
         estimate_derivative(linear_model, 0, [4, 2, 0])
 
 
+def test_a_step_that_is_not_whole_is_refused_not_truncated(linear_model):
+    with pytest.raises(ModelError, match="Δλ must be a whole number of steps in this model"):
+        estimate_derivative(linear_model, 0, [8, 4, 2.5])
+    with pytest.raises(ModelError, match="Δλ must be a whole number of steps in this model"):
+        incremental_ratio(linear_model, 0, 2.5)
+
+
+def test_steps_that_round_to_one_float_are_a_degenerate_schedule():
+    # a pointer on a 5-cycle: 2**60 is 1 mod 5, so the four entries are distinct cells
+    ring = cyclic_substrate("ring5", tuple(range(5)))
+    schedule = [2**60 + 2, 2**60 + 1, 2**60]
+    var = Variable(ring, {k: singleton(ring, k % 5) for k in (0, *schedule)})
+    model = TrajectoryModel(var, {k: float(k) for k in var.domain})
+    with pytest.raises(ModelError, match="degenerate schedule: all step sizes equal"):
+        estimate_derivative(model, 0, schedule)
+
+
 def test_estimate_accepts_model_timers(sine_model):
     timers = {d: make_counter_timer(5, d) for d in (8, 4, 2, 1)}
     est = estimate_derivative(sine_model, 0, [8, 4, 2, 1], timers=timers)

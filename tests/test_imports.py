@@ -125,7 +125,7 @@ print(ctm.verify_witness is sys.modules["ctm.witnesses"].verify_witness)
     # importing the package leaves the witness layer and the unneeded modules unloaded
     assert before == "0 []"
     count, distinct, missing, unlisted, error = listing.split("|")
-    assert count == distinct and int(count) == 69
+    assert count == distinct and int(count) == 68
     assert (missing, unlisted) == ("[]", "[]")
     assert error == "module 'ctm' has no attribute 'no_such_name'"
     assert same == "True"
@@ -140,3 +140,29 @@ def test_importing_the_cli_builds_no_parser():
     # main builds its parser on first use, so a process pays for one build, not two
     code = "import ctm.cli; print(ctm.cli._parser.cache_info().currsize)"
     assert run_fresh(code) == "0\n"
+
+
+def test_a_digit_of_any_script_stays_on_the_line_reader():
+    # the line reader and the lexer read a digit alike: '٣' is ARABIC-INDIC DIGIT THREE
+    code = r"""
+import sys
+from ctm.dsl import _Tables, parse_model
+
+def timer(bits):
+    return "timer counter C { bits " + bits + " ; threshold 2 }\n"
+
+arabic, diags = parse_model(timer("٣"))
+same = arabic is not None and arabic == parse_model(timer("3"))[0]
+print(same, diags, "ctm._tokens" in sys.modules)
+from ctm._tokens import _Parser
+
+def after_typo(bits):
+    # the typo keeps the statement on its line from the line reader
+    text = "atribute x " + timer(bits)
+    tables = _Tables()
+    _, diags = _Parser(text, text.split("\n"), 0, 1).parse(tables)
+    return tables.model(), [d.message for d in diags]
+
+print(after_typo("٣") == after_typo("3"), after_typo("3")[0].timers["C"].bits)
+"""
+    assert run_fresh(code) == "True [] False\nTrue 3\n"

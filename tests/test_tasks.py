@@ -26,7 +26,6 @@ from ctm import (
     impossible,
     parallel_compose,
     possible,
-    premise_chain,
     serial_compose,
     uniform_possibility,
 )
@@ -82,6 +81,12 @@ def test_serial_requires_shared_substrate(s4):
         serial_compose(Task(*attrs(s4, "x", "y")[:2]), Task(singleton(other, "s0"), singleton(other, "s1")))
 
 
+def test_task_attributes_on_two_substrates_rejected(s4):
+    other = cyclic_substrate("O", ("s0", "s1"))
+    with pytest.raises(ModelError, match="attributes of the same substrate"):
+        Task(singleton(s4, "s0"), singleton(other, "s1"))
+
+
 def tiny_tasks(substrate_states=4):
     """Three tasks on one substrate with singleton attributes."""
 
@@ -126,6 +131,18 @@ def test_parallel_same_instance_rejected(s4):
     t2 = Task(singleton(s4, "s2"), singleton(s4, "s3"))
     with pytest.raises(ModelError, match="distinct"):
         parallel_compose(t1, t2)
+
+
+def test_parallel_rejects_the_null_task_and_a_composite_of_other_substrates(s4):
+    other = cyclic_substrate("Q2", ("q0", "q1"))
+    t1 = Task(*attrs(s4, "x", "y")[:2])
+    t2 = Task(singleton(other, "q0"), singleton(other, "q1"))
+    for a, b in ((t1, NULL_TASK), (NULL_TASK, t2)):
+        with pytest.raises(ModelError, match="defined for substrate tasks only"):
+            parallel_compose(a, b)
+    swapped = compose_substrates(other, s4)
+    with pytest.raises(ModelError, match="does not pair the tasks' substrates"):
+        parallel_compose(t1, t2, swapped)
 
 
 def test_parallel_with_identity_task_preserved_under_closure(s4):
@@ -741,9 +758,9 @@ def test_contradiction_detected_with_trace(s4):
     assert isinstance(contra.possible.provenance, Derived)
     assert len(contra.possible.provenance.premises) == 2
     # the trace bottoms out in the two declared laws
-    chain = premise_chain(contra.possible)
-    declared = [s for s in chain if not isinstance(s.provenance, Derived)]
-    assert {s.task for s in declared} == {Task(x, y), Task(y, z)}
+    premises = contra.possible.provenance.premises
+    assert all(p.provenance is None for p in premises)
+    assert {p.task for p in premises} == {Task(x, y), Task(y, z)}
 
 
 def test_empty_law_set_consistent():
@@ -877,6 +894,7 @@ def test_law_set_equality_ignores_the_composite_cache(s4):
     cache = {(0, 1): compose_substrates(s4, cyclic_substrate("T", ("t0",)))}
     assert_same_value(LawSet(statements), LawSet(statements, composites=cache))
     assert_distinct(LawSet(statements), LawSet(statements[:1]))
+    assert_distinct(LawSet(statements), statements)
     assert LawSet(statements).composites == {}
     assert LawSet(statements).composites is not LawSet(statements).composites
 

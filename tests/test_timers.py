@@ -27,6 +27,7 @@ from ctm import (
     classify_timers,
     composite_timer,
     cyclic_substrate,
+    duration_task,
     identity_substrate,
     make_counter_timer,
     make_particle_timer,
@@ -71,6 +72,19 @@ def test_counter_threshold_one_is_degenerate_but_legal():
 def test_counter_threshold_out_of_range():
     with pytest.raises(ModelError, match="threshold"):
         make_counter_timer(3, 8)
+
+
+def test_counter_timer_on_a_substrate_that_is_not_a_counter():
+    with pytest.raises(ModelError, match="is not a counter over 0..2\\^bits - 1"):
+        make_counter_timer(3, 5, substrate=cyclic_substrate("R", tuple(range(1, 9))))
+    down = Substrate("D", tuple(range(8)), {i: (i - 1) % 8 for i in range(8)})
+    with pytest.raises(ModelError, match="does not increment mod 2\\^bits"):
+        make_counter_timer(3, 5, substrate=down)
+
+
+def test_duration_task_against_a_reference_with_unknown_states():
+    with pytest.raises(ModelError, match="reference timer uses states unknown to this timer"):
+        duration_task(make_counter_timer(4, 5), reference=make_counter_timer(5, 6))
 
 
 def test_particle_timer_durations():
@@ -245,6 +259,11 @@ def test_catalog_splits_into_two_classes():
         (5, ["C45", "C65", "P5"]),
         (7, ["C47"]),
     ]
+
+
+def test_empty_catalog_rejected():
+    with pytest.raises(ModelError, match="catalog must be non-empty"):
+        classify_timers([])
 
 
 def test_singleton_catalog_is_one_class():

@@ -43,7 +43,7 @@ def abc():
 
 
 def flip_witness(abc):
-    return wrap_permutation(abc, {"a": "b", "b": "a", "c": "c"}, name="swap-ab")
+    return wrap_permutation(abc, {"a": "b", "b": "a", "c": "c"})
 
 
 # verify ----------------------------------------------------------------------
@@ -321,6 +321,31 @@ def test_joint_step_that_is_not_a_bijection_rejected(abc):
             ConstructorWitness(device, abc, ready, singleton(abc, "a"), step, 4)
 
 
+def test_witness_arguments_rejected(abc):
+    device = Substrate("d1", ("*",), {"*": "*"})
+    ready = Attribute(device, frozenset({"*"}), name="ready")
+    step = {("*", s): ("*", s) for s in abc.states}
+    elsewhere = identity_substrate("XY", ("x", "y"))
+    cases = [
+        ((abc, abc, singleton(abc, "a"), singleton(abc, "a"), {}, 4), "must be distinct instances"),
+        ((device, abc, singleton(abc, "a"), singleton(abc, "a"), step, 4), "ready must be an"),
+        ((device, abc, Attribute(device, frozenset()), singleton(abc, "a"), step, 4), "non-empty"),
+        ((device, abc, ready, singleton(elsewhere, "x"), step, 4), "of the device or of the"),
+        ((device, abc, ready, singleton(abc, "a"), step, -1), "max_steps must be non-negative"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ModelError, match=message):
+            ConstructorWitness(*args)
+
+
+def test_a_task_on_another_substrate_is_rejected(abc):
+    other = identity_substrate("ABC2", abc.states)
+    task = Task(singleton(other, "a"), singleton(other, "b"))
+    for run in (verify_witness, accuracy):
+        with pytest.raises(ModelError, match="task is not on this witness's substrate"):
+            run(flip_witness(abc), task)
+
+
 # reliability -------------------------------------------------------------------
 
 
@@ -426,6 +451,42 @@ def test_task_sequence_of_another_length_than_the_family_rejected(count):
         check_possible_in_limit(fam, [duration_task(spec)] * count, tol=0.1)
 
 
+def silent_witness(substrate):
+    """A one-state device whose halt flag, on the substrate, is never raised."""
+    device = Substrate("d1", ("*",), {"*": "*"})
+    return ConstructorWitness(
+        device=device,
+        substrate=substrate,
+        ready=Attribute(device, frozenset({"*"}), name="ready"),
+        halt_flag=Attribute(substrate, frozenset()),
+        joint_step={("*", s): ("*", substrate.step[s]) for s in substrate.states},
+        max_steps=4,
+    )
+
+
+def test_limit_not_established_names_its_reason():
+    drifting, spec = drifting_counter([0, -1])
+    exact, silent, task = drifting.base, silent_witness(spec.substrate), duration_task(spec)
+    never = WitnessFamily(((1, exact), (2, silent), (3, exact)))
+    report = check_possible_in_limit(never, task, tol=0.1)
+    assert report == (False, (0.0, None, 0.0), None, "some witness never halts")
+
+    # thresholds ever further below the reference's 8
+    specs = [make_counter_timer(4, t) for t in (7, 6, 5)]
+    rising = WitnessFamily(tuple((k, timer_witness(c)) for k, c in enumerate(specs, 1)))
+    tasks = [duration_task(c, reference=make_counter_timer(4, 8)) for c in specs]
+    report = check_possible_in_limit(rising, tasks, tol=0.5)
+    assert report == (False, (1 / 16, 2 / 16, 3 / 16), None, "accuracy sequence increases")
+
+    stops = ApproximateConstructor(exact, lambda base, k: silent if k else base)
+    report = check_possible_in_limit(WitnessFamily(((1, exact), (2, exact), (3, stops))), task, 0.1)
+    assert report == (False, (0.0,) * 3, None, "witness 3 stops halting on reuse")
+
+    worn = WitnessFamily(((1, exact), (2, drifting), (3, exact)))
+    report = check_possible_in_limit(worn, task, tol=0.01)
+    assert report == (False, (0.0,) * 3, 1 / 16, "witness 2 deteriorates beyond tol")
+
+
 def test_family_indices_strictly_increasing():
     spec = make_counter_timer(4, 5)
     with pytest.raises(ModelError, match="increasing"):
@@ -443,6 +504,15 @@ def test_search_finds_single_flip(abc):
     assert res.found
     assert res.action == {"a": "b", "b": "a", "c": "c"}
     assert verify_witness(res.witness, Task(singleton(abc, "a"), singleton(abc, "b"))).performs
+
+
+def test_search_rejects_no_pairs_and_pairs_on_two_substrates(abc):
+    other = identity_substrate("ABC2", abc.states)
+    with pytest.raises(ModelError, match="no task pairs given"):
+        search_impossibility([])
+    mixed = [Task(singleton(s, "a"), singleton(s, "b")) for s in (abc, other)]
+    with pytest.raises(ModelError, match="all task pairs must live on one substrate"):
+        search_impossibility(mixed)
 
 
 def test_search_identity_witness_first(abc):
@@ -625,6 +695,23 @@ def test_uniform_possibility_matches_enumeration():
         assert (res.kind, res.action, res.member_actions) == expected
         kinds.add(res.kind)
     assert kinds == {"uniformly-possible", "pointwise-only", "impossible"}
+
+
+def test_uniform_possibility_argument_errors(abc):
+    twin = identity_substrate("ABC2", abc.states)
+    other = identity_substrate("AB", ("a", "b"))
+    a, b = singleton(abc, "a"), singleton(abc, "b")
+    ta, tb = singleton(twin, "a"), singleton(twin, "b")
+    oa, ob = singleton(other, "a"), singleton(other, "b")
+    cases = [
+        (([abc, twin], [a], [b, tb]), "per-member attribute lists must match the family length"),
+        (([abc, other], [a, oa], [b, ob]), "family members must share one state-label set"),
+        (([abc, twin], [a, [ta, tb]], [b, [tb]]), "input and output attribute lists differ"),
+        (([abc, twin], [a, a], [b, b]), "attributes must live on their own family member"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ModelError, match=message):
+            uniform_possibility(*args)
 
 
 # equality and hashing --------------------------------------------------------
