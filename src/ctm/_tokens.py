@@ -6,9 +6,10 @@ statement forms of `ctm.dsl._FORMS`, the table the line reader builds its
 patterns from, and makes every diagnostic of a parse, resynchronizing at
 the next top-level keyword after each error.  It lexes on demand, one
 regex match per token with blanks and comments absorbed into the match.
-At each keyword that starts a line after its first statement, it gives
-the lines back to the line reader and goes on from the first line that
-the line reader does not accept, so a typo costs only its own statement.
+`parse_model` calls `_Parser.read` at each line the line reader does not
+accept; the parser reads from there to the next keyword that starts a
+line after its first statement and returns where it stopped, so a typo
+costs only its own statement.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from .dsl import (
     _NAME,
     _STATUS,
     Diagnostic,
-    ModelDecl,
     _add_cycle,
-    _read_lines,
     _Tables,
 )
 
@@ -41,19 +40,10 @@ _TOKEN_RE = re.compile(
     (?:[ \t\r]|\#[^\n]*)*
     (?:
       (?P<nl>\n)
-    | (?P<arrow>->)
+    | (?P<punct>->|[{}();:@✓✗])
     | (?P<float>""" + _FLOAT + r""")
     | (?P<int>""" + _INT + r""")
     | (?P<ident>""" + _NAME + r""")
-    | (?P<lbrace>\{)
-    | (?P<rbrace>\})
-    | (?P<lparen>\()
-    | (?P<rparen>\))
-    | (?P<semi>;)
-    | (?P<colon>:)
-    | (?P<at>@)
-    | (?P<check>✓)
-    | (?P<cross>✗)
     | (?P<bad>.)
     | \Z
     )
@@ -63,10 +53,11 @@ _TOKEN_RE = re.compile(
 
 
 # A token is an exact tuple (kind, text, line, column, offset), with a
-# 1-based (line, column) span.  The garbage collector stops tracking a tuple
-# whose items are all str and int at its first collection; a NamedTuple
-# subclass would stay tracked, and its Python-level constructor costs a call
-# per token.
+# 1-based (line, column) span.  The kind is ident, int, float, punct or eof;
+# the parser tells punctuation apart by its text.  The garbage collector
+# stops tracking a tuple whose items are all str and int at its first
+# collection; a NamedTuple subclass would stay tracked, and its Python-level
+# constructor costs a call per token.
 _Token = tuple[str, str, int, int, int]
 
 
@@ -99,18 +90,13 @@ class _Recover(Exception):
 
 
 class _Parser:
-    """Reads the statements of `text`, split into `lines`, from line `line` at offset `start`."""
+    """Reads the statements of `text` into `tables`, from each line `parse_model` hands it."""
 
-    def __init__(self, text: str, lines: list[str], start: int, line: int):
+    def __init__(self, text: str, tables: _Tables):
         self.text = text
-        self.lines = lines
+        self.tables = tables
         self.lexed: list[Diagnostic] = []  # the lexer's diagnostics, which come first
         self.diags: list[Diagnostic] = []
-        self.lex_from(start, line)
-
-    def lex_from(self, start: int, line: int) -> None:
-        self.next = _lex(self.text, start, line, self.lexed).__next__
-        self.tok: _Token = self.next()
 
     def fail(self, message: str, tok: _Token | None = None, suggestion: str | None = None):
         tok = tok or self.tok
@@ -203,7 +189,7 @@ class _Parser:
             if lam in entries:
                 self.fail(f"duplicate parameter value {lam}", start)
             entries[lam] = (attr, reading)
-            if self.tok[0] != "semi":
+            if self.tok[1] != ";":
                 break
             self.tok = self.next()
         return entries
@@ -237,34 +223,24 @@ class _Parser:
             tok = self.tok
             if tok[0] == "eof":
                 return
-            if tok[0] == "lbrace":
+            if tok[1] == "{":
                 depth += 1
-            elif tok[0] == "rbrace":
+            elif tok[1] == "}":
                 depth = max(0, depth - 1)
             elif depth == 0 and tok[0] == "ident" and tok[1] in _KEYWORDS:
                 return
             self.tok = self.next()  # not eof
 
-    def parse(self, tables: _Tables) -> tuple[ModelDecl | None, list[Diagnostic]]:
-        """Read the statements into `tables`: the declaration (None on any error) and every diagnostic.
+    def read(self, start: int, line: int) -> tuple[int, int] | None:
+        """Read the statements from line `line`, which starts at offset `start`.
 
-        The line reader takes the lines back at each keyword after the
-        first statement with nothing but blanks before it on its line, and
-        the parser goes on, lexing anew, from the first line it does not
-        accept.
+        Returns the offset and line of the next keyword, after the first
+        statement, with nothing but blanks before it on its line, where the
+        line reader takes over; or None at eof.
         """
-        resume = False  # whether the line reader may take the lines from this token on
+        self.next = _lex(self.text, start, line, self.lexed).__next__
+        self.tok: _Token = self.next()
         while (tok := self.tok)[0] != "eof":
-            if resume and tok[0] == "ident" and tok[1] in _KEYWORDS:
-                line_start = tok[4] - tok[3] + 1
-                if not self.text[line_start : tok[4]].strip(" \t\r"):
-                    at = _read_lines(self.lines, line_start, tok[2], tables)
-                    if at is None:
-                        break
-                    self.lex_from(*at)
-                    resume = False
-                    continue
-            resume = True
             try:
                 if tok[0] != "ident" or tok[1] not in _KEYWORDS:
                     self.fail(
@@ -276,11 +252,15 @@ class _Parser:
                 keyword = tok[1]
                 self.tok = self.next()
                 decl = self.statement(keyword, span)
-                if not tables.add(keyword, decl):
+                if not self.tables.add(keyword, decl):
                     self.diags.append(
                         Diagnostic("error", *span, f"duplicate {keyword} name {decl.name!r}")
                     )
             except _Recover:
                 self.sync()
-        diags = self.lexed + self.diags
-        return (None if diags else tables.model()), diags
+            tok = self.tok
+            if tok[0] == "ident" and tok[1] in _KEYWORDS:
+                line_start = tok[4] - tok[3] + 1
+                if not self.text[line_start : tok[4]].strip(" \t\r"):
+                    return line_start, tok[2]
+        return None

@@ -87,7 +87,8 @@ def _load_file(path: str) -> tuple[BuiltModel | None, list[Diagnostic]]:
     path = _resolve(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            # not utf-8-sig, so a decode error's offset counts the mark's 3 bytes
+            text = fh.read().removeprefix("\ufeff")
     except OSError as e:
         return None, [Diagnostic("error", 0, 0, f"cannot read {path!r}: {e.strerror}")]
     except UnicodeDecodeError as e:

@@ -6,12 +6,13 @@ the parts that follow its keyword, and two readers read the table.  The
 line reader matches each line that holds one complete, well-formed
 statement with one regex built from its form.  A line it does not accept
 goes to the token parser (`ctm._tokens`, imported only then), which walks
-the same parts over tokens, makes every diagnostic, and hands the lines
-back at the next statement that starts a line; so a typo costs only its
-own statement.  Both fill the same declaration tables, and the checks a
-form makes, such as the step map's, are functions both call.  Step maps
-are written in cycle notation and must mention every state exactly once,
-so a well-formed step map is a bijection by construction.
+the same parts over tokens, makes every diagnostic, and stops at the next
+statement that starts a line.  `parse_model` alternates the two readers
+until the text ends, so a typo costs only its own statement.  Both fill
+the same declaration tables, and the checks a form makes, such as the
+step map's, are functions both call.  Step maps are written in cycle
+notation and must mention every state exactly once, so a well-formed step
+map is a bijection by construction.
 
     substrate NAME { states L1 L2 ... ; step (L1 L2)(L3) }
     attribute NAME on SUBSTRATE { L1 L2 ... }
@@ -569,7 +570,14 @@ def parse_model(text: str) -> tuple[ModelDecl | None, list[Diagnostic]]:
         return tables.model(), []
     from ._tokens import _Parser
 
-    return _Parser(text, lines, *at).parse(tables)
+    parser = _Parser(text, tables)
+    while at is not None:
+        # the token parser reads at least the statement on line `at`, so each round moves on
+        at = parser.read(*at)
+        if at is not None:
+            at = _read_lines(lines, *at, tables)
+    diags = parser.lexed + parser.diags
+    return (None if diags else tables.model()), diags
 
 
 # ------------------------------------------------------------------- analysis

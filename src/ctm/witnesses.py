@@ -44,8 +44,8 @@ class ConstructorWitness:
     # joint: the joint step as a substrate; raised and ready_states: its states with the
     # flag raised and with the device ready
     __slots__ = (
-        "device", "substrate", "ready", "halt_flag", "joint_step", "max_steps",
-        "joint", "raised", "ready_states",
+        "device", "substrate", "ready", "halt_flag", "max_steps", "joint", "raised",
+        "ready_states",
     )
 
     def __init__(
@@ -77,7 +77,6 @@ class ConstructorWitness:
         self.substrate = substrate
         self.ready = ready
         self.halt_flag = halt_flag
-        self.joint_step = joint.step
         self.max_steps = max_steps
         self.joint = joint
         flag = halt_flag.members

@@ -282,6 +282,27 @@ def test_a_model_file_that_is_not_utf8_exits_two(capsys, tmp_path, models_dir, c
         assert report["files"][1]["status"] == "ok"
 
 
+def without_paths(report):
+    del report["inputs"]
+    for entry in report.get("files", []):
+        del entry["path"]
+    return report
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("check", []), ("dynamics", ["--variable", "pos", "--schedule", "8,4,2,1"])],
+)
+def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, models_dir, command, extra):
+    original = models_dir / "linear.ctm"
+    marked = tmp_path / "linear.ctm"
+    marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    want = run_json(capsys, command, str(original), *extra)
+    status, report = run_json(capsys, command, str(marked), *extra)
+    assert status == 0
+    assert (status, without_paths(report)) == (want[0], without_paths(want[1]))
+
+
 # classify ----------------------------------------------------------------------
 
 

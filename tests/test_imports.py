@@ -160,8 +160,9 @@ def after_typo(bits):
     # the typo keeps the statement on its line from the line reader
     text = "atribute x " + timer(bits)
     tables = _Tables()
-    _, diags = _Parser(text, text.split("\n"), 0, 1).parse(tables)
-    return tables.model(), [d.message for d in diags]
+    parser = _Parser(text, tables)
+    assert parser.read(0, 1) is None
+    return tables.model(), [d.message for d in parser.lexed + parser.diags]
 
 print(after_typo("٣") == after_typo("3"), after_typo("3")[0].timers["C"].bits)
 """

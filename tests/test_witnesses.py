@@ -243,7 +243,7 @@ def loop_verify(w, t):
                 if halt_at is not None and state[0] in w.ready.members:
                     cycled = True
                     break
-                state = w.joint_step[state]
+                state = w.joint.step[state]
             if halt_at is None:
                 return VerifyReport("timeout", (r, sigma), halt_steps, w.halt_on)
             if not cycled:
@@ -262,7 +262,7 @@ def loop_accuracy(w, t):
                 if flag_raised(w, state):
                     halt_state = state
                     break
-                state = w.joint_step[state]
+                state = w.joint.step[state]
             if halt_state is None:
                 return None
             worst = max(worst, _distance(w.substrate, halt_state[1], t.output.members))
@@ -303,9 +303,9 @@ def test_verify_and_accuracy_match_the_step_loop_on_small_witnesses(nd, ns, stri
     for w in witnesses:
         for t in tasks:
             report, want = verify_witness(w, t), loop_verify(w, t)
-            assert report == want, (w.joint_step, w.ready, w.halt_flag, w.max_steps, t)
+            assert report == want, (w.joint.step, w.ready, w.halt_flag, w.max_steps, t)
             assert report.performs == want.performs == (want.failing_run is None)
-            assert accuracy(w, t) == loop_accuracy(w, t), (w.joint_step, w.ready, w.halt_flag, t)
+            assert accuracy(w, t) == loop_accuracy(w, t), (w.joint.step, w.ready, w.halt_flag, t)
             reasons.add(report.reason)
     assert {"timeout", "wrong output", None} <= reasons
     assert ("cycle broken" in reasons) == (nd > 1)
@@ -719,7 +719,6 @@ def test_uniform_possibility_argument_errors(abc):
 
 def test_witnesses_equal_only_themselves_and_reports_compare_by_value(abc):
     w = flip_witness(abc)
-    assert w.joint_step is w.joint.step
     assert w.raised == {(1, s) for s in abc.states}
     assert w.ready_states == {(0, s) for s in abc.states}
     twin = flip_witness(abc)
