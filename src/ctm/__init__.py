@@ -11,8 +11,6 @@ from .core import (
     ModelError,
     Substrate,
     Variable,
-    are_distinguishable,
-    clone_substrate,
     compose_substrates,
     cycle_lengths,
     cyclic_substrate,
@@ -20,7 +18,6 @@ from .core import (
     first_entry,
     identity_substrate,
     is_static,
-    is_static_for_horizon,
     orbit,
     pair_attribute,
     recurrence_period,
@@ -50,7 +47,6 @@ from .timers import (
     check_staggered_halt,
     check_synchrony,
     classify_timers,
-    composite_timer,
     duration_task,
     make_counter_timer,
     make_particle_timer,
@@ -60,12 +56,9 @@ from .timers import (
 from .dynamics import (
     AdvanceCheckFailed,
     DerivativeEstimate,
-    PointerRecovery,
     TrajectoryModel,
-    check_timed_advance,
     estimate_derivative,
     incremental_ratio,
-    recover_clock_pointer,
 )
 
 __version__ = "0.1.0"
@@ -105,9 +98,8 @@ def __dir__() -> list[str]:
 
 __all__ = [
     # core
-    "Attribute", "ModelError", "Substrate", "Variable", "are_distinguishable",
-    "clone_substrate", "compose_substrates", "cycle_lengths", "cyclic_substrate", "evolve",
-    "first_entry", "identity_substrate", "is_static", "is_static_for_horizon", "orbit",
+    "Attribute", "ModelError", "Substrate", "Variable", "compose_substrates", "cycle_lengths",
+    "cyclic_substrate", "evolve", "first_entry", "identity_substrate", "is_static", "orbit",
     "pair_attribute", "recurrence_period", "static_horizon",
     # tasks
     "NULL_TASK", "CompositionUndefined", "Contradiction", "Derived", "LawSet",
@@ -115,11 +107,11 @@ __all__ = [
     "impossible", "parallel_compose", "possible", "serial_compose",
     # timers
     "TimerClass", "TimerSpec", "check_simultaneous_halt", "check_staggered_halt",
-    "check_synchrony", "classify_timers", "composite_timer", "duration_task",
-    "make_counter_timer", "make_particle_timer", "make_timer", "recurrence_horizon",
+    "check_synchrony", "classify_timers", "duration_task", "make_counter_timer",
+    "make_particle_timer", "make_timer", "recurrence_horizon",
     # dynamics
-    "AdvanceCheckFailed", "DerivativeEstimate", "PointerRecovery", "TrajectoryModel",
-    "check_timed_advance", "estimate_derivative", "incremental_ratio", "recover_clock_pointer",
+    "AdvanceCheckFailed", "DerivativeEstimate", "TrajectoryModel", "estimate_derivative",
+    "incremental_ratio",
     # witnesses
     *_WITNESS_NAMES,
 ]

@@ -89,15 +89,20 @@ def _load_file(path: str) -> tuple[BuiltModel | None, list[Diagnostic]]:
         with open(path, "r", encoding="utf-8") as fh:
             # not utf-8-sig, so a decode error's offset counts the mark's 3 bytes
             text = fh.read().removeprefix("\ufeff")
+        decl, diags = parse_model(text)
+        if decl is None:
+            return None, diags
+        return analyze_model(decl)
     except OSError as e:
         return None, [Diagnostic("error", 0, 0, f"cannot read {path!r}: {e.strerror}")]
     except UnicodeDecodeError as e:
         message = f"cannot read {path!r}: not UTF-8 text ({e.reason} at offset {e.start})"
         return None, [Diagnostic("error", 0, 0, message)]
-    decl, diags = parse_model(text)
-    if decl is None:
-        return None, diags
-    return analyze_model(decl)
+    except MemoryError:
+        # the diagnostic is built after the handler, once the partial model is freed
+        pass
+    message = f"cannot load {path!r}: the model needs more memory than this process may use"
+    return None, [Diagnostic("error", 0, 0, message)]
 
 
 def _check_laws(model: BuiltModel) -> tuple[list[dict], bool]:

@@ -121,10 +121,9 @@ class Variable:
     The parameter values are kept as `parameter_key` gives them: whole values
     as ints, the others as Fractions.  `attribute` and `in` accept any value
     `Fraction` accepts.  An entry may be static, which the `.ctm` loader
-    warns on: no timed advance leaves it (`check_timed_advance` is False
-    there, an empty entry included), and pointer recovery lists every static
-    entry but λ = 0 as unmapped, so none makes a verdict wrong.  Equality is
-    object identity.
+    warns on: no timed advance leaves it (`incremental_ratio` raises
+    AdvanceCheckFailed there, an empty entry included), so none makes a
+    verdict wrong.  Equality is object identity.
     """
 
     # domain: the parameter values in increasing order
@@ -188,25 +187,15 @@ def identity_substrate(sid: str, states: Iterable[State]) -> Substrate:
     return Substrate(sid, seq, {s: s for s in seq})
 
 
-def clone_substrate(s: Substrate) -> Substrate:
-    """Fresh instance, its id primed, with the same states and step (a second copy of the system)."""
-    return Substrate(s.id + "'", s.states, s.step, s.children)
-
-
-def retarget(attr: Attribute, substrate: Substrate) -> Attribute:
-    """The same member set read as an attribute of another substrate instance."""
-    return Attribute(substrate, attr.members, name=attr.name)
-
-
 def compose_substrates(a: Substrate, b: Substrate) -> Substrate:
     """Composite substrate: ordered-pair states, component-wise step.
 
-    Rejects composing a substrate instance with itself; use
-    :func:`clone_substrate` to model two copies of the same system.
+    Rejects composing a substrate instance with itself: two copies of one
+    system are two instances, built from the same states and step.
     """
     if a is b:
         raise ModelError(
-            f"cannot compose substrate {a.id!r} with itself; clone it to get a second instance"
+            f"cannot compose substrate {a.id!r} with itself; build a second instance of it"
         )
     states = tuple(product(a.states, b.states))
     step = {(x, y): (a.step[x], b.step[y]) for x, y in states}
@@ -290,23 +279,15 @@ def entry_states(x: Attribute) -> frozenset:
     return frozenset(entries)
 
 
-def is_static_for_horizon(x: Attribute, h: int) -> bool:
-    """Horizon-bounded staticity.
-
-    True iff every state that enters the attribute (its predecessor lies
-    outside) then remains inside for at least h further steps.  An
-    attribute with no entry states is invariant under a bijection and so
-    is static for every horizon; h = 0 is trivially true.  This is the
-    operational sense in which a finite system's completion attribute is
-    "static in practice" despite eventual recurrence.
-    """
-    if h < 0:
-        raise ModelError("horizon must be non-negative")
-    return static_horizon(x, cap=h) >= h
-
-
 def static_horizon(x: Attribute, cap: int | None = None) -> int:
-    """Largest h <= cap for which is_static_for_horizon holds (cap defaults to the recurrence period)."""
+    """Largest h <= cap such that every state entering the attribute stays in it for h more steps.
+
+    A state enters when its predecessor lies outside.  An attribute with no
+    entry state is invariant under the bijection, so its horizon is the cap,
+    which defaults to the recurrence period.  This is the operational sense
+    in which a finite system's completion attribute is "static in practice"
+    despite eventual recurrence.
+    """
     if cap is None:
         cap = recurrence_period(x.substrate)
     step = x.substrate.step
@@ -321,20 +302,3 @@ def static_horizon(x: Attribute, cap: int | None = None) -> int:
             stayed += 1
         best = min(best, stayed)
     return best
-
-
-def are_distinguishable(xs: Iterable[Attribute]) -> bool:
-    """Pairwise disjointness, the classical criterion for perfect classification."""
-    attrs = list(xs)
-    if len(attrs) < 2:
-        raise ModelError("distinguishability needs at least two attributes")
-    substrate = attrs[0].substrate
-    for a in attrs[1:]:
-        if a.substrate is not substrate:
-            raise ModelError("attributes on different substrates are not comparable")
-    seen: set = set()
-    for a in attrs:
-        if not seen.isdisjoint(a.members):
-            return False
-        seen |= a.members
-    return True

@@ -15,8 +15,8 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import ModelError, Substrate, Variable, evolve, first_entry, parameter_key
-from .timers import TimerClass, TimerSpec
+from .core import ModelError, Substrate, Variable, evolve, parameter_key
+from .timers import TimerSpec
 
 
 class AdvanceCheckFailed(RuntimeError):
@@ -54,19 +54,6 @@ class TrajectoryModel:
         if key not in self.readings:
             raise ModelError(f"no reading at parameter {lam}")
         return self.readings[key]
-
-
-def check_timed_advance(m: TrajectoryModel, timer: TimerSpec, lam) -> bool:
-    """Does the variable advance by the timer's duration exactly at its halt?
-
-    True iff v(lam) is non-empty and from every joint start (state of
-    v(lam), timer starting state) the substrate lies in v(lam + duration)
-    at the first raise of the timer's halt flag, when the timer completes.
-    An empty v(lam) has no start to advance, so it performs no advance.
-    The halt steps are timer.halts, found by make_timer within each start's
-    own cycle.
-    """
-    return _advances(m, Fraction(lam), Fraction(timer.duration), timer.halts)
 
 
 def _advances(m: TrajectoryModel, lam: Fraction, dlam: Fraction, halts) -> bool:
@@ -177,44 +164,3 @@ def estimate_derivative(
     else:
         _, order = _ols([p[0] for p in pts], [p[1] for p in pts])
     return DerivativeEstimate(lam, tuple(steps), tuple(ratios), extrapolated, order, residuals)
-
-
-class PointerRecovery(NamedTuple):
-    """Pointer readings of a clock expressed in timer-duration units."""
-
-    mapping: dict
-    unmapped: tuple
-    period: int
-
-
-def recover_clock_pointer(m: TrajectoryModel, reference: Sequence[TimerClass]) -> PointerRecovery:
-    """Assign each parameter value the duration class co-halting with its advance.
-
-    For each λ in the variable's domain the transition from v(0) must
-    reach v(λ) at one common step k for every v(0) state; when a reference
-    class of duration k exists, λ maps to it, otherwise the entry is
-    reported unmapped.  The recurrence period of the pointer bounds how far
-    readings can go before wrapping.
-    """
-    if 0 not in m.variable:
-        raise ModelError("pointer recovery needs an entry at λ = 0")
-    v0 = m.variable.attribute(0)
-    cycles, index = m.substrate.cycles, m.substrate.cycle_index
-    period = math.lcm(*(len(cycles[index[s][0]]) for s in v0.members))
-    by_duration = {cls.duration: cls for cls in reference}
-    mapping: dict = {0: 0}
-    unmapped = []
-    for lam in m.variable.domain:
-        if lam == 0:
-            continue
-        target = m.variable.attribute(lam)
-        firsts = {first_entry(m.substrate, s, target.members) for s in v0.members}
-        if len(firsts) != 1 or None in firsts:
-            unmapped.append(lam)
-            continue
-        k = firsts.pop()
-        if k in by_duration:
-            mapping[lam] = k
-        else:
-            unmapped.append(lam)
-    return PointerRecovery(mapping, tuple(unmapped), period)

@@ -220,7 +220,9 @@ def serial_compose(a: TaskLike, b: TaskLike) -> TaskLike:
     Equal intermediate attributes chain into one task; disjoint ones
     compose to the null task; a partial overlap is rejected outright
     rather than guessed at.  The null task is absorbing (it has no
-    attribute pairs to chain through).
+    attribute pairs to chain through).  This is the serial rule of
+    ``deductive_closure``, which applies it inline; the reference fixpoint
+    ``naive_closure`` in ``tests/test_tasks.py`` calls it as written.
     """
     if isinstance(a, NullTask) or isinstance(b, NullTask):
         return NULL_TASK
@@ -244,7 +246,12 @@ def _chains(a: Task, b: Task) -> bool:
 
 
 def parallel_compose(a: Task, b: Task, composite: Substrate | None = None) -> Task:
-    """Run two tasks side by side on the composite of their substrates."""
+    """Run two tasks side by side on the composite of their substrates.
+
+    This is the parallel rule of ``deductive_closure``, which applies it
+    inline; the reference fixpoint ``naive_closure`` in
+    ``tests/test_tasks.py`` calls it as written.
+    """
     if isinstance(a, NullTask) or isinstance(b, NullTask):
         raise ModelError("parallel composition is defined for substrate tasks only")
     if a.substrate is b.substrate:

@@ -17,14 +17,10 @@ from .core import (
     Attribute,
     ModelError,
     Substrate,
-    clone_substrate,
-    compose_substrates,
     cyclic_substrate,
     evolve,
     first_entry,
     is_static,
-    pair_attribute,
-    retarget,
     static_horizon,
 )
 from .tasks import Task
@@ -197,34 +193,6 @@ def _ring_timer(name: str, substrate: Substrate, target: int) -> TimerSpec:
     return make_timer(name, substrate, attr0, attrR, attr1)
 
 
-def composite_timer(c1: TimerSpec, c2: TimerSpec) -> TimerSpec:
-    """The pair of timers read as a single timer that halts when the faster does.
-
-    Requires duration(c1) <= duration(c2).  The completion attribute is
-    (1, R) when the durations differ and (1, 1) when they coincide; the
-    halt flag is the first timer's flag, raised regardless of the second
-    component.  make_timer rejects a pair that is no well-formed timer,
-    such as two skewed timers whose flag rises before joint completion.
-    """
-    if c1.duration > c2.duration:
-        raise ModelError("compose the shorter-duration timer first")
-    name2, sub2, start2, run2, done2, _ = _second_parts(c1, c2)
-    joint = compose_substrates(c1.substrate, sub2)
-    attr0 = pair_attribute(joint, c1.attr0, start2, name="(0,0)")
-    full2 = Attribute(sub2, frozenset(sub2.states), name="any")
-    halt = pair_attribute(joint, c1.halt_flag, full2, name="(halt,any)")
-    if c1.duration < c2.duration:
-        attr1 = pair_attribute(joint, c1.attr1, run2, name="(1,R)")
-    else:
-        attr1 = pair_attribute(joint, c1.attr1, done2, name="(1,1)")
-    not_done1 = Attribute(
-        c1.substrate, c1.attr0.members | c1.attrR.members, name="0|R"
-    )
-    running = pair_attribute(joint, not_done1, full2, name="(0|R,any)")
-    attrR = Attribute(joint, running.members - attr0.members, name="R")
-    return make_timer(f"[{c1.name}⊕{name2}]", joint, attr0, attrR, attr1, halt)
-
-
 def recurrence_horizon(c: TimerSpec) -> int:
     """Least k > 0 after which the starting attribute's representative recurs.
 
@@ -262,15 +230,6 @@ def check_simultaneous_halt(c1: TimerSpec, c2: TimerSpec) -> bool:
     halt step was found on its own step map, so the two may share a substrate.
     """
     return c1.halt_step is not None and c1.halt_step == c2.halt_step
-
-
-def _second_parts(c1: TimerSpec, c2: TimerSpec) -> tuple:
-    """make_timer's arguments for c2, on a clone of its substrate when c1 shares it."""
-    attrs = (c2.attr0, c2.attrR, c2.attr1, c2.halt_flag)
-    if c2.substrate is not c1.substrate:
-        return (c2.name, c2.substrate, *attrs)
-    sub = clone_substrate(c2.substrate)
-    return (c2.name + "'", sub, *(retarget(a, sub) for a in attrs))
 
 
 class TimerClass(NamedTuple):

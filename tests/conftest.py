@@ -1,4 +1,3 @@
-import multiprocessing
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,12 +35,6 @@ def prime_cycle_substrate(top):
     cycles = [tuple(f"c{q}_{i}" for i in range(q)) for q in primes]
     step = {c[i - 1]: c[i] for c in cycles for i in range(len(c))}
     return Substrate(f"primes{top}", [s for c in cycles for s in c], step)
-
-
-def call_within(seconds, fn, *args):
-    """fn(*args) in a fresh interpreter; after `seconds` it is killed and TimeoutError raised."""
-    with multiprocessing.get_context("spawn").Pool(1) as pool:
-        return pool.apply_async(fn, args).get(seconds)
 
 
 # parameter values written as an int, a whole Fraction, a non-whole Fraction

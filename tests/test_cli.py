@@ -1,4 +1,6 @@
+import functools
 import json
+import random
 import resource
 import subprocess
 import sys
@@ -537,19 +539,19 @@ BAD_SIZE = (
 )
 
 
-def limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def limit_address_space(limit):
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def run_bounded(*argv):
-    """`ctm argv` in a child process capped at 1 GiB: its JSON report, exit status and wall time."""
+def run_bounded(*argv, limit=1 << 30):
+    """`ctm argv` in a child process capped at `limit` bytes: report, exit status and wall time."""
     started = time.perf_counter()
     result = subprocess.run(
         [sys.executable, "-m", "ctm.cli", *argv],
         capture_output=True,
         text=True,
         timeout=20,
-        preexec_fn=limit_address_space,
+        preexec_fn=functools.partial(limit_address_space, limit),
     )
     elapsed = time.perf_counter() - started
     assert "Traceback" not in result.stderr
@@ -638,6 +640,70 @@ def test_an_integer_literal_past_the_digit_limit_exits_two(tmp_path):
          "suggestion": None}
     ]
     assert elapsed < 1.0
+
+
+COUNTERS_TOO_BIG_FOR_256_MIB = "".join(
+    f"timer counter C{i} {{ bits 12 ; threshold 5 }}\n" for i in range(300)
+)
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("check", []), ("classify", []), ("dynamics", ["--variable", "v", "--schedule", "4,2,1"])],
+    ids=["check", "classify", "dynamics"],
+)
+def test_a_model_too_big_for_memory_is_an_input_error(tmp_path, command, extra):
+    # 300 counters build 300 substrates of 4,096 states, more than 256 MiB holds
+    model = tmp_path / "counters.ctm"
+    model.write_text(COUNTERS_TOO_BIG_FOR_256_MIB)
+    report, status, elapsed = run_bounded(command, str(model), *extra, limit=256 << 20)
+    assert status == 2
+    jsonschema.validate(report, SCHEMA)
+    diagnostics = report["files"][0]["diagnostics"] if command == "check" else report["diagnostics"]
+    message = f"cannot load {str(model)!r}: the model needs more memory than this process may use"
+    assert [(d["severity"], d["message"]) for d in diagnostics] == [("error", message)]
+
+
+def laws_on_a_ring(laws, attributes, states, seed=0):
+    """Distinct seeded laws, about half declared possible, on three-state attributes of a ring."""
+    ring = " ".join(f"r{i}" for i in range(states))
+    lines = [f"substrate R {{ states {ring} ; step ({ring}) }}"]
+    lines += [
+        f"attribute a{i} on R {{ r{3 * i} r{3 * i + 1} r{3 * i + 2} }}" for i in range(attributes)
+    ]
+    rng = random.Random(seed)
+    declared: dict = {}
+    while len(declared) < laws:
+        i, j = rng.sample(range(attributes), 2)
+        declared[f"law {rng.choice(('possible', 'impossible'))} a{i} -> a{j} on R"] = None
+    return "\n".join(lines + list(declared)) + "\n"
+
+
+def test_twenty_thousand_laws_are_checked_in_bounded_time_and_memory(tmp_path):
+    # an impossible law between two attributes of one size is refuted: exit 1
+    model = tmp_path / "laws.ctm"
+    model.write_text(laws_on_a_ring(20_000, 600, 2_000))
+    report, status, elapsed = run_bounded("check", str(model))
+    assert status == 1
+    assert len(report["files"][0]["law_checks"]) == 20_000
+    assert elapsed < 10.0
+
+
+def test_a_variable_of_16384_entries_runs_in_bounded_time_and_memory(tmp_path):
+    n = 16_384
+    ring = " ".join(f"q{i}" for i in range(n))
+    lines = [f"substrate ring {{ states {ring} ; step ({ring}) }}"]
+    lines += [f"attribute p{i} on ring {{ q{i} }}" for i in range(n)]
+    entries = " ; ".join(f"{i} : p{i} @ {i}.0" for i in range(n))
+    lines.append(f"variable pos on ring {{ {entries} }}")
+    model = tmp_path / "pointer.ctm"
+    model.write_text("\n".join(lines) + "\n")
+    report, status, elapsed = run_bounded(
+        "dynamics", str(model), "--variable", "pos", "--at", "3", "--schedule", "64,32,16,8"
+    )
+    assert status == 0
+    assert report["ratios"] == [1.0] * 4
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-0.5"])

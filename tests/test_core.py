@@ -10,8 +10,6 @@ from ctm import (
     ModelError,
     Substrate,
     Variable,
-    are_distinguishable,
-    clone_substrate,
     compose_substrates,
     cycle_lengths,
     cyclic_substrate,
@@ -19,7 +17,6 @@ from ctm import (
     first_entry,
     identity_substrate,
     is_static,
-    is_static_for_horizon,
     orbit,
     pair_attribute,
     recurrence_period,
@@ -94,7 +91,7 @@ def test_compose_two_bits_gives_four_paired_states():
 
 
 def test_compose_counters_step_factorizes(counter16):
-    other = clone_substrate(counter16)
+    other = Substrate(counter16.id + "'", counter16.states, counter16.step)
     joint = compose_substrates(counter16, other)
     assert len(joint.states) == 256
     for x, y in joint.states:
@@ -185,17 +182,15 @@ def test_identity_dynamics_fix_every_singleton():
 def test_horizon_staticity_of_counter_completion(counter16):
     attr1 = Attribute(counter16, frozenset(range(5, 16)), name="1")
     # the entering state (5) survives 2^N - T - 1 = 10 further steps
-    assert is_static_for_horizon(attr1, 10)
-    assert not is_static_for_horizon(attr1, 11)
     assert static_horizon(attr1) == 10
-    for h in range(11):
-        assert is_static_for_horizon(attr1, h)
+    for h in range(13):
+        assert (static_horizon(attr1, cap=h) >= h) == walk_static_for_horizon(attr1, h) == (h <= 10)
 
 
 def test_zero_horizon_always_static(counter16):
     attr0 = singleton(counter16, 0)
-    assert is_static_for_horizon(attr0, 0)
-    assert not is_static_for_horizon(attr0, 1)
+    assert static_horizon(attr0, cap=0) >= 0 and walk_static_for_horizon(attr0, 0)
+    assert static_horizon(attr0, cap=1) < 1 and not walk_static_for_horizon(attr0, 1)
 
 
 @settings(max_examples=60)
@@ -203,7 +198,9 @@ def test_zero_horizon_always_static(counter16):
 def test_static_iff_static_for_full_period(s, data):
     members = data.draw(st.sets(st.sampled_from(s.states)))
     attr = Attribute(s, frozenset(members))
-    assert is_static(attr) == is_static_for_horizon(attr, recurrence_period(s))
+    period = recurrence_period(s)
+    assert is_static(attr) == (static_horizon(attr, cap=period) >= period)
+    assert is_static(attr) == walk_static_for_horizon(attr, period)
 
 
 @settings(max_examples=40)
@@ -300,11 +297,9 @@ def test_cycle_index_matches_step_walks(s, data):
     attr = Attribute(s, frozenset(data.draw(st.sets(st.sampled_from(s.states)))))
     assert entry_states(attr) == walk_entry_states(attr)
     for h in range(period + 2):
-        assert is_static_for_horizon(attr, h) == walk_static_for_horizon(attr, h)
+        assert (static_horizon(attr, cap=h) >= h) == walk_static_for_horizon(attr, h)
         assert static_horizon(attr, cap=h) == walk_static_horizon(attr, h)
     assert static_horizon(attr) == walk_static_horizon(attr, period)
-    with pytest.raises(ModelError, match="non-negative"):
-        is_static_for_horizon(attr, -1)
 
 
 def test_first_entry_matches_a_walk_over_the_recurrence_period():
@@ -321,23 +316,6 @@ def test_first_entry_matches_a_walk_over_the_recurrence_period():
                         (k for k in range(period + 1) if walk(s, start, k) in members), None
                     )
                     assert first_entry(s, start, members) == walked
-
-
-# distinguishability ---------------------------------------------------------
-
-
-def test_distinguishability_examples(counter16):
-    zero = singleton(counter16, 0)
-    one = Attribute(counter16, frozenset(range(5, 16)))
-    assert are_distinguishable([zero, one])
-    a = Attribute(counter16, frozenset(range(1, 5)))
-    b = Attribute(counter16, frozenset(range(4, 16)))
-    assert not are_distinguishable([a, b])  # share state 4
-    with pytest.raises(ModelError):
-        are_distinguishable([zero])
-    other = cyclic_substrate("C2", (0, 1))
-    with pytest.raises(ModelError, match="on different substrates are not comparable"):
-        are_distinguishable([zero, singleton(other, 1)])
 
 
 # membership tests against the seed's expressions ---------------------------
@@ -372,8 +350,6 @@ def test_membership_tests_match_the_seed_expressions(s, data):
         with pytest.raises(ModelError) as caught:
             Variable(s, entries)
         assert str(caught.value) == f"variable entry {clash}: attributes are not pairwise disjoint"
-    if len(attrs) >= 2:
-        assert are_distinguishable(attrs) == (clash is None)
 
 
 # variables ------------------------------------------------------------------

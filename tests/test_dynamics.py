@@ -9,16 +9,12 @@ from ctm import (
     AdvanceCheckFailed,
     Attribute,
     ModelError,
-    TimerClass,
     TrajectoryModel,
     Variable,
-    check_timed_advance,
     cyclic_substrate,
     estimate_derivative,
-    identity_substrate,
     incremental_ratio,
     make_counter_timer,
-    recover_clock_pointer,
 )
 from conftest import (
     LAMBDA_PROBES,
@@ -26,8 +22,6 @@ from conftest import (
     assert_distinct,
     assert_same_value,
     assert_slotted,
-    call_within,
-    prime_cycle_substrate,
     singleton,
 )
 
@@ -54,9 +48,30 @@ def sine_model():
 # timed advance -----------------------------------------------------------------
 
 
+def advances(model, timer, lam):
+    """Whether incremental_ratio verifies the advance from λ over the timer's duration."""
+    try:
+        incremental_ratio(model, lam, timer.duration, timer)
+    except AdvanceCheckFailed:
+        return False
+    return True
+
+
+def stepped_advance(model, lam, d):
+    """Oracle: every state of a non-empty v(λ) lies in v(λ + d) after d steps of the step map."""
+    start = model.variable.attribute(lam).members
+    target = model.variable.attribute(lam + d).members
+    reached = []
+    for state in start:
+        for _ in range(d):
+            state = model.substrate.step[state]
+        reached.append(state)
+    return bool(start) and all(state in target for state in reached)
+
+
 def test_advance_check_true_for_matching_target(linear_model):
     timer = make_counter_timer(4, 4)
-    assert check_timed_advance(linear_model, timer, 3)
+    assert advances(linear_model, timer, 3)
 
 
 def test_advance_check_false_for_wrong_target():
@@ -66,7 +81,7 @@ def test_advance_check_false_for_wrong_target():
         {0: singleton(ring, 3, "x"), 4: singleton(ring, 8, "x'")},  # 8, not 7
     )
     model = TrajectoryModel(var, {0: 0.0, 4: 4.0})
-    assert not check_timed_advance(model, make_counter_timer(4, 4), 0)
+    assert not advances(model, make_counter_timer(4, 4), 0)
 
 
 def test_no_advance_leaves_a_static_entry():
@@ -77,15 +92,15 @@ def test_no_advance_leaves_a_static_entry():
         {0: Attribute(ring, frozenset()), 1: singleton(ring, 1), 2: singleton(ring, 2)},
     )
     model = TrajectoryModel(var, {0: 0.0, 1: 5.0, 2: 6.0})
-    assert not check_timed_advance(model, make_counter_timer(3, 1), 0)
+    assert not advances(model, make_counter_timer(3, 1), 0)
     with pytest.raises(AdvanceCheckFailed):
         incremental_ratio(model, 0, 1)
-    assert check_timed_advance(model, make_counter_timer(3, 1), 1)
+    assert advances(model, make_counter_timer(3, 1), 1)
 
 
 def test_advance_outside_domain_rejected(linear_model):
     with pytest.raises(ModelError, match="domain"):
-        check_timed_advance(linear_model, make_counter_timer(4, 9), 8)
+        advances(linear_model, make_counter_timer(4, 9), 8)
 
 
 def test_zero_step_rejected(linear_model):
@@ -96,9 +111,9 @@ def test_zero_step_rejected(linear_model):
 def test_advance_transitivity(linear_model, sine_model):
     for model in (linear_model, sine_model):
         for lam, d1, d2 in ((0, 2, 3), (1, 1, 4), (2, 4, 2)):
-            assert check_timed_advance(model, make_counter_timer(5, d1), lam)
-            assert check_timed_advance(model, make_counter_timer(5, d2), lam + d1)
-            assert check_timed_advance(model, make_counter_timer(5, d1 + d2), lam)
+            assert advances(model, make_counter_timer(5, d1), lam)
+            assert advances(model, make_counter_timer(5, d2), lam + d1)
+            assert advances(model, make_counter_timer(5, d1 + d2), lam)
 
 
 def test_ideal_advance_check_agrees_with_counter_timers():
@@ -117,13 +132,15 @@ def test_ideal_advance_check_agrees_with_counter_timers():
         entries = {k: Attribute(ring, frozenset(pick(k))) for k, pick in enumerate(picks)}
         model = TrajectoryModel(Variable(ring, entries), {k: float(k) for k in range(4)})
         for lam, d in ((lam, d) for lam in range(3) for d in range(1, 4 - lam)):
+            want = stepped_advance(model, lam, d)
             try:
                 incremental_ratio(model, lam, d)
                 ideal = True
             except AdvanceCheckFailed:
                 ideal = False
-            assert [check_timed_advance(model, t, lam) for t in counters[d]] == [ideal] * 3
-            outcomes.add(ideal)
+            assert ideal == want
+            assert [advances(model, t, lam) for t in counters[d]] == [want] * 3
+            outcomes.add(want)
     assert outcomes == {True, False}
 
 
@@ -226,67 +243,6 @@ def test_estimate_names_a_schedule_step_without_a_timer(linear_model):
         estimate_derivative(linear_model, 0, [4, 2, 1], timers=timers)
 
 
-# pointer recovery -------------------------------------------------------------------
-
-
-def reference_classes(durations=range(1, 9)):
-    return [TimerClass(d, (make_counter_timer(5, d),)) for d in durations]
-
-
-def test_drifting_pointer_maps_to_matching_durations(linear_model):
-    rec = recover_clock_pointer(linear_model, reference_classes())
-    for lam in range(1, 9):
-        assert rec.mapping[Fraction(lam)] == lam
-    assert rec.mapping[Fraction(0)] == 0
-    assert set(rec.unmapped) == {Fraction(k) for k in range(9, 13)}
-    assert rec.period == 32
-
-
-def test_static_pointer_has_no_mappings_beyond_zero():
-    frozen = identity_substrate("F", ("f0", "f1"))
-    var = Variable(frozen, {0: singleton(frozen, "f0"), 1: singleton(frozen, "f1")})
-    model = TrajectoryModel(var, {0: 0.0, 1: 1.0})
-    rec = recover_clock_pointer(model, reference_classes())
-    assert rec.mapping == {Fraction(0): 0}
-    assert rec.unmapped == (Fraction(1),)
-
-
-def test_short_period_pointer_reports_wrap():
-    model = ring_model(16, float, span=range(16))
-    rec = recover_clock_pointer(model, reference_classes())
-    assert rec.period == 16
-    assert set(rec.mapping) == {Fraction(k) for k in range(9)}
-    assert set(rec.unmapped) == {Fraction(k) for k in range(9, 16)}
-
-
-def test_pointer_recovery_on_prime_cycles_walks_each_start_once_around_its_cycle():
-    # λ=0 holds one state on each prime cycle up to 29, whose recurrence period is
-    # about 6.5e9; λ=2 lies on the 3-cycle alone, so the other starts never reach it
-    ring = prime_cycle_substrate(29)
-    cycles = ring.cycles
-    var = Variable(
-        ring,
-        {
-            0: Attribute(ring, frozenset(c[0] for c in cycles)),
-            1: Attribute(ring, frozenset(c[1] for c in cycles)),
-            2: singleton(ring, "c3_2"),
-        },
-    )
-    model = TrajectoryModel(var, {0: 0.0, 1: 1.0, 2: 2.0})
-    rec = call_within(20, recover_clock_pointer, model, reference_classes(range(1, 3)))
-    assert rec.mapping == {0: 0, 1: 1}
-    assert rec.unmapped == (2,)
-    assert rec.period == math.prod(len(c) for c in cycles)
-
-
-def test_pointer_recovery_needs_zero_entry():
-    ring = cyclic_substrate("r8", tuple(range(8)))
-    var = Variable(ring, {1: singleton(ring, 1)})
-    model = TrajectoryModel(var, {1: 1.0})
-    with pytest.raises(ModelError, match="λ = 0"):
-        recover_clock_pointer(model, reference_classes())
-
-
 # parameter values in mixed forms ------------------------------------------------
 
 
@@ -317,24 +273,6 @@ def test_readings_match_a_fraction_keyed_reference(form):
             assert str(err.value) == f"no reading at parameter {probe}"
 
 
-@pytest.mark.parametrize("form", KEY_FORMS, ids=["mixed", "fraction", "str"])
-def test_pointer_recovery_matches_a_fraction_keyed_reference(form):
-    # on a ring, v(0) first reaches v(λ) after the distance between their cells
-    cells = {Fraction(lam): c for c, lam in enumerate(MIXED_LAMBDAS)}
-    durations = range(1, 9)
-    mapping, unmapped = {Fraction(0): 0}, []
-    for lam in sorted(cells):
-        if lam != 0:
-            k = (cells[lam] - cells[Fraction(0)]) % 16
-            if k in durations:
-                mapping[lam] = k
-            else:
-                unmapped.append(lam)
-    rec = recover_clock_pointer(mixed_model(form), reference_classes(durations))
-    assert rec.mapping == mapping and rec.unmapped == tuple(unmapped)
-    assert mapping and unmapped  # the reference exercises both outcomes
-
-
 def test_missing_readings_are_listed_as_canonical_values():
     ring = cyclic_substrate("ring8", tuple(range(8)))
     entries = {0: singleton(ring, 0), Fraction(3): singleton(ring, 3), "5/2": singleton(ring, 5)}
@@ -354,12 +292,8 @@ def test_trajectory_models_equal_only_themselves(linear_model):
     assert_slotted(linear_model)
 
 
-def test_estimates_and_recoveries_compare_by_value(linear_model, sine_model):
+def test_estimates_compare_by_value(sine_model):
     first = estimate_derivative(sine_model, 0, [4, 2, 1])
     assert_same_value(first, estimate_derivative(sine_model, 0, [4, 2, 1]))
     assert_distinct(first, estimate_derivative(sine_model, 1, [4, 2, 1]))
-    recovery = recover_clock_pointer(linear_model, reference_classes())
-    # the mapping is a dict, so a recovery compares by value but has no hash
-    assert recovery == recover_clock_pointer(linear_model, reference_classes())
-    assert recovery != recover_clock_pointer(linear_model, reference_classes(range(1, 3)))
-    assert_slotted(first, recovery)
+    assert_slotted(first)

@@ -20,18 +20,18 @@ from ctm import (
     ModelError,
     Substrate,
     Task,
-    are_distinguishable,
     check_simultaneous_halt,
     check_staggered_halt,
     check_synchrony,
     classify_timers,
-    composite_timer,
+    compose_substrates,
     cyclic_substrate,
     duration_task,
     identity_substrate,
     make_counter_timer,
     make_particle_timer,
     make_timer,
+    pair_attribute,
     recurrence_horizon,
     timer_witness,
     verify_witness,
@@ -145,6 +145,31 @@ def test_particle_timer_requires_whole_steps():
 # composites ------------------------------------------------------------------
 
 
+def composite_parts(c1, c2):
+    """make_timer's arguments for a pair read as one timer that halts when c1, the faster, does.
+
+    The completion attribute is (1, R) when the durations differ and (1, 1) when they
+    coincide; the halt flag is c1's flag, whatever c2 shows.  A c2 on c1's substrate
+    runs on a second instance of it.
+    """
+    name2, sub2 = c2.name, c2.substrate
+    if sub2 is c1.substrate:
+        name2, sub2 = name2 + "'", Substrate(sub2.id + "'", sub2.states, sub2.step)
+    start2, run2, done2 = (Attribute(sub2, a.members) for a in (c2.attr0, c2.attrR, c2.attr1))
+    joint = compose_substrates(c1.substrate, sub2)
+    any2 = Attribute(sub2, sub2.states, name="any")
+    attr0 = pair_attribute(joint, c1.attr0, start2, name="(0,0)")
+    if c1.duration < c2.duration:
+        attr1 = pair_attribute(joint, c1.attr1, run2, name="(1,R)")
+    else:
+        attr1 = pair_attribute(joint, c1.attr1, done2, name="(1,1)")
+    not_done1 = Attribute(c1.substrate, c1.attr0.members | c1.attrR.members, name="0|R")
+    running = pair_attribute(joint, not_done1, any2)
+    attrR = Attribute(joint, running.members - attr0.members, name="R")
+    halt = pair_attribute(joint, c1.halt_flag, any2, name="(halt,any)")
+    return f"[{c1.name}⊕{name2}]", joint, attr0, attrR, attr1, halt
+
+
 def naive_joint_halt(c1, c2):
     """Oracle: simulate the pair until c1's flag raises, return (step, state1, state2)."""
     x = next(iter(c1.attr0.members))
@@ -158,7 +183,7 @@ def naive_joint_halt(c1, c2):
 
 def test_composite_unequal_halts_in_completed_running():
     c45, c47 = make_counter_timer(4, 5), make_counter_timer(4, 7)
-    comp = composite_timer(c45, c47)
+    comp = make_timer(*composite_parts(c45, c47))
     assert comp.duration == 5
     k, x, y = naive_joint_halt(c45, c47)
     assert k == 5
@@ -169,7 +194,7 @@ def test_composite_unequal_halts_in_completed_running():
 def test_composite_equal_halts_in_joint_completion():
     a = make_counter_timer(4, 5)
     b = make_counter_timer(4, 5)
-    comp = composite_timer(a, b)
+    comp = make_timer(*composite_parts(a, b))
     k, x, y = naive_joint_halt(a, b)
     assert k == 5
     assert x in a.attr1.members and y in b.attr1.members
@@ -179,32 +204,10 @@ def test_composite_equal_halts_in_joint_completion():
 def test_composite_cross_family_same_class():
     a = make_counter_timer(4, 5)
     p = make_particle_timer(64, 1, 5)
-    comp = composite_timer(a, p)
+    comp = make_timer(*composite_parts(a, p))
     assert comp.duration == 5
     assert comp.attr1.name == "(1,1)"
     assert check_simultaneous_halt(a, p)
-
-
-def test_composite_self_pair_clones_the_substrate():
-    a = make_counter_timer(4, 5)
-    comp = composite_timer(a, a)
-    assert comp.duration == 5
-    first, second = comp.substrate.children
-    assert first is a.substrate and second is not a.substrate
-    assert (second.states, second.step) == (a.substrate.states, a.substrate.step)
-    assert comp.name == "[counter(4,5)⊕counter(4,5)']"
-    name, sub, *attrs = timers._second_parts(a, a)
-    assert name == "counter(4,5)'" and sub is not a.substrate
-    assert all(x.substrate is sub for x in attrs)
-    originals = (a.attr0, a.attrR, a.attr1, a.halt_flag)
-    assert [x.members for x in attrs] == [x.members for x in originals]
-    copy = make_timer(name, sub, *attrs)
-    assert (copy.duration, copy.halt_step, copy.static_horizon) == (5, 5, 10)
-
-
-def test_composite_requires_faster_first():
-    with pytest.raises(ModelError, match="shorter"):
-        composite_timer(make_counter_timer(4, 7), make_counter_timer(4, 5))
 
 
 def test_composite_duration_equals_faster_duration():
@@ -212,7 +215,7 @@ def test_composite_duration_equals_faster_duration():
     for _ in range(10):
         t1 = rng.randrange(2, 10)
         t2 = rng.randrange(t1, 12)
-        comp = composite_timer(make_counter_timer(4, t1), make_counter_timer(4, t2))
+        comp = make_timer(*composite_parts(make_counter_timer(4, t1), make_counter_timer(4, t2)))
         assert comp.duration == t1
 
 
@@ -410,18 +413,19 @@ def test_every_shipped_style_timer_validates():
         make_particle_timer(64, 2, 10),
     ):
         assert seed_validate(spec).passed
-        assert are_distinguishable([spec.attr0, spec.attrR, spec.attr1])
+        attr0, attrR, attr1 = spec.attr0.members, spec.attrR.members, spec.attr1.members
+        assert attr0.isdisjoint(attrR) and attr0.isdisjoint(attr1) and attrR.isdisjoint(attr1)
 
 
 def test_composite_of_skewed_timers_is_rejected():
     # each skewed start completes, and raises the pair's flag, at its own step
     with pytest.raises(ModelError, match="halt-at-completion"):
-        composite_timer(skewed_timer("K1"), skewed_timer("K2"))
+        make_timer(*composite_parts(skewed_timer("K1"), skewed_timer("K2")))
 
 
 def test_composite_lands_in_faster_timers_class():
     c45, c47 = make_counter_timer(4, 5), make_counter_timer(4, 7)
-    comp = composite_timer(c45, c47)
+    comp = make_timer(*composite_parts(c45, c47))
     assert check_simultaneous_halt(comp, c45)
     assert not check_simultaneous_halt(comp, c47)
 
@@ -557,9 +561,9 @@ def walked_halt_step(spec):
 
 def test_halt_step_matches_per_start_walk():
     skewed, counter = skewed_timer(), make_counter_timer(4, 5)
-    specs = [skewed, composite_timer(counter, make_particle_timer(64, 2, 14))]
-    specs.append(composite_timer(skewed, counter))
-    specs.append(composite_timer(counter, counter))
+    specs = [skewed, make_timer(*composite_parts(counter, make_particle_timer(64, 2, 14)))]
+    specs.append(make_timer(*composite_parts(skewed, counter)))
+    specs.append(make_timer(*composite_parts(counter, counter)))
     for seed in range(20):
         specs += seeded_catalog(seed)
     for spec in specs:
@@ -714,13 +718,6 @@ def seed_decision(parts):
         failed = ", ".join(report.failures)
         return f"timer {parts[0]!r} is not a well-formed null constructor: {failed}"
     return spec.duration, spec.static_horizon, report.warnings
-
-
-def composite_parts(c1, c2):
-    """The structure composite_timer hands to make_timer, before any check."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(timers, "make_timer", lambda *parts: parts)
-        return composite_timer(c1, c2)
 
 
 def random_parts(rng, i):
