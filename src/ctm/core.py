@@ -2,11 +2,12 @@
 
 The desk-scale model: a substrate is a finite set of state labels plus a
 bijective one-step evolution map.  An attribute is a subset of a
-substrate's states.  Every verdict exported by the other modules is
-ultimately computed by exhaustive simulation of these maps, so all
-operations are pure functions.  The types here are immutable by
-convention: each has ``__slots__`` (no attribute can be added), and
-nothing assigns to an instance once it is built.
+substrate's states.  Every verdict exported by the other modules is a
+fact of these maps, found by simulating them or by a closed form equal
+to the simulation (a counter or particle timer builds its ring only when
+asked), and all operations are pure functions.  The types here are
+immutable by convention: each has ``__slots__`` (no attribute can be
+added), and nothing assigns to an instance once it is built.
 """
 
 from __future__ import annotations

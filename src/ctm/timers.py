@@ -11,13 +11,13 @@ partitions any timer catalog into duration classes.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .core import (
     Attribute,
     ModelError,
     Substrate,
-    cyclic_substrate,
     evolve,
     first_entry,
     is_static,
@@ -29,40 +29,58 @@ from .tasks import Task
 class TimerSpec:
     """A well-formed null constructor: 0 / R / 1 attributes and a halt flag.
 
-    Only make_timer builds one, so every spec has passed the checks there.
-    halts holds the distinct first-halt steps of the starting states, in
-    ascending order, each found within its start's own cycle.  The last is
-    the duration; halt_step is the one step shared by every start, or None.
-    warnings holds make_timer's notes on a legal but degenerate structure.
+    make_timer builds a custom one, and make_counter_timer and
+    make_particle_timer a ring one; each proves the null-constructor checks
+    (see make_timer and _ring_timer).  halts holds the distinct first-halt
+    steps of the starting states, in ascending order.  The last is the
+    duration; halt_step is the one step shared by every start, or None.
+    warnings holds the notes on a legal but degenerate structure, and
+    recurrence is recurrence_horizon's answer.  A ring timer's facts are
+    closed forms, so its substrate and attributes are built on the first
+    read of any of them, and every later read returns the same objects.
     Equality is object identity.
     """
 
-    __slots__ = (
-        "name", "substrate", "attr0", "attrR", "attr1", "halt_flag", "halts",
-        "static_horizon", "warnings",
-    )
+    # _ring: (n, v, t) of a ring timer, else None; _parts: the tuple
+    # (substrate, attr0, attrR, attr1, halt_flag), or the function that builds it
+    __slots__ = ("name", "halts", "static_horizon", "warnings", "recurrence", "_ring", "_parts")
 
     def __init__(
         self,
         name: str,
-        substrate: Substrate,
-        attr0: Attribute,
-        attrR: Attribute,
-        attr1: Attribute,
-        halt_flag: Attribute,
         halts: tuple[int, ...],
         static_horizon: int,
         warnings: tuple[str, ...],
+        recurrence: int,
+        parts,
+        ring: tuple[int, int, int] | None = None,
     ) -> None:
         self.name = name
-        self.substrate = substrate
-        self.attr0 = attr0
-        self.attrR = attrR
-        self.attr1 = attr1
-        self.halt_flag = halt_flag
         self.halts = halts
         self.static_horizon = static_horizon
         self.warnings = warnings
+        self.recurrence = recurrence
+        self._parts = parts
+        self._ring = ring
+
+    def _structure(self) -> tuple:
+        if callable(self._parts):
+            self._parts = self._parts()
+        return self._parts
+
+    substrate = property(lambda self: self._structure()[0])
+    attr0 = property(lambda self: self._structure()[1])
+    attrR = property(lambda self: self._structure()[2])
+    attr1 = property(lambda self: self._structure()[3])
+    halt_flag = property(lambda self: self._structure()[4])
+
+    def runs_at(self, h: int) -> bool:
+        """True iff every starting state lies in the running attribute at step h."""
+        if self._ring is None:
+            sub, attr0, attrR = self._structure()[:3]
+            return all(evolve(sub, s, h) in attrR.members for s in attr0.members)
+        n, v, t = self._ring
+        return 1 <= h * v % n < t
 
     @property
     def duration(self) -> int:
@@ -76,6 +94,19 @@ class TimerSpec:
         return f"TimerSpec({self.name!r}, duration={self.duration})"
 
 
+def _warnings(running_empty: bool, horizon: int, duration: int) -> tuple[str, ...]:
+    """The notes on a legal but degenerate timer."""
+    warnings = []
+    if running_empty:
+        warnings.append("running attribute is empty (duration-1 degenerate timer)")
+    if horizon < 4 * duration:
+        warnings.append(
+            f"completed attribute stays static for {horizon} steps, "
+            f"less than four durations ({4 * duration})"
+        )
+    return tuple(warnings)
+
+
 def make_timer(
     name: str,
     substrate: Substrate,
@@ -84,13 +115,15 @@ def make_timer(
     attr1: Attribute,
     halt_flag: Attribute | None = None,
 ) -> TimerSpec:
-    """Assemble a TimerSpec, deriving the halt steps and the completed-static horizon.
+    """Assemble a custom TimerSpec, deriving the halt steps and the completed-static horizon.
 
     Raises ModelError naming each failed null-constructor check.  The
     completed attribute passes its static check once every starting state
     lies in it at one step: it is then static for the computed horizon.
     An empty running attribute (a duration-1 timer) and a horizon shorter
-    than four durations are legal and recorded as warnings.
+    than four durations are legal and recorded as warnings.  The
+    recurrence is the cycle length of the starting state that comes first
+    in the substrate's state order, so it does not depend on set order.
     """
     if halt_flag is None:
         halt_flag = attr1
@@ -121,17 +154,15 @@ def make_timer(
             f"timer {name!r} is not a well-formed null constructor: " + ", ".join(failed)
         )
     horizon = static_horizon(attr1)
-    warnings = []
-    if not attrR.members:
-        warnings.append("running attribute is empty (duration-1 degenerate timer)")
-    if horizon < 4 * k:
-        warnings.append(
-            f"completed attribute stays static for {horizon} steps, "
-            f"less than four durations ({4 * k})"
-        )
-    halts = tuple(sorted(set(firsts)))
+    rep = next(s for s in substrate.states if s in attr0.members)
+    recurrence = len(substrate.cycles[substrate.cycle_index[rep][0]])
     return TimerSpec(
-        name, substrate, attr0, attrR, attr1, halt_flag, halts, horizon, tuple(warnings)
+        name,
+        tuple(sorted(set(firsts))),
+        horizon,
+        _warnings(not attrR.members, horizon, k),
+        recurrence,
+        (substrate, attr0, attrR, attr1, halt_flag),
     )
 
 
@@ -141,21 +172,23 @@ def make_counter_timer(
     """Counter over 0..2^bits - 1, incrementing each step and wrapping.
 
     Starting attribute {0}, running {1..T-1}, completed {T..2^bits - 1};
-    the halt flag coincides with the completed attribute.  The completed
-    attribute stays static for exactly 2^bits - T - 1 steps after entry,
-    the wrap made explicit.
+    the halt flag coincides with the completed attribute.  It is the ring
+    timer of _ring_timer with n = 2^bits, v = 1 and t = T, so its facts are
+    closed forms: it halts at step T, and its completed attribute stays
+    static for exactly 2^bits - T - 1 steps after entry, the wrap made
+    explicit.  A given substrate is checked to be that counter and is the
+    one the timer's attributes are built on.
     """
     size = 2**bits
     if not 1 <= threshold < size:
         raise ModelError(f"threshold must satisfy 1 <= T < 2^{bits} = {size}")
-    if substrate is None:
-        substrate = cyclic_substrate(f"counter{bits}", tuple(range(size)))
-    else:
+    if substrate is not None:
         if substrate.states != tuple(range(size)):
             raise ModelError("provided substrate is not a counter over 0..2^bits - 1")
         if any(substrate.step[i] != (i + 1) % size for i in range(size)):
             raise ModelError("provided substrate does not increment mod 2^bits")
-    return _ring_timer(name or f"counter({bits},{threshold})", substrate, threshold)
+    name = name or f"counter({bits},{threshold})"
+    return _ring_timer(name, size, 1, threshold, f"counter{bits}", substrate)
 
 
 def make_particle_timer(
@@ -166,7 +199,9 @@ def make_particle_timer(
     Starting attribute is the particle at cell 0 (there only for an
     instant), running is strictly between 0 and the target cell, completed
     is at the target or beyond; the wrap region bounds how long completion
-    stays static.
+    stays static.  It is the ring timer of _ring_timer with n = cells,
+    v = speed and t = target, so its facts are closed forms: it halts at
+    step target / speed.
     """
     if speed < 1:
         raise ModelError("speed must be at least 1 cell per step")
@@ -176,21 +211,48 @@ def make_particle_timer(
         raise ModelError(
             f"target cell {target} is not reached in a whole number of steps at speed {speed}"
         )
-    substrate = Substrate(
-        f"particle{cells}v{speed}",
-        tuple(range(cells)),
-        {c: (c + speed) % cells for c in range(cells)},
-    )
-    return _ring_timer(name or f"particle({cells},{speed},{target})", substrate, target)
+    name = name or f"particle({cells},{speed},{target})"
+    return _ring_timer(name, cells, speed, target, f"particle{cells}v{speed}")
 
 
-def _ring_timer(name: str, substrate: Substrate, target: int) -> TimerSpec:
-    """The timer on states 0..n-1 that starts at 0, runs below target and completes from it on."""
-    size = len(substrate.states)
-    attr0 = Attribute(substrate, frozenset({0}), name="0")
-    attrR = Attribute(substrate, frozenset(range(1, target)), name="R")
-    attr1 = Attribute(substrate, frozenset(range(target, size)), name="1")
-    return make_timer(name, substrate, attr0, attrR, attr1)
+def _ring_timer(
+    name: str, n: int, v: int, t: int, substrate_id: str, substrate: Substrate | None = None
+) -> TimerSpec:
+    """The timer on the ring c -> (c + v) mod n: it starts at 0, runs below t, completes from t.
+
+    Requires 1 <= v <= t < n with v dividing t, as the argument checks of
+    both constructors ensure.  Let g = gcd(n, v): the step's cycles are the
+    residue classes mod g, each of n / g states, and g divides t.  Then
+    make_timer's checks hold by construction:
+    - starting {0} is not static: 0 steps to v, and 0 < v < n;
+    - a non-empty running [1, t) is not static: it holds 1 but not
+      n - g + 1 mod n, which shares 1's cycle and is 0 or lies in [t + 1, n);
+    - from 0 the walk visits v, 2v, ..., all running below t, and first
+      completes at t, at step t / v, so that is the one halt step and every
+      start is completed there;
+    - completed [t, n) is not empty and is the halt flag, so the flag
+      rises exactly at completion;
+    - {0}, [1, t) and [t, n) are disjoint.
+    Completed is entered at [t, min(t + v, n)), and from an entry e stays
+    (n - 1 - e) // v more steps, fewest from the last entry; that is under
+    the recurrence n / g, so the horizon is make_timer's.  The step-h state
+    of the start is h * v mod n, running iff it lies in [1, t).  The
+    substrate (`substrate`, or a new one named `substrate_id`) and the
+    attributes are built on the spec's first read of them.
+    """
+
+    def parts() -> tuple:
+        sub = substrate
+        if sub is None:
+            sub = Substrate(substrate_id, range(n), {c: (c + v) % n for c in range(n)})
+        attr0, attrR = Attribute(sub, (0,), name="0"), Attribute(sub, range(1, t), name="R")
+        attr1 = Attribute(sub, range(t, n), name="1")
+        return sub, attr0, attrR, attr1, attr1
+
+    horizon = (n - 1 - min(t + v - 1, n - 1)) // v
+    halt = t // v
+    warnings = _warnings(t == 1, horizon, halt)
+    return TimerSpec(name, (halt,), horizon, warnings, n // gcd(n, v), parts, (n, v, t))
 
 
 def recurrence_horizon(c: TimerSpec) -> int:
@@ -199,9 +261,7 @@ def recurrence_horizon(c: TimerSpec) -> int:
     The representative is the starting state that comes first in the
     substrate's state order, so the result does not depend on set order.
     """
-    members, sub = c.attr0.members, c.substrate
-    rep = next(s for s in sub.states if s in members)
-    return len(sub.cycles[sub.cycle_index[rep][0]])
+    return c.recurrence
 
 
 def check_staggered_halt(c1: TimerSpec, c2: TimerSpec) -> bool:
@@ -212,14 +272,12 @@ def check_staggered_halt(c1: TimerSpec, c2: TimerSpec) -> bool:
     timer's halt step.  A timer first shows completion when its flag is
     raised, and running is disjoint from completed, so no step up to the
     halt shows joint completion.  Operationally this is the failure of the
-    (0,0) -> (1,1) task on the pair.  The halt steps are c1.halts, found
-    by make_timer within each start's own cycle.
+    (0,0) -> (1,1) task on the pair.  The halt steps are c1.halts, and
+    c2.runs_at answers for each whether every start of c2 runs then.
     """
     if c1.duration >= c2.duration:
         raise ModelError("staggered-halt check requires duration(c1) < duration(c2)")
-    return all(
-        evolve(c2.substrate, t, h) in c2.attrR.members for h in c1.halts for t in c2.attr0.members
-    )
+    return all(c2.runs_at(h) for h in c1.halts)
 
 
 def check_simultaneous_halt(c1: TimerSpec, c2: TimerSpec) -> bool:

@@ -642,9 +642,13 @@ def test_an_integer_literal_past_the_digit_limit_exits_two(tmp_path):
     assert elapsed < 1.0
 
 
-COUNTERS_TOO_BIG_FOR_256_MIB = "".join(
-    f"timer counter C{i} {{ bits 12 ; threshold 5 }}\n" for i in range(300)
-)
+@pytest.fixture(scope="module")
+def substrate_too_big_for_256_mib(tmp_path_factory):
+    """One substrate of 2,000,000 states on one line, a 34 MB file."""
+    states = " ".join(f"s{i}" for i in range(2_000_000))
+    model = tmp_path_factory.mktemp("big") / "big.ctm"
+    model.write_text(f"substrate S {{ states {states} ; step ({states}) }}\n")
+    return model
 
 
 @pytest.mark.parametrize(
@@ -652,16 +656,32 @@ COUNTERS_TOO_BIG_FOR_256_MIB = "".join(
     [("check", []), ("classify", []), ("dynamics", ["--variable", "v", "--schedule", "4,2,1"])],
     ids=["check", "classify", "dynamics"],
 )
-def test_a_model_too_big_for_memory_is_an_input_error(tmp_path, command, extra):
-    # 300 counters build 300 substrates of 4,096 states, more than 256 MiB holds
-    model = tmp_path / "counters.ctm"
-    model.write_text(COUNTERS_TOO_BIG_FOR_256_MIB)
+def test_a_model_too_big_for_memory_is_an_input_error(
+    substrate_too_big_for_256_mib, command, extra
+):
+    # the substrate's labels, step map and cycle index need more than 256 MiB
+    model = substrate_too_big_for_256_mib
     report, status, elapsed = run_bounded(command, str(model), *extra, limit=256 << 20)
     assert status == 2
     jsonschema.validate(report, SCHEMA)
     diagnostics = report["files"][0]["diagnostics"] if command == "check" else report["diagnostics"]
     message = f"cannot load {str(model)!r}: the model needs more memory than this process may use"
     assert [(d["severity"], d["message"]) for d in diagnostics] == [("error", message)]
+
+
+@pytest.mark.parametrize("count", [300, 1_000])
+def test_many_twelve_bit_counters_classify_in_bounded_time_and_memory(tmp_path, count):
+    # a ring timer's facts are closed forms: no counter builds its 4,096 states
+    model = tmp_path / "counters.ctm"
+    model.write_text(
+        "".join(f"timer counter C{i} {{ bits 12 ; threshold 5 }}\n" for i in range(count))
+    )
+    report, status, elapsed = run_bounded("classify", str(model), limit=256 << 20)
+    assert status == 0
+    jsonschema.validate(report, SCHEMA)
+    assert [c["duration"] for c in report["classes"]] == [5]
+    assert len(report["classes"][0]["members"]) == count
+    assert elapsed < 1.0
 
 
 def laws_on_a_ring(laws, attributes, states, seed=0):
