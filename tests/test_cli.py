@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import time
 import jsonschema
 import pytest
 
+import ctm
 import ctm.cli
 import ctm.tasks
 from ctm.cli import main
@@ -684,6 +686,47 @@ def test_many_twelve_bit_counters_classify_in_bounded_time_and_memory(tmp_path, 
     assert elapsed < 1.0
 
 
+NEEDS_MORE_MEMORY = [("error", "ctm check needs more memory than this process may use")]
+
+
+def test_a_check_out_of_memory_after_the_load_exits_two(tmp_path):
+    # 1,000 counters load in closed form, but their 499,500 pair rows need more than 256 MiB
+    model = tmp_path / "counters.ctm"
+    model.write_text(
+        "".join(f"timer counter C{i} {{ bits 12 ; threshold 5 }}\n" for i in range(1_000))
+    )
+    report, status, elapsed = run_bounded("check", str(model), limit=256 << 20)
+    assert status == 2
+    jsonschema.validate(report, SCHEMA)
+    assert "files" not in report
+    assert [(d["severity"], d["message"]) for d in report["diagnostics"]] == NEEDS_MORE_MEMORY
+    assert elapsed < 10.0
+
+
+@pytest.mark.parametrize("where", ["_check_timers", "_dump"])
+def test_a_memory_error_after_the_load_writes_only_a_small_report(
+    capsys, monkeypatch, models_dir, where
+):
+    real = getattr(ctm.cli, where)
+    calls = []
+
+    def out_of_memory_once(*args):
+        calls.append(where)
+        if len(calls) == 1:
+            raise MemoryError
+        return real(*args)
+
+    monkeypatch.setattr(ctm.cli, where, out_of_memory_once)
+    # run_json parses the whole of stdout as one report
+    status, report = run_json(capsys, "check", str(models_dir / "timers.ctm"))
+    assert status == 2
+    assert sorted(report) == [
+        "command", "diagnostics", "engine", "exit_status", "inputs", "options", "schema", "timing"
+    ]
+    assert [(d["severity"], d["message"]) for d in report["diagnostics"]] == NEEDS_MORE_MEMORY
+    assert report["timing"] == {"checks_run": 0}
+
+
 def laws_on_a_ring(laws, attributes, states, seed=0):
     """Distinct seeded laws, about half declared possible, on three-state attributes of a ring."""
     ring = " ".join(f"r{i}" for i in range(states))
@@ -875,8 +918,13 @@ def test_model_root_env_var(capsys, models_dir, monkeypatch):
 def test_text_format(capsys, models_dir):
     status, out = run_cli(capsys, "check", str(models_dir / "timers.ctm"), "--format", "text")
     assert status == 0
-    assert out.startswith("ctm check")
-    assert "elapsed:" in out
+    # a header line, the JSON report, the elapsed time and the exit status
+    header, rest = out.split("\n", 1)
+    body, elapsed, exit_line, end = rest.rsplit("\n", 3)
+    assert header == f"ctm check (engine {ctm.__version__})"
+    assert re.fullmatch(r"elapsed: \d+\.\d ms", elapsed)
+    assert (exit_line, end) == ("exit: 0", "")
+    assert run_cli(capsys, "check", str(models_dir / "timers.ctm")) == (0, body + "\n")
 
 
 def test_cli_subprocess_entry_point(models_dir):
