@@ -402,11 +402,9 @@ def _dump(report) -> str:
     and None by exact class, as no report holds a subclass, and raises
     TypeError on anything else; ValueError on a NaN or an infinity; and
     TypeError on a dict key that is not a str, which the stdlib would
-    convert, because no report has one.
+    convert, because no report has one.  `report` itself is a dict, list
+    or tuple.
     """
-    text = _SCALAR_TEXT.get(report.__class__)
-    if text is not None:
-        return text(report)
     out: list[str] = []
     _write(report, out, "", "\n")
     return "".join(out)
@@ -482,28 +480,31 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--tol must be finite and >= 0")
     if args.command == "check" and args.horizon is not None and args.horizon < 0:
         parser.error("--horizon must be >= 0")
+    # the header needs only the command line, so it is written before the report can fail
+    if args.format == "text":
+        sys.stdout.write(f"ctm {args.command} (engine {__version__})\n")
     text = None
     try:
         report, status = args.func(args)
         text = _dump(_envelope(report, args, status))
+        report = None
+        # the write encodes all of the text into bytes before it writes any of them, so a
+        # MemoryError here leaves none of the report on stdout
+        sys.stdout.write(text)
     except MemoryError:
-        # the error report is built after the handler, once the partial one is freed
-        pass
-    # freed before the write, which encodes one more copy of the text
-    report = None
+        text = None
     if text is None:
+        # the error report is built here, once the partial one is freed
+        report = None
         status = EXIT_INPUT
         message = f"ctm {args.command} needs more memory than this process may use"
         report = {"diagnostics": [_error(message)], "timing": {"checks_run": 0}}
-        text = _dump(_envelope(report, args, status))
-    # in parts, so that no second copy of a large text is made to add a line to it
+        sys.stdout.write(_dump(_envelope(report, args, status)))
+    # apart from the text, so that no second copy of a large text is made to end it
     if args.format == "json":
-        sys.stdout.write(text)
         sys.stdout.write("\n")
     else:
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        sys.stdout.write(f"ctm {args.command} (engine {__version__})\n")
-        sys.stdout.write(text)
         sys.stdout.write(f"\nelapsed: {elapsed_ms:.1f} ms\nexit: {status}\n")
     return status
 

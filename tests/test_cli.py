@@ -727,6 +727,36 @@ def test_a_memory_error_after_the_load_writes_only_a_small_report(
     assert report["timing"] == {"checks_run": 0}
 
 
+class _StdoutOutOfMemoryOnce:
+    """A stdout whose first write of a report raises MemoryError and writes nothing."""
+
+    def __init__(self, stdout):
+        self.stdout = stdout
+        self.failed = False
+
+    def write(self, text):
+        if text.startswith("{") and not self.failed:
+            self.failed = True
+            raise MemoryError
+        return self.stdout.write(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_memory_error_in_the_write_writes_only_a_small_report(capsys, monkeypatch, models_dir, fmt):
+    monkeypatch.setattr(sys, "stdout", _StdoutOutOfMemoryOnce(sys.stdout))
+    status, out = run_cli(capsys, "check", str(models_dir / "timers.ctm"), "--format", fmt)
+    assert status == 2
+    if fmt == "text":
+        # one header, the small report, the elapsed time and the exit status
+        header, out = out.split("\n", 1)
+        out, elapsed, exit_line, end = out.rsplit("\n", 3)
+        assert header == f"ctm check (engine {ctm.__version__})"
+        assert (exit_line, end) == ("exit: 2", "")
+    report = json.loads(out)
+    jsonschema.validate(report, SCHEMA)
+    assert [(d["severity"], d["message"]) for d in report["diagnostics"]] == NEEDS_MORE_MEMORY
+
+
 def laws_on_a_ring(laws, attributes, states, seed=0):
     """Distinct seeded laws, about half declared possible, on three-state attributes of a ring."""
     ring = " ".join(f"r{i}" for i in range(states))
