@@ -214,7 +214,7 @@ class _Parser:
             forms = picked
         make, parts = forms[0]
         self.walk(parts[at:], values)
-        return make(*values, span)
+        return make(values, span)
 
     def sync(self) -> None:
         """Skip to the next top-level keyword (or EOF)."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+from operator import attrgetter
 from typing import Hashable, Iterable, Mapping
 
 State = Hashable
@@ -116,6 +117,28 @@ def parameter_key(lam) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
+_INT = frozenset((int,))
+
+
+def parameter_table(table: Mapping, convert=None) -> dict:
+    """`table` keyed by `parameter_key`, each value passed through `convert` when it is given.
+
+    A table whose keys are all ints, as the `.ctm` loader's are, is copied
+    in C; of two keys with one canonical form, the later one's value stays.
+    """
+    keys = table.keys()
+    if _INT.issuperset(map(type, keys)):
+        if convert is None:
+            return dict(table)
+    else:
+        keys = map(parameter_key, keys)
+    values = table.values()
+    return dict(zip(keys, values if convert is None else map(convert, values)))
+
+
+_members, _substrate = attrgetter("members"), attrgetter("substrate")
+
+
 class Variable:
     """Disjoint attributes of one substrate indexed by a rational parameter.
 
@@ -132,8 +155,14 @@ class Variable:
 
     def __init__(self, substrate: Substrate, entries: Mapping[object, Attribute]) -> None:
         self.substrate = substrate
-        self.entries = normal = {parameter_key(k): v for k, v in entries.items()}
+        self.entries = normal = parameter_table(entries)
         self.domain = tuple(sorted(normal))
+        # the entries are disjoint iff no state is in two of them; both checks run
+        # in C, and the loop below runs only to name the first entry that fails
+        sets = list(map(_members, normal.values()))
+        on_substrate = {substrate}.issuperset(map(_substrate, normal.values()))
+        if on_substrate and sum(map(len, sets)) == len(frozenset().union(*sets)):
+            return
         seen: set = set()
         for lam in self.domain:
             attr = normal[lam]

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import re
 from functools import cache
+from operator import attrgetter, itemgetter
 from typing import Mapping, NamedTuple
 
 from .core import (
@@ -43,7 +44,6 @@ from .core import (
     Substrate,
     Variable,
     cycle_decomposition,
-    is_static,
 )
 from .dynamics import TrajectoryModel
 from .tasks import LawSet, LawStatement, Task, impossible, possible
@@ -252,7 +252,7 @@ class _Tables:
 #   ("optional", parts) the parts, when the first of them comes next, or nothing
 #   ("check", fn)       fn(*values): a (message, suggestion) that rejects the statement, or None
 # Each part but a str or a check reads one value, and a form makes its
-# declaration with `make(*values, span)`.  The forms of one keyword first
+# declaration with `make(values, span)`.  The forms of one keyword first
 # differ at one part: a str there picks its form, and a form with a value
 # part there is the default.
 
@@ -297,43 +297,54 @@ _ARROW = (("name", "input attribute"), "->", ("name", "output attribute"))
 _CYCLE = ("(", ("labels", None), ")")
 _ENTRY = (("integer", "parameter value"), ":", _ATTRIBUTE, "@", ("number", "a numeric reading"))
 
+_new = tuple.__new__  # a declaration from the tuple of its fields, in C
+
+
+def _record(cls):
+    """The make of a form whose values are the fields of its declaration, in order."""
+    return lambda values, span: _new(cls, (*values, span))
+
+
 _FORMS = {
     "substrate": [
         (
-            lambda name, states, step, span: SubstrateDecl(name, tuple(states), step, span),
+            lambda v, span: _new(SubstrateDecl, (v[0], tuple(v[1]), v[2], span)),
             (("name", "substrate name"), "{", "states", ("labels", "step"), ("check", _some_states),
              ";", "step", ("cycles", _CYCLE), ("check", _bijective), "}"),
         )
     ],
     "attribute": [
         (
-            lambda name, sub, members, span: AttributeDecl(name, sub, frozenset(members), span),
+            lambda v, span: _new(AttributeDecl, (v[0], v[1], frozenset(v[2]), span)),
             (_ATTRIBUTE, "on", _SUBSTRATE, "{", ("labels", None), "}"),
         )
     ],
     "timer": [
-        (CounterTimerDecl, ("counter", _TIMER, "{", "bits", ("integer", "bit count"), ";",
-                            "threshold", ("integer", "threshold"), "}")),
-        (ParticleTimerDecl, ("particle", _TIMER, "{", "cells", ("integer", "cell count"), ";",
-                             "speed", ("integer", "speed"), ";",
-                             "target", ("integer", "target cell"), "}")),
-        (CustomTimerDecl, ("custom", _TIMER, "on", _SUBSTRATE, "{", "start", _ATTRIBUTE, ";",
-                           "running", _ATTRIBUTE, ";", "done", _ATTRIBUTE,
-                           ("optional", (";", "halt", _ATTRIBUTE)), "}")),
+        (_record(CounterTimerDecl), ("counter", _TIMER, "{", "bits", ("integer", "bit count"), ";",
+                                     "threshold", ("integer", "threshold"), "}")),
+        (_record(ParticleTimerDecl), ("particle", _TIMER, "{", "cells", ("integer", "cell count"),
+                                      ";", "speed", ("integer", "speed"), ";",
+                                      "target", ("integer", "target cell"), "}")),
+        (_record(CustomTimerDecl), ("custom", _TIMER, "on", _SUBSTRATE, "{", "start", _ATTRIBUTE,
+                                    ";", "running", _ATTRIBUTE, ";", "done", _ATTRIBUTE,
+                                    ("optional", (";", "halt", _ATTRIBUTE)), "}")),
     ],
-    "task": [(TaskDecl, (("name", "task name"), "on", _SUBSTRATE, ":", *_ARROW))],
+    "task": [(_record(TaskDecl), (("name", "task name"), "on", _SUBSTRATE, ":", *_ARROW))],
     "law": [
         (
-            lambda status, inp, out, sub, span: LawDecl(_STATUS[status], inp, out, sub, None, span),
+            # status, input, output, substrate
+            lambda v, span: _new(LawDecl, (_STATUS[v[0]], v[1], v[2], v[3], None, span)),
             (("status", None), *_ARROW, "on", _SUBSTRATE),
         ),
         (
-            lambda status, task, sub, span: LawDecl(_STATUS[status], None, None, sub, task, span),
+            # status, task, substrate
+            lambda v, span: _new(LawDecl, (_STATUS[v[0]], None, None, v[2], v[1], span)),
             (("status", None), "task", ("name", "task name"), ("optional", ("on", _SUBSTRATE))),
         ),
     ],
     "variable": [
-        (VariableDecl, (("name", "variable name"), "on", _SUBSTRATE, "{", ("entries", _ENTRY), "}"))
+        (_record(VariableDecl), (("name", "variable name"), "on", _SUBSTRATE, "{",
+                                 ("entries", _ENTRY), "}"))
     ],
 }
 # where the forms of each keyword first differ (0 for a single form)
@@ -347,8 +358,9 @@ _BRANCH = {
 
 # The line reader builds the declarations of the lines that each hold one
 # complete, well-formed statement, with one regex match per line.  Each
-# pattern accepts a subset of what the token parser accepts, and each token
-# it matches ends where the lexer ends it: a name or label at a blank or a
+# form's pattern spans the whole line, its keyword and leading blanks too,
+# and accepts a subset of what the token parser accepts; each token it
+# matches ends where the lexer ends it: a name or label at a blank or a
 # delimiter, a number at a blank, ';' or '}'.  A statement it accepts cannot
 # continue onto the next line.  A line it does not accept, or whose
 # statement would draw a diagnostic, goes to the token parser, which hands
@@ -386,7 +398,7 @@ def _finite(text: str) -> float:
 
 
 def _read_cycles(text: str) -> dict:
-    if _CYCLES_RE.fullmatch(text) is None:
+    if _cycles_re().fullmatch(text) is None:
         raise ValueError(text)
     step: dict = {}
     for cycle in _CYCLE_RE.findall(text):
@@ -398,23 +410,22 @@ def _read_cycles(text: str) -> dict:
 
 
 def _read_entries(text: str) -> dict:
-    """The entries of the text before a variable's '}', each matched on its own.
+    """The entries of the text before a variable's '}', read in one scan.
 
-    One pattern repeated over all the entries of a long line would grow
-    the regex engine's backtracking stack by a kilobyte or so per entry.
+    The text is its items between ';', and a blank last item is dropped.
+    An entry matches only from the text's start or just after a ';', and
+    only up to the next ';' or the end, so each match is one whole item,
+    and every item is an entry iff there are as many entries as items.
+    One pattern repeated over all the entries of a long line would grow the
+    regex engine's backtracking stack by a kilobyte or so per entry.
     """
-    *items, last = text.split(";")
-    if last.strip(" \t\r"):  # no ';' after the last entry
-        items.append(last)
     entries: dict = {}
-    for item in items:
-        m = _ENTRY_RE.fullmatch(item)
-        if m is None:
-            raise ValueError(item)
+    for m in _entries_re().finditer(text):
         lam, attr, number = m.groups()
         entries[int(lam)] = (attr, _finite(number))
-    if len(entries) < len(items):
-        raise ValueError(text)  # a parameter value twice
+    # fewer entries than items: an item that is no entry, or a parameter value twice
+    if len(entries) != text.count(";") + (text.rpartition(";")[2].strip(" \t\r") != ""):
+        raise ValueError(text)
     return entries
 
 
@@ -480,16 +491,29 @@ def _pattern(parts: tuple, prev=None, lead=(None, "")) -> tuple[str, list]:
     return "".join(out), reads
 
 
-_CYCLES_RE = re.compile(_B + "(?:" + _pattern(_CYCLE)[0] + _B + ")*")
-_ENTRY_RE = re.compile(_B + _pattern(_ENTRY)[0] + _B)
+# the patterns below, like the forms', are compiled on first use, not at import
+
+
+@cache
+def _cycles_re() -> re.Pattern:
+    """A step map's text: a run of cycles."""
+    return re.compile(_B + "(?:" + _pattern(_CYCLE)[0] + _B + ")*")
+
+
+@cache
+def _entries_re() -> re.Pattern:
+    """One entry of a variable, from the text's start or a ';' to the next ';' or the end."""
+    return re.compile(r"(?<![^;])" + _B + _pattern(_ENTRY)[0] + _B + r"(?:;|\Z)")
 
 
 @cache
 def _line_forms(keyword: str) -> list:
     """Each form of `keyword`, compiled on first use.
 
-    A form is its make, its regex, a (group, reader) pair for each group
-    with a reader, its checks, and whether it ends in an optional part.
+    A form is its pattern's `fullmatch`, its keyword, its make, a (group,
+    reader) pair for each group with a reader, its checks, and whether it
+    ends in an optional part.  The word or value that picks a form keeps
+    every other form of its keyword from matching, so no line matches two.
     """
     forms = _FORMS[keyword]
     at = _BRANCH[keyword]
@@ -504,7 +528,8 @@ def _line_forms(keyword: str) -> list:
         reads = [(i, read) for i, read in enumerate(reads) if read is not None]
         checks = [part[1] for part in parts if _kind(part) == "check"]
         open_end = _kind(parts[-1]) == "optional"
-        compiled.append((make, re.compile(regex + _END), reads, checks, open_end))
+        pattern = re.compile(_B + keyword + _BB + regex + _END)
+        compiled.append((pattern.fullmatch, keyword, make, reads, checks, open_end))
     return compiled
 
 
@@ -521,27 +546,38 @@ def _ends_before(lines: list[str], index: int) -> bool:
     return True
 
 
+def _no_form(line: str) -> None:
+    """The pattern the reader tries first on its first line: it matches nothing."""
+
+
 def _read_lines(lines: list[str], offset: int, number: int, tables: _Tables) -> tuple | None:
     """Add to `tables` the declarations of `lines` from line `number`, which starts at `offset`.
 
     Returns the offset and the number of the first line the line reader
-    does not accept, or None when it accepts every line to the end.
+    does not accept, or None when it accepts every line to the end.  Each
+    line is tried first against the form that read the statement before
+    it; only a line that form does not match runs the head regex and the
+    forms of its keyword.  The tables are filled as `_Tables.add` fills them.
     """
+    named, laws = tables.named, tables.laws
     first = number
+    fullmatch = _no_form
     for number in range(number, len(lines) + 1):
         line = lines[number - 1]
-        head = _HEAD_RE.match(line)
-        if head is None:
-            break
-        keyword = head[1]
-        if keyword is None:
-            continue
-        for make, pattern, reads, checks, open_end in _line_forms(keyword):
-            m = pattern.fullmatch(line, head.end())
-            if m is not None:
+        m = fullmatch(line)
+        if m is None:  # a blank or comment line, another form, or no statement
+            head = _HEAD_RE.match(line)
+            if head is None:
                 break
-        else:  # no form matches the line
-            break
+            if head[1] is None:
+                continue
+            for fullmatch, keyword, make, reads, checks, open_end in _line_forms(head[1]):
+                m = fullmatch(line)
+                if m is not None:
+                    break
+            else:  # no form matches the line
+                break
+            table = named.get(keyword)  # None for a law
         values = m.groups()
         if reads:
             values = list(values)
@@ -554,8 +590,14 @@ def _read_lines(lines: list[str], offset: int, number: int, tables: _Tables) -> 
             break
         if open_end and values[-1] is None and not _ends_before(lines, number):
             break
-        if not tables.add(keyword, make(*values, (number, head.start(1) + 1))):
+        # the keyword's column: the pattern allows only blanks before it
+        decl = make(values, (number, len(line) - len(line.lstrip(" \t\r")) + 1))
+        if table is None:
+            laws.append(decl)
+        elif values[0] in table:  # the name
             break
+        else:
+            table[values[0]] = decl
     else:
         return None
     return offset + sum(map(len, lines[first - 1 : number - 1])) + number - first, number
@@ -605,6 +647,8 @@ class BuiltModel:
         self.trajectories = trajectories
 
 
+_members_of = attrgetter("members")
+_first, _second = itemgetter(0), itemgetter(1)
 # the message of an attribute that is not on the substrate a task or timer names
 _NOT_ON = "attribute {0!r} is not on substrate {1!r}"
 
@@ -659,8 +703,10 @@ def analyze_model(decl: ModelDecl) -> tuple[BuiltModel | None, list[Diagnostic]]
         return Substrate(d.name, d.states, d.step)
 
     def attribute(d: AttributeDecl) -> Attribute:
-        unknown = "attribute {1!r}: unknown substrate {0!r}"
-        return Attribute(_find(substrates, d.substrate, unknown, d.name), d.members, d.name)
+        sub = substrates.get(d.substrate)  # `_find`, inline: this runs once per attribute
+        if sub is None:
+            raise ModelError(f"attribute {d.name!r}: unknown substrate {d.substrate!r}")
+        return Attribute(sub, d.members, d.name)
 
     def timer(d: TimerDecl) -> TimerSpec:
         if isinstance(d, CounterTimerDecl):
@@ -694,20 +740,34 @@ def analyze_model(decl: ModelDecl) -> tuple[BuiltModel | None, list[Diagnostic]]
 
     def variable(d: VariableDecl) -> TrajectoryModel:
         sub = _find(substrates, d.substrate, "variable {1!r}: unknown substrate {0!r}", d.name)
-        unknown = "variable {1!r}: unknown attribute {0!r}"
-        elsewhere = "variable {1!r}: attribute {0!r} is on another substrate"
-        entries = {
-            lam: attribute_on(sub, a, unknown, elsewhere, d.name)
-            for lam, (a, _) in d.entries.items()
-        }
+        # not zip(*entries), which would make an iterator per entry for the collector to count
+        names = list(map(_first, d.entries.values()))
+
+        def first_fault() -> None:
+            """Raise at the first entry, in file order, whose attribute is unknown or elsewhere."""
+            unknown = "variable {1!r}: unknown attribute {0!r}"
+            elsewhere = "variable {1!r}: attribute {0!r} is on another substrate"
+            for a in names:
+                attribute_on(sub, a, unknown, elsewhere, d.name)
+
+        # the checks run in C, entry by entry only to name the entry that fails
+        if not all(map(attributes.__contains__, names)):
+            first_fault()
         try:
-            v = Variable(sub, entries)
+            v = Variable(sub, dict(zip(d.entries, map(attributes.__getitem__, names))))
         except ModelError as e:
+            first_fault()  # an attribute on another substrate is named before Variable's fault
             raise ModelError(f"variable {d.name!r}: {e}") from None
-        for lam in v.domain:
-            if is_static(v.entries[lam]):
-                warn(d, f"variable {d.name!r}: attribute at λ={lam} is static")
-        return TrajectoryModel(v, {lam: reading for lam, (_, reading) in d.entries.items()})
+        # a static entry (is_static) is empty or holds a whole cycle, so unless an
+        # entry is empty or as large as the shortest cycle, none is static
+        sizes = list(map(len, map(_members_of, v.entries.values())))
+        if sizes and (min(sizes) == 0 or max(sizes) >= min(map(len, sub.cycles))):
+            step = sub.step.__getitem__
+            for lam in v.domain:
+                members = v.entries[lam].members
+                if members.issuperset(map(step, members)):
+                    warn(d, f"variable {d.name!r}: attribute at λ={lam} is static")
+        return TrajectoryModel(v, dict(zip(d.entries, map(_second, d.entries.values()))))
 
     for built, build, items in (
         (substrates, substrate, decl.substrates.items()),

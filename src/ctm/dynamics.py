@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import ModelError, Substrate, Variable, evolve, parameter_key
+from .core import ModelError, Substrate, Variable, evolve, parameter_key, parameter_table
 from .timers import TimerSpec
 
 
@@ -40,9 +40,9 @@ class TrajectoryModel:
 
     def __init__(self, variable: Variable, readings: Mapping[object, float]) -> None:
         self.variable = variable
-        self.readings = normal = {parameter_key(k): float(v) for k, v in readings.items()}
-        missing = [lam for lam in variable.domain if lam not in normal]
-        if missing:
+        self.readings = normal = parameter_table(readings, float)
+        if not normal.keys() >= variable.entries.keys():
+            missing = [lam for lam in variable.domain if lam not in normal]
             raise ModelError(f"readings missing for parameters {missing}")
 
     @property

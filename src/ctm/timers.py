@@ -19,7 +19,6 @@ from .core import (
     ModelError,
     Substrate,
     evolve,
-    first_entry,
     is_static,
     static_horizon,
 )
@@ -107,6 +106,42 @@ def _warnings(running_empty: bool, horizon: int, duration: int) -> tuple[str, ..
     return tuple(warnings)
 
 
+def _distances(cycle: tuple, members: frozenset) -> list | None:
+    """The steps from each position of `cycle` to its next member of `members`, or None.
+
+    One backward pass from a member, once around the cycle: a member is 0
+    steps away, and any other state one step more than the state after it.
+    None when no state of the cycle is a member.
+    """
+    n = len(cycle)
+    last = next((i for i in reversed(range(n)) if cycle[i] in members), None)
+    if last is None:
+        return None
+    steps, k = [0] * n, 0
+    for i in range(last, last - n, -1):  # a negative index counts from the cycle's end
+        k = 0 if cycle[i] in members else k + 1
+        steps[i] = k
+    return steps
+
+
+def _first_entries(substrate: Substrate, starts: frozenset, members: frozenset) -> list:
+    """`first_entry(substrate, s, members)` for each s of `starts`, in their order.
+
+    Each cycle that holds a start gets one backward pass (`_distances`), so
+    the cost is linear in the states, not |starts| times the cycle length.
+    """
+    cycles, index = substrate.cycles, substrate.cycle_index
+    by_cycle: dict[int, list | None] = {}
+    firsts = []
+    for s in starts:
+        c, i = index[s]
+        if c not in by_cycle:
+            by_cycle[c] = _distances(cycles[c], members)
+        steps = by_cycle[c]
+        firsts.append(None if steps is None else steps[i])
+    return firsts
+
+
 def make_timer(
     name: str,
     substrate: Substrate,
@@ -132,13 +167,13 @@ def make_timer(
             raise ModelError(f"timer {name!r}: attribute {a.name!r} is on a different substrate")
     if not attr0.members:
         raise ModelError(f"timer {name!r}: starting attribute must be non-empty")
-    firsts = [first_entry(substrate, s, attr1.members) for s in attr0.members]
+    firsts = _first_entries(substrate, attr0.members, attr1.members)
     k = None if None in firsts else max(firsts)
     # the duration is the first step with every starting state inside at once
     complete = k is not None and all(
         evolve(substrate, s, k) in attr1.members for s in attr0.members
     )
-    flags = [first_entry(substrate, s, halt_flag.members) for s in attr0.members]
+    flags = _first_entries(substrate, attr0.members, halt_flag.members)
     sizes = len(attr0.members) + len(attrR.members) + len(attr1.members)
     checks = (
         ("starting-non-static", not is_static(attr0)),

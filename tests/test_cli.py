@@ -686,6 +686,41 @@ def test_many_twelve_bit_counters_classify_in_bounded_time_and_memory(tmp_path, 
     assert elapsed < 1.0
 
 
+def custom_ring_timer_text(states):
+    """A custom timer on a ring of `states` states: its first half starts, its second half is done.
+
+    The start s_i first enters done after states / 2 - i steps, so every
+    start has its own halt step.
+    """
+    half = states // 2
+    ring = " ".join(f"s{i}" for i in range(states))
+    return (
+        f"substrate R {{ states {ring} ; step ({ring}) }}\n"
+        f"attribute start on R {{ {' '.join(f's{i}' for i in range(half))} }}\n"
+        "attribute running on R { }\n"
+        f"attribute done on R {{ {' '.join(f's{i}' for i in range(half, states))} }}\n"
+        "timer custom K on R { start start ; running running ; done done }\n"
+    )
+
+
+@pytest.mark.parametrize("command, status", [("classify", 0), ("check", 1)])
+def test_a_custom_timer_of_16000_states_loads_in_bounded_time_and_memory(
+    tmp_path, command, status
+):
+    # one backward pass around the ring gives every start its halt step; a walk of the
+    # ring from each of the 8,000 starts took about 6 s
+    model = tmp_path / "custom.ctm"
+    model.write_text(custom_ring_timer_text(16_000))
+    report, got, elapsed = run_bounded(command, str(model), limit=256 << 20)
+    assert got == status
+    jsonschema.validate(report, SCHEMA)
+    if command == "classify":
+        assert report["classes"] == [{"duration": 8000, "members": ["K"]}]
+    else:  # the starts halt at 8,000 distinct steps, so twin timers do not co-halt
+        assert [row["synchrony_ok"] for row in report["files"][0]["synchrony"]] == [False]
+    assert elapsed < 1.0
+
+
 NEEDS_MORE_MEMORY = [("error", "ctm check needs more memory than this process may use")]
 
 

@@ -557,13 +557,65 @@ READER_CASES = (
 )
 
 
+# one statement of each form, numbered by {0}; parsing resolves no names
+FORM_LINES = (
+    "substrate S{0} {{ states a b ; step (a b) }}",
+    "attribute a{0} on P {{ c{0} }}",
+    "timer counter C{0} {{ bits 4 ; threshold 5 }}",
+    "timer particle Q{0} {{ cells 8 ; speed 1 ; target 3 }}",
+    "timer custom K{0} on P {{ start a ; running b ; done c }}",
+    "timer custom H{0} on P {{ start a ; running b ; done c ; halt d }}",
+    "task T{0} on P : a -> b",
+    "law possible a{0} -> b on P",
+    "law ✓ task T{0} on P",
+    "law ✗ task T{0}",
+    "variable v{0} on P {{ 0 : a @ {0}.5 ; 1 : b @ -2 }}",
+)
+
+
+def indented_run(form):
+    # the line reader tries each line against the form of the line before it,
+    # so the keyword's column must still be read from each line
+    lines = [form.format(i) for i in range(5)]
+    lines[1] = "  " + lines[1]
+    lines[2] = "\t" + lines[2]
+    lines[3] += "  # a trailing comment"
+    lines[4] = " \t " + lines[4] + "\t"
+    return "\n".join(lines) + "\n"
+
+
+# runs of one form that change along the way
+RUN_CASES = (
+    *(indented_run(form) for form in FORM_LINES),
+    # a switch between the two law forms, and back
+    "law possible a -> b on P\nlaw ✓ task T on P\nlaw impossible b -> a on P\nlaw ✗ task T\n"
+    "law ✓ a -> b on P\n",
+    # a duplicate name after two lines of its form
+    "attribute a on P { c0 }\nattribute b on P { c1 }\nattribute a on P { c2 }\n"
+    "attribute c on P { c3 }\n",
+    "timer counter C { bits 4 ; threshold 5 }\ntimer counter D { bits 4 ; threshold 3 }\n"
+    "timer counter C { bits 5 ; threshold 3 }\n",
+    # a typo after two lines of its form
+    "attribute a on P { c0 }\nattribute b on P { c1 ]\nattribute c on P { c2 }\n",
+    "task T on P : a -> b\ntask U on P : a -> c\ntask V on P a -> c\ntask W on P : b -> c\n",
+    "law possible a -> b on P\nlaw possible a -> c on\nlaw possible b -> c on P\n",
+    # variable bodies the entry scan must hand to the token parser, or read as it does
+    "variable v on P { x 0 : a @ 1 }\n",
+    "variable v on P { 0 : a @ 1 ;; 1 : b @ 2 }\n",
+    "variable v on P { 0 : a @ 1 ; }\n",
+    "variable v on P { 0 : a @ 1 ; 1 : b @ 2.5 }\r\nvariable w on P { 0 : a @ -1e3 ; }\r\n",
+)
+
+
 READER_BASES = [path.read_text() for path in fixture_texts(MODELS_DIR)] + [
     ring_pointer_text(3),
     closure_text(1),
 ]
 
 
-@pytest.mark.parametrize("text", [*READER_BASES, ring_pointer_text(64), *READER_CASES])
+@pytest.mark.parametrize(
+    "text", [*READER_BASES, ring_pointer_text(64), ring_pointer_text(2048), *READER_CASES, *RUN_CASES]
+)
 def test_line_reader_matches_token_parser(text):
     assert_reads_as_tokens(text)
 
@@ -588,6 +640,7 @@ READER_EDITS = (
     (r"[ }]", "€"),  # a bad character after a prefix the reader accepts
     (r"[ }]", "\f"),
     (r"[;}()]", ""),
+    (r"\n", "\n  "),  # indent a line
 )
 # a word renamed everywhere, so that a state keeps its place in the step map
 READER_RENAMES = ("step", "task", "on", "c0-7", "12abc", "7")

@@ -282,6 +282,80 @@ def test_missing_readings_are_listed_as_canonical_values():
     assert str(err.value) == "readings missing for parameters [Fraction(5, 2), 3]"
 
 
+# each key type gives one table -----------------------------------------------------
+
+# parameter values in file order, not domain order: whole ones, and whole and halves
+WHOLE = (6, 0, 4, 12, 2, 10)
+HALVES = (Fraction(5, 2), 0, 4, Fraction(1, 2), 2, Fraction(3, 2))
+# each key type, as a function of a canonical value and its position in the file
+KEY_TYPES = {
+    "int": lambda q, i: int(q),
+    "fraction": lambda q, i: Fraction(q),
+    "str": lambda q, i: str(q),
+    "mixed": lambda q, i: (Fraction(q), str(q), q)[i % 3],
+}
+RING16 = cyclic_substrate("ring16", tuple(range(16)))
+CELLS = [singleton(RING16, c) for c in range(16)]
+
+
+def typed_model(key_type, lams):
+    """The trajectory with λ = lams[i] at CELLS[i] and reading i, keyed by `key_type`."""
+    form = KEY_TYPES[key_type]
+    entries = {form(q, i): CELLS[i] for i, q in enumerate(lams)}
+    return TrajectoryModel(
+        Variable(RING16, entries), {form(q, i): float(i) for i, q in enumerate(lams)}
+    )
+
+
+@pytest.mark.parametrize("lams", [WHOLE, HALVES], ids=["whole", "halves"])
+def test_every_key_type_gives_equal_entries_domain_and_readings(lams):
+    key_types = [k for k in KEY_TYPES if k != "int" or lams is WHOLE]
+    models = [typed_model(k, lams) for k in key_types]
+    canonical = [q.numerator if q.denominator == 1 else q for q in map(Fraction, lams)]
+    for model in models:
+        var = model.variable
+        assert var.domain == tuple(sorted(canonical))
+        assert var.entries == dict(zip(canonical, CELLS))
+        assert model.readings == {q: float(i) for i, q in enumerate(canonical)}
+        # in file order, whole values as ints and the others as Fractions
+        for table in (var.entries, model.readings):
+            assert list(table) == canonical
+            assert [type(q) for q in table] == [type(q) for q in canonical]
+
+
+# (λ in file order, cell of each or None for a cell of another ring, the message)
+FAULTS = [
+    # the first overlap in domain order is at 6 (in file order: 12) and at 3/2 (4)
+    (WHOLE, (0, 1, 2, 1, 0, 3), "variable entry 6: attributes are not pairwise disjoint"),
+    (HALVES, (0, 1, 0, 2, 3, 1), "variable entry 3/2: attributes are not pairwise disjoint"),
+    # the first attribute of another ring in domain order is at 4 (6) and at 2 (5/2)
+    (WHOLE, (None, 1, None, 3, 0, 5), "variable entry 4: attribute on a different substrate"),
+    (HALVES, (None, 1, 2, 3, None, 5), "variable entry 2: attribute on a different substrate"),
+    # whichever fault comes first in domain order is named, not the first in file order
+    (WHOLE, (0, 1, None, 3, 1, 4), "variable entry 2: attributes are not pairwise disjoint"),
+    (WHOLE, (0, 1, 0, 3, None, 4), "variable entry 2: attribute on a different substrate"),
+]
+
+
+@pytest.mark.parametrize(
+    "key_type, lams, cells, message",
+    # a half value has no int key
+    [(k, *fault) for fault in FAULTS for k in KEY_TYPES if k != "int" or fault[0] is WHOLE],
+)
+def test_a_variable_fault_names_the_first_failing_value_in_domain_order(
+    key_type, lams, cells, message
+):
+    form = KEY_TYPES[key_type]
+    other = cyclic_substrate("ring16", tuple(range(16)))
+    entries = {
+        form(q, i): singleton(other, 15) if c is None else CELLS[c]
+        for i, (q, c) in enumerate(zip(lams, cells))
+    }
+    with pytest.raises(ModelError) as caught:
+        Variable(RING16, entries)
+    assert str(caught.value) == message
+
+
 # equality and hashing -------------------------------------------------------------
 
 

@@ -157,6 +157,20 @@ def test_importing_the_cli_builds_no_parser():
     assert run_fresh(code) == "0\n"
 
 
+def test_importing_the_cli_compiles_no_statement_pattern():
+    # the line reader compiles each form's pattern, and the step map's and the
+    # entries' ones, on first use, so a process pays only for the forms it reads
+    code = (
+        "import ctm.cli\n"
+        "from ctm import dsl\n"
+        "caches = (dsl._line_forms, dsl._cycles_re, dsl._entries_re)\n"
+        "print([f.cache_info().currsize for f in caches])\n"
+        "dsl.parse_model('attribute a on S { s }\\n')\n"
+        "print([f.cache_info().currsize for f in caches])\n"
+    )
+    assert run_fresh(code) == "[0, 0, 0]\n[1, 0, 0]\n"
+
+
 def test_a_digit_of_any_script_stays_on_the_line_reader():
     # the line reader and the lexer read a digit alike: '٣' is ARABIC-INDIC DIGIT THREE
     code = r"""

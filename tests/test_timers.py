@@ -786,6 +786,31 @@ def test_make_timer_matches_seed_validation_on_random_structures():
     assert sum(not isinstance(mine, str) for mine, _ in verdicts) == 501
 
 
+def test_first_entries_match_first_entry_on_seeded_substrates():
+    # several cycles, some without a member, and starts on some of them only
+    rng = random.Random(2029)
+    compared = unreached = 0
+    for i in range(400):
+        n = rng.randrange(1, 40)
+        states = tuple(f"s{j}" for j in range(n))
+        sub = Substrate(f"S{i}", states, dict(zip(states, rng.sample(states, n))))
+        members = frozenset(rng.sample(states, rng.randrange(0, n + 1) // rng.choice((1, 4))))
+        starts = frozenset(rng.sample(states, rng.randrange(1, n + 1)))
+        firsts = timers._first_entries(sub, starts, members)
+        assert firsts == [first_entry(sub, s, members) for s in starts], (sub.step, members)
+        compared += len(firsts)
+        unreached += firsts.count(None)
+    assert (compared, unreached) == (3920, 855)
+
+
+def test_custom_timer_halts_are_the_first_entries_of_their_starts():
+    for name, sub, attr0, attrR, attr1, halt in random_timer_parts():
+        if not isinstance(decision((name, sub, attr0, attrR, attr1, halt)), str):
+            spec = make_timer(name, sub, attr0, attrR, attr1, halt)
+            firsts = {first_entry(sub, s, attr1.members) for s in attr0.members}
+            assert spec.halts == tuple(sorted(firsts))
+
+
 @functools.cache
 def valid_timer_groups():
     """Groups of well-formed timers: each seeded catalog with its composites, then random ones."""
