@@ -3,7 +3,7 @@
 Reports are JSON by default and byte-identical across runs on identical
 inputs; the timing field therefore carries a deterministic work counter,
 never wall-clock time (`--format text` shows elapsed time for humans).
-Exit status: 0 success, 1 refutation or contradiction, 2 input error.
+Exit status: 0 success, 1 a refuted law or timer check, 2 input error.
 """
 
 from __future__ import annotations
@@ -105,89 +105,79 @@ def _load_file(path: str) -> tuple[BuiltModel | None, list[Diagnostic]]:
     return None, [Diagnostic("error", 0, 0, message)]
 
 
-def _check_laws(model: BuiltModel) -> tuple[list[dict], bool]:
+# (some permutation performs the law, the law is declared possible) -> (verdict, detail)
+_LAW_VERDICTS = {
+    (True, True): ("confirmed", "witness found"),
+    (False, False): ("confirmed", "no witness over all substrate permutations"),
+    (True, False): ("refuted", "witness exists for a declared-impossible task"),
+    (False, True): ("refuted", "no witness exists for a declared-possible task"),
+}
+
+# a file's exit status by its status; a run exits with the largest of its files'
+_FILE_EXIT = {"ok": EXIT_OK, "refuted": EXIT_REFUTED, "input-error": EXIT_INPUT}
+
+
+def _check_laws(model: BuiltModel) -> list[dict]:
     """Confirm or refute each declared law, at any substrate size.
 
     A law is one (input, output) pair, and a substrate permutation performs
     it iff |input| <= |output| (Hall's condition, permutation_possible).
     """
-    results = []
-    refuted = False
+    rows = []
     for st in model.laws.statements:
-        task = st.task
-        entry = {"task": task_label(task), "declared": st.status.value}
-        found = permutation_possible(task)
-        expected = st.status is Possibility.POSSIBLE
-        if found == expected:
-            entry["verdict"] = "confirmed"
-            entry["detail"] = (
-                "witness found" if found else "no witness over all substrate permutations"
-            )
-        else:
-            entry["verdict"] = "refuted"
-            entry["detail"] = (
-                "witness exists for a declared-impossible task"
-                if found
-                else "no witness exists for a declared-possible task"
-            )
-            refuted = True
-        results.append(entry)
-    return results, refuted
-
-
-def _check_timers(model: BuiltModel, horizon: int | None) -> tuple[list[dict], list[dict], bool]:
-    names = sorted(model.timers)
-    pair_checks = []
-    synchrony = []
-    failed = False
-    for name in names:
-        spec = model.timers[name]
-        # a loaded timer passed every check but the horizon-dependent one
-        validation_ok = horizon is None or spec.static_horizon >= horizon
-        ok = check_synchrony(spec)
-        synchrony.append(
+        key = (permutation_possible(st.task), st.status is Possibility.POSSIBLE)
+        verdict, detail = _LAW_VERDICTS[key]
+        rows.append(
             {
-                "timer": name,
-                "synchrony_ok": ok,
-                "validation_ok": validation_ok,
-                "recurrence_horizon": recurrence_horizon(spec),
+                "task": task_label(st.task),
+                "declared": st.status.value,
+                "verdict": verdict,
+                "detail": detail,
             }
         )
-        if not ok or not validation_ok:
-            failed = True
+    return rows
+
+
+def _check_timers(model: BuiltModel, horizon: int | None) -> tuple[list[dict], list[dict]]:
+    """The model's timer-pair rows and its synchrony rows, one per timer, in name order."""
+    timers = model.timers
+    names = sorted(timers)
+    synchrony = [
+        {
+            "timer": name,
+            # a loaded timer passed every check but the horizon-dependent one
+            "validation_ok": horizon is None or timers[name].static_horizon >= horizon,
+            "synchrony_ok": check_synchrony(timers[name]),
+            "recurrence_horizon": recurrence_horizon(timers[name]),
+        }
+        for name in names
+    ]
+    pair_checks = []
     for i, n1 in enumerate(names):
         for n2 in names[i + 1 :]:
-            # the faster timer first; a stable sort keeps an equal pair in name order
-            fast, slow = sorted((n1, n2), key=lambda n: model.timers[n].duration)
-            a, b = model.timers[fast], model.timers[slow]
+            # the faster timer first; an equal pair stays in name order
+            fast, slow = (n2, n1) if timers[n2].duration < timers[n1].duration else (n1, n2)
+            a, b = timers[fast], timers[slow]
             if a.duration == b.duration:
                 kind, actual = "co-halt", check_simultaneous_halt(a, b)
             else:
                 kind, actual = "staggered-halt", check_staggered_halt(a, b)
+            ok = actual is True
             pair_checks.append(
-                {
-                    "kind": kind,
-                    "pair": [fast, slow],
-                    "expected": True,
-                    "actual": actual,
-                    "ok": actual is True,
-                }
+                {"kind": kind, "pair": [fast, slow], "expected": True, "actual": actual, "ok": ok}
             )
-            failed |= actual is not True
-    return pair_checks, synchrony, failed
+    return pair_checks, synchrony
 
 
 def cmd_check(args) -> tuple[dict, int]:
     files = []
-    status = EXIT_OK
     checks_run = 0
     for path in args.models:
         model, diags = _load_file(path)
         entry: dict = {"path": path, "diagnostics": [d._asdict() for d in diags]}
+        files.append(entry)
         if model is None:
             entry["status"] = "input-error"
-            files.append(entry)
-            status = EXIT_INPUT
             continue
         contradictions, null_stmt, entry["closure_size"] = closure_summary(model.laws)
         entry["contradictions"] = [
@@ -199,56 +189,46 @@ def cmd_check(args) -> tuple[dict, int]:
             for c in contradictions
         ]
         entry["null_task"] = _stmt_dict(null_stmt) if null_stmt else None
-        law_checks, law_refuted = _check_laws(model)
-        pair_checks, synchrony, timer_failed = _check_timers(model, args.horizon)
-        entry["law_checks"] = law_checks
-        entry["timer_checks"] = pair_checks
-        entry["synchrony"] = synchrony
-        checks_run += len(law_checks) + len(pair_checks) + len(synchrony) + 1
-        file_bad = bool(contradictions) or law_refuted or timer_failed
-        entry["status"] = "refuted" if file_bad else "ok"
-        if file_bad and status != EXIT_INPUT:
-            status = EXIT_REFUTED
-        files.append(entry)
+        laws = _check_laws(model)
+        pairs, synchrony = _check_timers(model, args.horizon)
+        entry.update(law_checks=laws, timer_checks=pairs, synchrony=synchrony)
+        checks_run += len(laws) + len(pairs) + len(synchrony) + 1
+        # contradictions decide nothing: serial composition keeps |in| <= |out|, parallel
+        # composition multiplies both sides, a .ctm file cannot declare the null task and
+        # composites carry no declared law, so every contradiction has a refuted law row
+        refuted = (
+            any(row["verdict"] == "refuted" for row in laws)
+            or not all(row["ok"] for row in pairs)
+            or not all(row["synchrony_ok"] and row["validation_ok"] for row in synchrony)
+        )
+        entry["status"] = "refuted" if refuted else "ok"
     report = {"files": files, "timing": {"checks_run": checks_run}}
-    return report, status
+    return report, max(_FILE_EXIT[entry["status"]] for entry in files)
 
 
 def cmd_classify(args) -> tuple[dict, int]:
     pool = {}
     diagnostics = []
-    status = EXIT_OK
     for path in args.models:
         model, diags = _load_file(path)
         diagnostics += [d._asdict() | {"path": path} for d in diags]
         if model is None:
-            status = EXIT_INPUT
-            continue
+            continue  # a model that fails to load leaves an error diagnostic
         for name, spec in model.timers.items():
             if name in pool:
                 message = f"timer {name!r} declared in more than one file"
                 diagnostics.append(_error(message) | {"path": path})
-                status = EXIT_INPUT
-            else:
-                pool[name] = spec
+            pool.setdefault(name, spec)
         if not model.timers:
             diagnostics.append(_error("no timers declared") | {"path": path})
-            status = EXIT_INPUT
-    report: dict = {"diagnostics": diagnostics}
-    if status == EXIT_OK:
-        classes = classify_timers([pool[name] for name in sorted(pool)])
-        report["classes"] = [
-            {
-                "duration": cls.duration,
-                "members": [m.name for m in cls.members],
-            }
-            for cls in classes
-        ]
-        report["timing"] = {"checks_run": len(pool) * (len(pool) - 1) // 2}
-    else:
-        report["classes"] = []
-        report["timing"] = {"checks_run": 0}
-    return report, status
+    report: dict = {"diagnostics": diagnostics, "classes": [], "timing": {"checks_run": 0}}
+    if any(d["severity"] == "error" for d in diagnostics):
+        return report, EXIT_INPUT
+    for cls in classify_timers([pool[name] for name in sorted(pool)]):
+        members = [m.name for m in cls.members]
+        report["classes"].append({"duration": cls.duration, "members": members})
+    report["timing"]["checks_run"] = len(pool) * (len(pool) - 1) // 2
+    return report, EXIT_OK
 
 
 def _bounded(text: str, read):

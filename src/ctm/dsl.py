@@ -44,6 +44,7 @@ from .core import (
     Substrate,
     Variable,
     cycle_decomposition,
+    is_static,
 )
 from .dynamics import TrajectoryModel
 from .tasks import LawSet, LawStatement, Task, impossible, possible
@@ -762,10 +763,8 @@ def analyze_model(decl: ModelDecl) -> tuple[BuiltModel | None, list[Diagnostic]]
         # entry is empty or as large as the shortest cycle, none is static
         sizes = list(map(len, map(_members_of, v.entries.values())))
         if sizes and (min(sizes) == 0 or max(sizes) >= min(map(len, sub.cycles))):
-            step = sub.step.__getitem__
             for lam in v.domain:
-                members = v.entries[lam].members
-                if members.issuperset(map(step, members)):
+                if is_static(v.entries[lam]):
                     warn(d, f"variable {d.name!r}: attribute at λ={lam} is static")
         return TrajectoryModel(v, dict(zip(d.entries, map(_second, d.entries.values()))))
 

@@ -97,7 +97,8 @@ def _warnings(running_empty: bool, horizon: int, duration: int) -> tuple[str, ..
     """The notes on a legal but degenerate timer."""
     warnings = []
     if running_empty:
-        warnings.append("running attribute is empty (duration-1 degenerate timer)")
+        degenerate = " (duration-1 degenerate timer)" if duration == 1 else ""
+        warnings.append("running attribute is empty" + degenerate)
     if horizon < 4 * duration:
         warnings.append(
             f"completed attribute stays static for {horizon} steps, "

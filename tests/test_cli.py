@@ -91,6 +91,33 @@ def test_check_malformed_file_exits_two(capsys, tmp_path, models_dir):
     assert report["files"][1]["status"] == "ok"
 
 
+@pytest.mark.parametrize(
+    "first, second, status",
+    [
+        ("contradiction", "missing", 2),
+        ("missing", "contradiction", 2),
+        ("timers", "contradiction", 1),
+        ("contradiction", "timers", 1),
+    ],
+)
+def test_check_exits_with_the_gravest_file_status_in_any_order(
+    capsys, tmp_path, models_dir, first, second, status
+):
+    # refuted exits 1 and an unreadable file exits 2, whichever comes first
+    paths = {
+        "contradiction": str(models_dir / "contradiction.ctm"),
+        "timers": str(models_dir / "timers.ctm"),
+        "missing": str(tmp_path / "missing.ctm"),
+    }
+    alone = {"contradiction": "refuted", "timers": "ok", "missing": "input-error"}
+    got, report = run_json(capsys, "check", paths[first], paths[second])
+    assert got == status
+    assert [f["status"] for f in report["files"]] == [alone[first], alone[second]]
+    for name in (first, second):
+        _, single = run_json(capsys, "check", paths[name])
+        assert single["files"][0]["status"] == alone[name]
+
+
 def test_check_null_task_trace(capsys, models_dir):
     status, report = run_json(capsys, "check", str(models_dir / "nulltask.ctm"))
     assert status == 0
@@ -716,8 +743,16 @@ def test_a_custom_timer_of_16000_states_loads_in_bounded_time_and_memory(
     jsonschema.validate(report, SCHEMA)
     if command == "classify":
         assert report["classes"] == [{"duration": 8000, "members": ["K"]}]
+        diagnostics = report["diagnostics"]
     else:  # the starts halt at 8,000 distinct steps, so twin timers do not co-halt
         assert [row["synchrony_ok"] for row in report["files"][0]["synchrony"]] == [False]
+        diagnostics = report["files"][0]["diagnostics"]
+    # the running attribute is empty, but the timer is not the duration-1 degenerate one
+    assert [d["message"] for d in diagnostics] == [
+        "timer 'K': running attribute is empty",
+        "timer 'K': completed attribute stays static for 7999 steps, "
+        "less than four durations (32000)",
+    ]
     assert elapsed < 1.0
 
 

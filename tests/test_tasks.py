@@ -31,7 +31,7 @@ from ctm import (
 )
 from ctm.cli import main
 from ctm.dsl import analyze_model, parse_model
-from ctm.tasks import _composite_facts, _fact_counts, closure_summary
+from ctm.tasks import _composite_facts, _fact_counts, closure_summary, permutation_possible
 from conftest import assert_distinct, assert_same_value, assert_slotted, singleton
 
 
@@ -523,6 +523,49 @@ def test_closure_summary_matches_closure_on_fixtures(models_dir, name):
     model, _ = analyze_model(parse_model((models_dir / f"{name}.ctm").read_text())[0])
     assert_summary_matches_closure(model.laws)
     assert_null_matches_pair_scan(model.laws)
+
+
+def refutes_a_declared_law(laws):
+    """True iff some declared task is possible by permutation and not declared so, or the reverse."""
+    return any(
+        permutation_possible(s.task) != (s.status is Possibility.POSSIBLE) for s in laws.statements
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(law_sets())
+def test_every_contradiction_comes_with_a_refuted_declared_law(laws):
+    # every rule keeps |input| <= |output|, so a contradiction needs a declared law that
+    # breaks Hall's condition; `ctm check` relies on this to read its status off its rows
+    if closure_summary(laws)[0]:
+        assert refutes_a_declared_law(laws)
+
+
+def seeded_law_sets(seed, count):
+    """`count` law sets of 2-8 task statements on 1-3 rings of 2-5 states, 2-4 attributes each."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pool = []
+        for k in range(rng.randint(1, 3)):
+            sub = cyclic_substrate(f"R{k}", tuple(range(rng.randint(2, 5))))
+            for a in range(rng.randint(2, 4)):
+                members = frozenset(rng.sample(sub.states, rng.randint(0, len(sub.states))))
+                pool.append(Attribute(sub, members, name=f"r{k}{a}"))
+        statements = []
+        for _ in range(rng.randint(2, 8)):
+            i = rng.choice(pool)
+            o = rng.choice([a for a in pool if a.substrate is i.substrate])
+            statements.append(rng.choice((possible, impossible))(Task(i, o)))
+        yield LawSet.of(*statements)
+
+
+def test_every_contradiction_comes_with_a_refuted_declared_law_on_seeded_law_sets():
+    contradicted = 0
+    for laws in seeded_law_sets(20261020, 3000):
+        if closure_summary(laws)[0]:
+            contradicted += 1
+            assert refutes_a_declared_law(laws)
+    assert contradicted >= 1000
 
 
 def pair_scan_null(laws):

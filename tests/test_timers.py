@@ -650,8 +650,10 @@ def seed_validate(c, horizon=None):
     checks["starting-non-static"] = bool(c.attr0.members) and not is_static(c.attr0)
     if c.attrR.members:
         checks["running-non-static"] = not is_static(c.attrR)
-    else:
+    elif c.duration == 1:
         warnings.append("running attribute is empty (duration-1 degenerate timer)")
+    else:
+        warnings.append("running attribute is empty")
     if c.attr1.members:
         checks["completed-static-for-horizon"] = c.duration is not None and c.static_horizon >= h
     else:
