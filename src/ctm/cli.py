@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
 import os
 import re
@@ -452,6 +453,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     May be called many times in one process; every call after the first
     reuses one parser, and each report is byte-identical to a `ctm` run's.
+    The cyclic garbage collector is paused from the parsed command line to
+    the last write, and left as the caller had it: no command makes a
+    reference cycle, so each collection would only walk live objects.
     """
     started = time.perf_counter()
     parser = _parser()
@@ -460,6 +464,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--tol must be finite and >= 0")
     if args.command == "check" and args.horizon is not None and args.horizon < 0:
         parser.error("--horizon must be >= 0")
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(args, started)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(args, started: float) -> int:
+    """Run the parsed command `args` and write its report; its exit status."""
     # the header needs only the command line, so it is written before the report can fail
     if args.format == "text":
         sys.stdout.write(f"ctm {args.command} (engine {__version__})\n")

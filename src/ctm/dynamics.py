@@ -105,14 +105,23 @@ class DerivativeEstimate(NamedTuple):
 
 
 def _ols(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
-    """Ordinary least squares fit y = intercept + slope * x."""
+    """Ordinary least squares fit y = intercept + slope * x; NaNs where a sum overflows.
+
+    Each sum is `math.fsum`'s, correctly rounded, so the fit depends neither on
+    the order of the points nor on the interpreter: the built-in `sum` of floats
+    rounds differently from Python 3.12 on.
+    """
     n = len(xs)
-    xbar = sum(xs) / n
-    ybar = sum(ys) / n
-    sxx = sum((x - xbar) ** 2 for x in xs)
+    try:
+        xbar = math.fsum(xs) / n
+        ybar = math.fsum(ys) / n
+        sxx = math.fsum((x - xbar) ** 2 for x in xs)
+        sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    except (OverflowError, ValueError):  # fsum's reply to a partial sum past the float range
+        return math.nan, math.nan
     if sxx == 0:
         raise ModelError("degenerate schedule: all step sizes equal")
-    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
+    slope = sxy / sxx
     return ybar - slope * xbar, slope
 
 

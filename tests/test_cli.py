@@ -1,4 +1,7 @@
+import contextlib
 import functools
+import gc
+import hashlib
 import json
 import random
 import re
@@ -15,6 +18,7 @@ import ctm.cli
 import ctm.tasks
 from ctm.cli import main
 from conftest import REPO_ROOT, prime_cycle_substrate
+from test_golden import GOLDEN
 
 SCHEMA = json.loads((REPO_ROOT / "docs" / "report-schema.json").read_text())
 
@@ -773,20 +777,25 @@ def test_a_check_out_of_memory_after_the_load_exits_two(tmp_path):
     assert elapsed < 10.0
 
 
-@pytest.mark.parametrize("where", ["_check_timers", "_dump"])
-def test_a_memory_error_after_the_load_writes_only_a_small_report(
-    capsys, monkeypatch, models_dir, where
-):
+def out_of_memory_once(monkeypatch, where="_check_timers"):
+    """Make the first call of ctm.cli's `where` raise MemoryError, and later calls succeed."""
     real = getattr(ctm.cli, where)
     calls = []
 
-    def out_of_memory_once(*args):
+    def fail_once(*args):
         calls.append(where)
         if len(calls) == 1:
             raise MemoryError
         return real(*args)
 
-    monkeypatch.setattr(ctm.cli, where, out_of_memory_once)
+    monkeypatch.setattr(ctm.cli, where, fail_once)
+
+
+@pytest.mark.parametrize("where", ["_check_timers", "_dump"])
+def test_a_memory_error_after_the_load_writes_only_a_small_report(
+    capsys, monkeypatch, models_dir, where
+):
+    out_of_memory_once(monkeypatch, where)
     # run_json parses the whole of stdout as one report
     status, report = run_json(capsys, "check", str(models_dir / "timers.ctm"))
     assert status == 2
@@ -852,15 +861,19 @@ def test_twenty_thousand_laws_are_checked_in_bounded_time_and_memory(tmp_path):
     assert elapsed < 10.0
 
 
-def test_a_variable_of_16384_entries_runs_in_bounded_time_and_memory(tmp_path):
-    n = 16_384
+def pointer_ring(n):
+    """A ring of n cells, one attribute per cell, and the variable pos that points at cell λ."""
     ring = " ".join(f"q{i}" for i in range(n))
     lines = [f"substrate ring {{ states {ring} ; step ({ring}) }}"]
     lines += [f"attribute p{i} on ring {{ q{i} }}" for i in range(n)]
     entries = " ; ".join(f"{i} : p{i} @ {i}.0" for i in range(n))
     lines.append(f"variable pos on ring {{ {entries} }}")
+    return "\n".join(lines) + "\n"
+
+
+def test_a_variable_of_16384_entries_runs_in_bounded_time_and_memory(tmp_path):
     model = tmp_path / "pointer.ctm"
-    model.write_text("\n".join(lines) + "\n")
+    model.write_text(pointer_ring(16_384))
     report, status, elapsed = run_bounded(
         "dynamics", str(model), "--variable", "pos", "--at", "3", "--schedule", "64,32,16,8"
     )
@@ -1037,3 +1050,149 @@ def test_cli_subprocess_entry_point(models_dir):
     report = json.loads(result.stdout)
     assert report["exit_status"] == 0
     assert report["files"][0]["null_task"] is not None
+
+
+# the cyclic garbage collector -----------------------------------------------------
+# main pauses the collector for the command; that wastes nothing only because no
+# command makes a reference cycle, which these tests check case by case
+
+
+@contextlib.contextmanager
+def collector(enabled):
+    """The cyclic garbage collector on or off inside the block, as it was after it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# every golden command line that gets past argparse and writes a report
+COMMAND_GOLDENS = [argv for argv, _, digest in GOLDEN if digest != hashlib.sha256(b"").hexdigest()]
+
+
+def cycle_case(name, models_dir, tmp_path, monkeypatch):
+    """The command line of one case that must make no reference cycle, its files written."""
+    linear = str(models_dir / "linear.ctm")
+    dynamics = ["dynamics", linear, "--variable", "pos", "--schedule", "8,4,2,1"]
+    if name == "missing file":
+        return ["check", str(tmp_path / "missing.ctm")]
+    if name == "not UTF-8":
+        (tmp_path / "bad.ctm").write_bytes(NOT_UTF8)
+        return ["check", str(tmp_path / "bad.ctm")]
+    if name == "typo in a 2048-cell ring":
+        # the stray `x` sends the whole statement, every cell of it, to the token parser
+        cells = " ".join(f"r{i}" for i in range(2048))
+        (tmp_path / "typo.ctm").write_text(f"substrate R {{ states {cells} ; step ({cells}) x }}\n")
+        return ["check", str(tmp_path / "typo.ctm")]
+    if name == "misaligned dynamics":
+        variable = "variable v on R { 0 : a0 @ 0.0 ; 1 : a1 @ 1.0 ; 2 : a2 @ 2.0 ; 3 : a4 @ 3.0 }\n"
+        (tmp_path / "drift.ctm").write_text(RING8 + variable)
+        return ["dynamics", str(tmp_path / "drift.ctm"), "--variable", "v", "--schedule", "3,2,1"]
+    if name == "unknown variable":
+        return ["dynamics", linear, "--variable", "nope", "--schedule", "4,2,1"]
+    if name == "unparseable --at":
+        return [*dynamics, "--at", "zero"]
+    if name == "unwritable --csv":
+        return [*dynamics, "--csv", str(tmp_path / "missing" / "rows.csv")]
+    if name == "text format":
+        return [*dynamics, "--format", "text"]
+    assert name == "out of memory"
+    out_of_memory_once(monkeypatch)
+    return ["check", str(models_dir / "timers.ctm")]
+
+
+CYCLE_CASES = [
+    "missing file",
+    "not UTF-8",
+    "typo in a 2048-cell ring",
+    "misaligned dynamics",
+    "unknown variable",
+    "unparseable --at",
+    "unwritable --csv",
+    "text format",
+    "out of memory",
+]
+CYCLE_STATUS = {"misaligned dynamics": 1, "text format": 0}
+
+
+def unreachable_after_main(capsys, argv):
+    """main's exit status and the count of unreachable objects it left, collector off."""
+    # the parser, built once per process before the pause, leaves argparse's
+    # help formatters in reference cycles; build it first
+    ctm.cli._parser()
+    with collector(False):
+        gc.collect()
+        status = main(argv)
+        garbage = gc.collect()
+    capsys.readouterr()
+    return status, garbage
+
+
+@pytest.mark.parametrize("argv", COMMAND_GOLDENS)
+def test_a_golden_command_makes_no_reference_cycle(capsys, monkeypatch, argv):
+    monkeypatch.chdir(REPO_ROOT)
+    assert unreachable_after_main(capsys, argv.split())[1] == 0
+
+
+@pytest.mark.parametrize("name", CYCLE_CASES)
+def test_a_failing_command_makes_no_reference_cycle(capsys, tmp_path, monkeypatch, models_dir, name):
+    argv = cycle_case(name, models_dir, tmp_path, monkeypatch)
+    assert unreachable_after_main(capsys, argv) == (CYCLE_STATUS.get(name, 2), 0)
+
+
+def test_no_collection_starts_inside_main(capsys, tmp_path):
+    # a 2,048-cell load keeps about 8,000 tracked objects, enough for several collections
+    model = tmp_path / "pointer.ctm"
+    model.write_text(pointer_ring(2048))
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    ctm.cli._parser()
+    argv = ["dynamics", str(model), "--variable", "pos", "--at", "3", "--schedule", "64,32,16,8"]
+    with collector(True):
+        gc.callbacks.append(count)
+        try:
+            status = main(argv)
+        finally:
+            gc.callbacks.remove(count)
+    capsys.readouterr()
+    assert (status, starts) == (0, [])
+
+
+def state_case(name, models_dir, monkeypatch):
+    """One main call of each way out: a return, a MemoryError, an exception, SystemExit."""
+    timers = str(models_dir / "timers.ctm")
+    if name == "check":
+        assert main(["check", timers]) == 0
+    elif name == "out of memory":
+        out_of_memory_once(monkeypatch)
+        assert main(["check", timers]) == 2
+    elif name == "exception":
+
+        def fail(path):
+            raise RuntimeError("load failed")
+
+        monkeypatch.setattr(ctm.cli, "_load_file", fail)
+        with pytest.raises(RuntimeError):
+            main(["check", timers])
+    else:
+        argv = ["--version"] if name == "--version" else [
+            "dynamics", timers, "--variable", "v", "--schedule", "4,2,1", "--tol", "nan"
+        ]
+        with pytest.raises(SystemExit):
+            main(argv)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+@pytest.mark.parametrize("name", ["check", "out of memory", "exception", "--version", "--tol nan"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, models_dir, name, enabled):
+    threshold = gc.get_threshold()
+    with collector(enabled):
+        state_case(name, models_dir, monkeypatch)
+        assert (gc.isenabled(), gc.get_threshold()) == (enabled, threshold)
+    capsys.readouterr()

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctm import (
     AdvanceCheckFailed,
@@ -16,6 +18,7 @@ from ctm import (
     incremental_ratio,
     make_counter_timer,
 )
+from ctm.dynamics import _ols
 from conftest import (
     LAMBDA_PROBES,
     MIXED_LAMBDAS,
@@ -229,6 +232,27 @@ def test_steps_that_round_to_one_float_are_a_degenerate_schedule():
     model = TrajectoryModel(var, {k: float(k) for k in var.domain})
     with pytest.raises(ModelError, match="degenerate schedule: all step sizes equal"):
         estimate_derivative(model, 0, schedule)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=10**6).map(float),
+            st.floats(min_value=-1e6, max_value=1e6),
+        ),
+        min_size=2,
+        max_size=12,
+        unique_by=lambda point: point[0],
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_a_fit_does_not_depend_on_the_order_of_its_points(points, rng):
+    # correctly rounded sums, so one result on every interpreter: sum() of floats
+    # rounds differently from Python 3.12 on, and depends on the order
+    fit = _ols(*zip(*points))
+    for order in (points[::-1], rng.sample(points, len(points))):
+        assert _ols(*zip(*order)) == fit
 
 
 def test_estimate_accepts_model_timers(sine_model):
