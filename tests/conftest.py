@@ -5,6 +5,9 @@ import pytest
 
 from ctm import Attribute, Substrate, cyclic_substrate
 
+# the catalog's checks are plain asserts; rewritten, a failing one shows both sides
+pytest.register_assert_rewrite("adversarial")
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MODELS_DIR = REPO_ROOT / "models"
 

@@ -1,14 +1,10 @@
 import contextlib
-import functools
 import gc
 import hashlib
 import json
-import random
 import re
-import resource
 import subprocess
 import sys
-import time
 
 import jsonschema
 import pytest
@@ -17,7 +13,8 @@ import ctm
 import ctm.cli
 import ctm.tasks
 from ctm.cli import main
-from conftest import REPO_ROOT, prime_cycle_substrate
+from adversarial import BAD_SIZE, NEEDS_MORE_MEMORY, pointer_ring
+from conftest import REPO_ROOT
 from test_golden import GOLDEN
 
 SCHEMA = json.loads((REPO_ROOT / "docs" / "report-schema.json").read_text())
@@ -262,33 +259,6 @@ def test_check_pins_malformed_timer_diagnostics(capsys, tmp_path):
             "timer 'W': completed attribute stays static for 0 steps, "
             "less than four durations (4)",
         ),
-    ]
-
-
-def test_check_rejects_a_never_completing_timer_on_prime_cycles_in_bounded_time(tmp_path):
-    # the start lies on the 2-cycle and completion on the 3-cycle, so it never completes;
-    # the substrate's recurrence period is about 6.5e9 steps, its longest cycle 29
-    cycles = prime_cycle_substrate(29).cycles
-    model = tmp_path / "primes.ctm"
-    model.write_text(
-        f"substrate P {{ states {' '.join(s for c in cycles for s in c)} ; "
-        f"step {''.join('(' + ' '.join(c) + ')' for c in cycles)} }}\n"
-        "attribute z on P { c2_0 }\n"
-        "attribute r on P { c2_1 }\n"
-        "attribute o on P { c3_0 }\n"
-        "timer custom T on P { start z ; running r ; done o }\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-m", "ctm.cli", "check", str(model)],
-        capture_output=True,
-        text=True,
-        timeout=20,
-    )
-    assert result.returncode == 2
-    [entry] = json.loads(result.stdout)["files"]
-    assert [d["message"] for d in entry["diagnostics"]] == [
-        "timer 'T' is not a well-formed null constructor: "
-        "completed-static-for-horizon, halt-at-completion"
     ]
 
 
@@ -558,62 +528,6 @@ def test_dynamics_overflowing_estimate_exits_two(capsys, tmp_path, readings):
     assert any("overflow" in d["message"] for d in report["diagnostics"])
 
 
-# each schedule runs far past linear.ctm's domain (λ = 0..12); the last passes 2^64
-PAST_THE_DOMAIN = [
-    "400000,200000,100000",
-    "40000000,20000000,10000000",
-    ",".join(str(2**k) for k in (66, 65, 64)),
-]
-# each --at names a number of over 4,300 digits, which no message may print; the last
-# two would take seconds, then minutes, to build as a Fraction
-HUGE_AT = ["1e5000", "1e10000000", "1e100000000"]
-BAD_SIZE = (
-    "bad argument: a number may have at most 1000 characters and an exponent within ±999"
-)
-
-
-def limit_address_space(limit):
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-
-def run_bounded(*argv, limit=1 << 30):
-    """`ctm argv` in a child process capped at `limit` bytes: report, exit status and wall time."""
-    started = time.perf_counter()
-    result = subprocess.run(
-        [sys.executable, "-m", "ctm.cli", *argv],
-        capture_output=True,
-        text=True,
-        timeout=20,
-        preexec_fn=functools.partial(limit_address_space, limit),
-    )
-    elapsed = time.perf_counter() - started
-    assert "Traceback" not in result.stderr
-    report = json.loads(result.stdout)
-    assert report["exit_status"] == result.returncode
-    return report, result.returncode, elapsed
-
-
-@pytest.mark.parametrize(
-    "at, schedule, error",
-    [
-        *(("0", s, f"λ + Δλ = {s.split(',')[0]} outside the variable's domain")
-          for s in PAST_THE_DOMAIN),
-        *((at, "8,4,2,1", BAD_SIZE) for at in HUGE_AT),
-    ],
-    ids=["4e5", "4e7", "2^66", *HUGE_AT],
-)
-def test_dynamics_past_the_domain_exits_two_in_bounded_time_and_memory(
-    models_dir, at, schedule, error
-):
-    report, status, elapsed = run_bounded(
-        "dynamics", str(models_dir / "linear.ctm"), "--variable", "pos",
-        "--at", at, "--schedule", schedule,
-    )
-    assert status == 2
-    assert [d["message"] for d in report["diagnostics"] if d["severity"] == "error"] == [error]
-    assert elapsed < 1.0
-
-
 @pytest.mark.parametrize(
     "at, schedule",
     [
@@ -657,124 +571,6 @@ def test_dynamics_prints_the_largest_numbers_it_reads(capsys, models_dir, at, sc
     assert message.startswith("λ + Δλ = ") and message.endswith(" outside the variable's domain")
     if sum_ is not None:
         assert message == f"λ + Δλ = {sum_} outside the variable's domain"
-
-
-@pytest.mark.skipif(
-    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-    reason="int() reads any number of digits",
-)
-def test_an_integer_literal_past_the_digit_limit_exits_two(tmp_path):
-    model = tmp_path / "long.ctm"
-    model.write_text(f"timer counter C {{ bits {'7' * 5000} ; threshold 1 }}\n")
-    report, status, elapsed = run_bounded("check", str(model))
-    assert status == 2
-    assert report["files"][0]["diagnostics"] == [
-        {"severity": "error", "line": 1, "column": 24, "message": "bit count has too many digits",
-         "suggestion": None}
-    ]
-    assert elapsed < 1.0
-
-
-@pytest.fixture(scope="module")
-def substrate_too_big_for_256_mib(tmp_path_factory):
-    """One substrate of 2,000,000 states on one line, a 34 MB file."""
-    states = " ".join(f"s{i}" for i in range(2_000_000))
-    model = tmp_path_factory.mktemp("big") / "big.ctm"
-    model.write_text(f"substrate S {{ states {states} ; step ({states}) }}\n")
-    return model
-
-
-@pytest.mark.parametrize(
-    "command, extra",
-    [("check", []), ("classify", []), ("dynamics", ["--variable", "v", "--schedule", "4,2,1"])],
-    ids=["check", "classify", "dynamics"],
-)
-def test_a_model_too_big_for_memory_is_an_input_error(
-    substrate_too_big_for_256_mib, command, extra
-):
-    # the substrate's labels, step map and cycle index need more than 256 MiB
-    model = substrate_too_big_for_256_mib
-    report, status, elapsed = run_bounded(command, str(model), *extra, limit=256 << 20)
-    assert status == 2
-    jsonschema.validate(report, SCHEMA)
-    diagnostics = report["files"][0]["diagnostics"] if command == "check" else report["diagnostics"]
-    message = f"cannot load {str(model)!r}: the model needs more memory than this process may use"
-    assert [(d["severity"], d["message"]) for d in diagnostics] == [("error", message)]
-
-
-@pytest.mark.parametrize("count", [300, 1_000])
-def test_many_twelve_bit_counters_classify_in_bounded_time_and_memory(tmp_path, count):
-    # a ring timer's facts are closed forms: no counter builds its 4,096 states
-    model = tmp_path / "counters.ctm"
-    model.write_text(
-        "".join(f"timer counter C{i} {{ bits 12 ; threshold 5 }}\n" for i in range(count))
-    )
-    report, status, elapsed = run_bounded("classify", str(model), limit=256 << 20)
-    assert status == 0
-    jsonschema.validate(report, SCHEMA)
-    assert [c["duration"] for c in report["classes"]] == [5]
-    assert len(report["classes"][0]["members"]) == count
-    assert elapsed < 1.0
-
-
-def custom_ring_timer_text(states):
-    """A custom timer on a ring of `states` states: its first half starts, its second half is done.
-
-    The start s_i first enters done after states / 2 - i steps, so every
-    start has its own halt step.
-    """
-    half = states // 2
-    ring = " ".join(f"s{i}" for i in range(states))
-    return (
-        f"substrate R {{ states {ring} ; step ({ring}) }}\n"
-        f"attribute start on R {{ {' '.join(f's{i}' for i in range(half))} }}\n"
-        "attribute running on R { }\n"
-        f"attribute done on R {{ {' '.join(f's{i}' for i in range(half, states))} }}\n"
-        "timer custom K on R { start start ; running running ; done done }\n"
-    )
-
-
-@pytest.mark.parametrize("command, status", [("classify", 0), ("check", 1)])
-def test_a_custom_timer_of_16000_states_loads_in_bounded_time_and_memory(
-    tmp_path, command, status
-):
-    # one backward pass around the ring gives every start its halt step; a walk of the
-    # ring from each of the 8,000 starts took about 6 s
-    model = tmp_path / "custom.ctm"
-    model.write_text(custom_ring_timer_text(16_000))
-    report, got, elapsed = run_bounded(command, str(model), limit=256 << 20)
-    assert got == status
-    jsonschema.validate(report, SCHEMA)
-    if command == "classify":
-        assert report["classes"] == [{"duration": 8000, "members": ["K"]}]
-        diagnostics = report["diagnostics"]
-    else:  # the starts halt at 8,000 distinct steps, so twin timers do not co-halt
-        assert [row["synchrony_ok"] for row in report["files"][0]["synchrony"]] == [False]
-        diagnostics = report["files"][0]["diagnostics"]
-    # the running attribute is empty, but the timer is not the duration-1 degenerate one
-    assert [d["message"] for d in diagnostics] == [
-        "timer 'K': running attribute is empty",
-        "timer 'K': completed attribute stays static for 7999 steps, "
-        "less than four durations (32000)",
-    ]
-    assert elapsed < 1.0
-
-
-NEEDS_MORE_MEMORY = [("error", "ctm check needs more memory than this process may use")]
-
-
-def test_a_check_out_of_memory_after_the_load_exits_two(tmp_path):
-    # 1,000 counters load in closed form, but their 499,500 pair rows need more than 256 MiB
-    model = tmp_path / "counters.ctm"
-    model.write_text(
-        "".join(f"timer counter C{i} {{ bits 12 ; threshold 5 }}\n" for i in range(1_000))
-    )
-    report, status, elapsed = run_bounded("check", str(model), limit=256 << 20)
-    assert status == 2
-    jsonschema.validate(report, SCHEMA)
-    assert "files" not in report
-    assert [(d["severity"], d["message"]) for d in report["diagnostics"]] == NEEDS_MORE_MEMORY
-    assert elapsed < 10.0
 
 
 def out_of_memory_once(monkeypatch, where="_check_timers"):
@@ -834,52 +630,6 @@ def test_a_memory_error_in_the_write_writes_only_a_small_report(capsys, monkeypa
     report = json.loads(out)
     jsonschema.validate(report, SCHEMA)
     assert [(d["severity"], d["message"]) for d in report["diagnostics"]] == NEEDS_MORE_MEMORY
-
-
-def laws_on_a_ring(laws, attributes, states, seed=0):
-    """Distinct seeded laws, about half declared possible, on three-state attributes of a ring."""
-    ring = " ".join(f"r{i}" for i in range(states))
-    lines = [f"substrate R {{ states {ring} ; step ({ring}) }}"]
-    lines += [
-        f"attribute a{i} on R {{ r{3 * i} r{3 * i + 1} r{3 * i + 2} }}" for i in range(attributes)
-    ]
-    rng = random.Random(seed)
-    declared: dict = {}
-    while len(declared) < laws:
-        i, j = rng.sample(range(attributes), 2)
-        declared[f"law {rng.choice(('possible', 'impossible'))} a{i} -> a{j} on R"] = None
-    return "\n".join(lines + list(declared)) + "\n"
-
-
-def test_twenty_thousand_laws_are_checked_in_bounded_time_and_memory(tmp_path):
-    # an impossible law between two attributes of one size is refuted: exit 1
-    model = tmp_path / "laws.ctm"
-    model.write_text(laws_on_a_ring(20_000, 600, 2_000))
-    report, status, elapsed = run_bounded("check", str(model))
-    assert status == 1
-    assert len(report["files"][0]["law_checks"]) == 20_000
-    assert elapsed < 10.0
-
-
-def pointer_ring(n):
-    """A ring of n cells, one attribute per cell, and the variable pos that points at cell λ."""
-    ring = " ".join(f"q{i}" for i in range(n))
-    lines = [f"substrate ring {{ states {ring} ; step ({ring}) }}"]
-    lines += [f"attribute p{i} on ring {{ q{i} }}" for i in range(n)]
-    entries = " ; ".join(f"{i} : p{i} @ {i}.0" for i in range(n))
-    lines.append(f"variable pos on ring {{ {entries} }}")
-    return "\n".join(lines) + "\n"
-
-
-def test_a_variable_of_16384_entries_runs_in_bounded_time_and_memory(tmp_path):
-    model = tmp_path / "pointer.ctm"
-    model.write_text(pointer_ring(16_384))
-    report, status, elapsed = run_bounded(
-        "dynamics", str(model), "--variable", "pos", "--at", "3", "--schedule", "64,32,16,8"
-    )
-    assert status == 0
-    assert report["ratios"] == [1.0] * 4
-    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-0.5"])

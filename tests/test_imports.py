@@ -3,9 +3,10 @@
 No command runs the witness layer (`ctm.witnesses`), and the token parser
 (`ctm._tokens`) reads only the statements the line reader does not
 accept, so a `ctm` process on well-formed files loads neither.  No module
-of the package loads `dataclasses` or, through it, `inspect`.  Each test
-runs in a fresh interpreter, since this one has imported every module
-already.
+of the package loads `dataclasses` or, through it, `inspect`.  The
+catalog of bounded-cost cases (`tests/adversarial.py`) loads only the
+standard library.  Each test runs in a fresh interpreter, since this one
+has imported every module already.
 """
 
 import json
@@ -196,3 +197,16 @@ def after_typo(bits):
 print(after_typo("٣") == after_typo("3"), after_typo("3")[0].timers["C"].bits)
 """
     assert run_fresh(code) == "True [] False\nTrue 3\n"
+
+
+def test_the_bounded_cost_catalog_imports_only_the_standard_library():
+    # the benchmark may import the catalog's generators, so it may need neither ctm nor pytest
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import adversarial\n"
+        "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(loaded - sys.stdlib_module_names))\n"
+    )
+    assert run_fresh(code, str(REPO_ROOT / "tests")) == "['adversarial']\n"
