@@ -87,9 +87,14 @@ def _load_file(path: str) -> tuple[BuiltModel | None, list[Diagnostic]]:
     """The model at `path`, looked up under CTM_MODEL_ROOT too, and every diagnostic of its load."""
     path = _resolve(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            # not utf-8-sig, so a decode error's offset counts the mark's 3 bytes
-            text = fh.read().removeprefix("\ufeff")
+        with open(path, "rb") as fh:
+            # one decode of the bytes, without a text-mode file object; not utf-8-sig,
+            # so a decode error's offset is the byte's offset in the file
+            text = fh.read().decode("utf-8")
+        if "\r" in text:
+            # what text mode's universal newlines did
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        text = text.removeprefix("\ufeff")
         decl, diags = parse_model(text)
         if decl is None:
             return None, diags
@@ -435,17 +440,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser `main` reuses, built on its first call, not at import.
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The one parser `main` reuses, and its commands' parsers; built on the first call.
 
-    Reuse is safe: `parse_args` writes only to a new Namespace; every default
-    is immutable (None, "json", "0", 0.05, the command functions and the
-    `options` tuples); `nargs` lists are built fresh on each parse; `prog` is
-    fixed at "ctm"; help formatters are made when help or an error is
-    formatted, so COLUMNS still applies then; and `parser.error` and
-    `--version` raise SystemExit without changing the parser.
+    Not built at import.  Reuse is safe: `parse_args` writes only to a new
+    Namespace; every default is immutable (None, "json", "0", 0.05, the
+    command functions and the `options` tuples); `nargs` lists are built
+    fresh on each parse; `prog` is fixed at "ctm"; help formatters are made
+    when help or an error is formatted, so COLUMNS still applies then; and
+    `parser.error` and `--version` raise SystemExit without changing the
+    parser.
     """
-    return build_parser()
+    parser = build_parser()
+    # the subparsers action's `choices` maps each command to its parser
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, commands
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -453,13 +462,28 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     May be called many times in one process; every call after the first
     reuses one parser, and each report is byte-identical to a `ctm` run's.
-    The cyclic garbage collector is paused from the parsed command line to
-    the last write, and left as the caller had it: no command makes a
-    reference cycle, so each collection would only walk live objects.
+    A line that starts with a command goes straight to that command's
+    parser: argparse's top level would classify every word and then hand
+    the rest of the line, unchanged, to the same parser.  The top level
+    still parses the line when its first word is no command (none,
+    `--version`, `-h`, a typo), when the command's parser leaves a word
+    unrecognized, and when a word holds "=": the one word the top level
+    rejects is an abbreviation of both `--help` and `--version`, such as
+    "--=x", and that needs an "=".  So help, usage and every error message
+    are argparse's, as before.  The cyclic garbage collector is paused
+    from the parsed command line to the last write, and left as the caller
+    had it: no command makes a reference cycle, so each collection would
+    only walk live objects.
     """
     started = time.perf_counter()
-    parser = _parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    args = unrecognized = None
+    if command is not None and "=" not in "".join(argv):
+        args, unrecognized = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if args is None or unrecognized:
+        args = parser.parse_args(argv)
     if args.command == "dynamics" and not (math.isfinite(args.tol) and args.tol >= 0):
         parser.error("--tol must be finite and >= 0")
     if args.command == "check" and args.horizon is not None and args.horizon < 0:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -295,17 +296,38 @@ def without_paths(report):
 
 
 @pytest.mark.parametrize(
+    "prefix, newline",
+    [(b"\xef\xbb\xbf", b"\n"), (b"", b"\r\n"), (b"", b"\r"), (b"\xef\xbb\xbf", b"\r\n")],
+    ids=["BOM", "CRLF", "CR", "BOM+CRLF"],
+)
+@pytest.mark.parametrize(
     "command, extra",
     [("check", []), ("dynamics", ["--variable", "pos", "--schedule", "8,4,2,1"])],
 )
-def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, models_dir, command, extra):
+def test_a_byte_order_mark_and_crlf_or_cr_line_ends_read_as_the_lf_file(
+    capsys, tmp_path, models_dir, command, extra, prefix, newline
+):
     original = models_dir / "linear.ctm"
-    marked = tmp_path / "linear.ctm"
-    marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    assert b"\r" not in original.read_bytes()
+    copy = tmp_path / "linear.ctm"
+    copy.write_bytes(prefix + original.read_bytes().replace(b"\n", newline))
     want = run_json(capsys, command, str(original), *extra)
-    status, report = run_json(capsys, command, str(marked), *extra)
+    status, report = run_json(capsys, command, str(copy), *extra)
     assert status == 0
     assert (status, without_paths(report)) == (want[0], without_paths(want[1]))
+
+
+def test_a_bad_byte_after_crlf_lines_is_named_at_its_offset_in_the_file(
+    capsys, tmp_path, models_dir
+):
+    good = b"\xef\xbb\xbf" + (models_dir / "linear.ctm").read_bytes().replace(b"\n", b"\r\n")
+    bad = tmp_path / "bad.ctm"
+    bad.write_bytes(good + b"\xff\r\n")
+    status, report = run_json(capsys, "check", str(bad))
+    assert status == 2
+    offset = len(good)
+    message = f"cannot read {str(bad)!r}: not UTF-8 text (invalid start byte at offset {offset})"
+    assert [d["message"] for d in report["files"][0]["diagnostics"]] == [message]
 
 
 # classify ----------------------------------------------------------------------
@@ -726,6 +748,61 @@ def test_main_reuses_one_parser_and_prints_what_a_fresh_parser_prints(
     assert {0, 1, 2, ("SystemExit", 0), ("SystemExit", 2)} <= statuses
     # a direct call still hands each caller a parser of its own
     assert build_parser() is not build_parser()
+
+
+# each way a command line takes through main, and the parser that reads it: "command" for
+# the subcommand's own parser, "top level" for argparse's full parse; "f" is linear.ctm
+DISPATCH = [
+    ("top level", []),
+    ("top level", ["-h"]),
+    ("top level", ["--version"]),
+    ("top level", ["chek", "f"]),
+    ("command", ["check"]),
+    ("command", ["check", "-h"]),
+    ("command", ["check", "f", "--hor", "3"]),
+    ("top level", ["check", "f", "--horizon=3"]),
+    ("command", ["dynamics", "f", "--var", "pos", "--schedule", "4,2,1"]),
+    ("command", ["check", "--", "f"]),
+    ("command", ["check", "f", "--h", "1"]),
+    ("top level", ["check", "f", "--version"]),
+    ("top level", ["check", "f", "--horizon", "1", "f"]),
+    ("command", ["classify", "f", "--format", "text", "--format", "json"]),
+    ("command", ["dynamics", "f", "--variable", "pos", "--schedule", "4,2,1", "--at", "-3"]),
+    ("command", ["dynamics", "f", "--variable", "pos", "--schedule", "4,2,1", "--at", "-3/2"]),
+    # an abbreviation of both --help and --version, which only the top level rejects
+    ("top level", ["check", "f", "--=x"]),
+]
+
+
+@pytest.mark.parametrize(
+    "path, argv", DISPATCH, ids=[" ".join(argv) or "no arguments" for _, argv in DISPATCH]
+)
+def test_main_gives_what_the_full_parser_gives(capsys, monkeypatch, models_dir, path, argv):
+    argv = [str(models_dir / "linear.ctm") if word == "f" else word for word in argv]
+    top_level, parsed = [], []
+    parse_args, run = argparse.ArgumentParser.parse_args, ctm.cli._run
+
+    def recorded_parse_args(parser, *args):
+        top_level.append(parser.prog)
+        return parse_args(parser, *args)
+
+    def recorded_run(args, started):
+        parsed.append(args)
+        return run(args, started)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded_parse_args)
+    monkeypatch.setattr(ctm.cli, "_run", recorded_run)
+    got = outcome(capsys, argv)
+    assert top_level == ([] if path == "command" else ["ctm"])
+    # the same line with no subcommand parser to hand it to: argparse's full parse
+    monkeypatch.setattr(ctm.cli, "_parser", lambda: (ctm.cli.build_parser(), {}))
+    assert outcome(capsys, argv) == got
+    try:
+        want = [ctm.cli.build_parser().parse_args(argv)] * 2
+    except SystemExit:
+        want = []
+    capsys.readouterr()
+    assert parsed == want
 
 
 @pytest.mark.parametrize(
