@@ -3,7 +3,8 @@
 Reports are JSON by default and byte-identical across runs on identical
 inputs; the timing field therefore carries a deterministic work counter,
 never wall-clock time (`--format text` shows elapsed time for humans).
-Exit status: 0 success, 1 a refuted law or timer check, 2 input error.
+Exit status: 0 success, 1 a refuted law or timer check, 2 input error or a
+stdout closed before the report was written.
 """
 
 from __future__ import annotations
@@ -439,9 +440,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _table(parser: argparse.ArgumentParser, command_dest: str, name: str) -> tuple:
+    """The table `main` reads a well-formed line of the command `name` from, off its parser.
+
+    A tuple: each option string of a one-value store flag -> (dest, type or
+    None, choices); the dest of the command's one positional and its nargs,
+    "+" or 1; the dests of the required flags; each dest -> its default, in
+    the order argparse sets them, the command first; and (dest, type,
+    default) of each flag whose default is a str, which argparse passes
+    through the type when no word gives the flag.
+    """
+    flags, required, typed = {}, [], []
+    defaults = {command_dest: name}
+    for action in parser._actions:
+        if action.default is not argparse.SUPPRESS:
+            defaults[action.dest] = action.default
+        if not action.option_strings:
+            models = action
+        elif type(action) is argparse._StoreAction and action.nargs is None:
+            flag = (action.dest, action.type, action.choices)
+            flags.update(dict.fromkeys(action.option_strings, flag))
+            if action.required:
+                required.append(action.dest)
+            elif action.type is not None and isinstance(action.default, str):
+                typed.append((action.dest, action.type, action.default))
+    defaults.update(parser._defaults)
+    return flags, models.dest, models.nargs, tuple(required), defaults, tuple(typed)
+
+
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The one parser `main` reuses, and its commands' parsers; built on the first call.
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, tuple]]:
+    """The one parser `main` reuses, and the table of each command; built on the first call.
 
     Not built at import.  Reuse is safe: `parse_args` writes only to a new
     Namespace; every default is immutable (None, "json", "0", 0.05, the
@@ -452,9 +481,61 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     parser.
     """
     parser = build_parser()
-    # the subparsers action's `choices` maps each command to its parser
-    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return parser, commands
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, {name: _table(command, sub.dest, name) for name, command in sub.choices.items()}
+
+
+def _read(table: tuple, words: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse makes of a command's `words`; None for a line argparse must judge.
+
+    A word that starts with "-" is a flag's exact option string, followed by
+    a value that does not start with "-" and passes the flag's type and
+    choices; the last of a repeated flag wins.  Every other word is a model,
+    and the models stand together, as many as `nargs` asks.  A required flag
+    must be given.
+    """
+    flags, models_dest, nargs, required, defaults, typed = table
+    values = {}
+    models = []
+    split = False  # a flag came after a model, so one more model splits them
+    rest = iter(words)
+    for word in rest:
+        if word[:1] != "-":
+            if split:
+                return None
+            models.append(word)
+            continue
+        flag = flags.get(word)
+        value = next(rest, "-")  # a flag that ends the line has no value, as if "-" followed
+        if flag is None or value[:1] == "-":
+            return None
+        dest, convert, choices = flag
+        if convert is not None:
+            try:
+                value = convert(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        split = bool(models)
+    if not models or (nargs == 1 and len(models) != 1):
+        return None
+    for dest in required:
+        if dest not in values:
+            return None
+    for dest, convert, default in typed:
+        if dest not in values:
+            try:
+                values[dest] = convert(default)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+    args = argparse.Namespace()
+    namespace = vars(args)
+    namespace.update(defaults)
+    namespace[models_dest] = models
+    namespace.update(values)
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -462,27 +543,26 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     May be called many times in one process; every call after the first
     reuses one parser, and each report is byte-identical to a `ctm` run's.
-    A line that starts with a command goes straight to that command's
-    parser: argparse's top level would classify every word and then hand
-    the rest of the line, unchanged, to the same parser.  The top level
-    still parses the line when its first word is no command (none,
-    `--version`, `-h`, a typo), when the command's parser leaves a word
-    unrecognized, and when a word holds "=": the one word the top level
-    rejects is an abbreviation of both `--help` and `--version`, such as
-    "--=x", and that needs an "=".  So help, usage and every error message
-    are argparse's, as before.  The cyclic garbage collector is paused
-    from the parsed command line to the last write, and left as the caller
-    had it: no command makes a reference cycle, so each collection would
-    only walk live objects.
+    A well-formed line is read without argparse, from a table of each
+    command's flags that `_parser` takes off the parser `build_parser`
+    returns: the command, then exact flags each with a value that does not
+    start with "-" and passes the flag's type and choices, and the models
+    standing together.  Every other line, such as one with an abbreviated
+    flag, an "=" form, help, a negative number, a bad value, a missing model
+    or required flag, or models split by a flag, is read by argparse's full
+    parse, so help, usage and every error message are argparse's.  Both
+    give the same Namespace.  The cyclic garbage collector is paused from
+    the parsed command line to the last write, and left as the caller had
+    it: no command makes a reference cycle, so each collection would only
+    walk live objects.  A stdout whose reader has gone ends the run with
+    exit 2 and no traceback.
     """
     started = time.perf_counter()
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parser()
-    command = commands.get(argv[0]) if argv else None
-    args = unrecognized = None
-    if command is not None and "=" not in "".join(argv):
-        args, unrecognized = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if args is None or unrecognized:
+    parser, tables = _parser()
+    table = tables.get(argv[0]) if argv else None
+    args = None if table is None else _read(table, argv[1:])
+    if args is None:
         args = parser.parse_args(argv)
     if args.command == "dynamics" and not (math.isfinite(args.tol) and args.tol >= 0):
         parser.error("--tol must be finite and >= 0")
@@ -491,10 +571,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _run(args, started)
+        status = _run(args, started)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader has gone; what is left to write goes to os.devnull, so that the
+        # interpreter's own flush at exit finds no closed pipe either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     finally:
         if collecting:
             gc.enable()
+    return status
 
 
 def _run(args, started: float) -> int:

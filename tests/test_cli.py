@@ -3,6 +3,8 @@ import contextlib
 import gc
 import hashlib
 import json
+import os
+import random
 import re
 import subprocess
 import sys
@@ -637,6 +639,9 @@ class _StdoutOutOfMemoryOnce:
             raise MemoryError
         return self.stdout.write(text)
 
+    def flush(self):
+        self.stdout.flush()
+
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_a_memory_error_in_the_write_writes_only_a_small_report(capsys, monkeypatch, models_dir, fmt):
@@ -750,27 +755,35 @@ def test_main_reuses_one_parser_and_prints_what_a_fresh_parser_prints(
     assert build_parser() is not build_parser()
 
 
-# each way a command line takes through main, and the parser that reads it: "command" for
-# the subcommand's own parser, "top level" for argparse's full parse; "f" is linear.ctm
+# each way a command line takes through main, and what reads it: "reader" for main's own
+# reader, "top level" for argparse's full parse; "f" is linear.ctm
 DISPATCH = [
     ("top level", []),
     ("top level", ["-h"]),
     ("top level", ["--version"]),
     ("top level", ["chek", "f"]),
-    ("command", ["check"]),
-    ("command", ["check", "-h"]),
-    ("command", ["check", "f", "--hor", "3"]),
+    ("top level", ["check"]),
+    ("top level", ["check", "-h"]),
+    ("top level", ["check", "f", "--hor", "3"]),
     ("top level", ["check", "f", "--horizon=3"]),
-    ("command", ["dynamics", "f", "--var", "pos", "--schedule", "4,2,1"]),
-    ("command", ["check", "--", "f"]),
-    ("command", ["check", "f", "--h", "1"]),
+    ("top level", ["dynamics", "f", "--var", "pos", "--schedule", "4,2,1"]),
+    ("top level", ["check", "--", "f"]),
+    ("top level", ["check", "f", "--h", "1"]),
     ("top level", ["check", "f", "--version"]),
     ("top level", ["check", "f", "--horizon", "1", "f"]),
-    ("command", ["classify", "f", "--format", "text", "--format", "json"]),
-    ("command", ["dynamics", "f", "--variable", "pos", "--schedule", "4,2,1", "--at", "-3"]),
-    ("command", ["dynamics", "f", "--variable", "pos", "--schedule", "4,2,1", "--at", "-3/2"]),
-    # an abbreviation of both --help and --version, which only the top level rejects
+    ("top level", ["check", "f", "--horizon"]),
+    ("top level", ["check", "f", "--horizon", "x"]),
+    ("top level", ["check", "f", "--format", "xml"]),
+    ("top level", ["dynamics", "f", "--schedule", "4,2,1"]),
+    ("top level", ["dynamics", "f", "f", "--variable", "pos", "--schedule", "4,2,1"]),
+    ("top level", ["dynamics", "f", "--variable", "pos", "--schedule", "4,2,1", "--at", "-3"]),
+    ("top level", ["dynamics", "f", "--variable", "pos", "--schedule", "4,2,1", "--at", "-3/2"]),
+    # an abbreviation of both --help and --version, which the top level rejects
     ("top level", ["check", "f", "--=x"]),
+    ("reader", ["check", "f"]),
+    ("reader", ["check", "--horizon", "3", "f", "f"]),
+    ("reader", ["classify", "f", "--format", "text", "--format", "json"]),
+    ("reader", ["dynamics", "f", "--schedule", "4,2,1", "--variable", "pos", "--at", "3/2"]),
 ]
 
 
@@ -793,8 +806,8 @@ def test_main_gives_what_the_full_parser_gives(capsys, monkeypatch, models_dir, 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded_parse_args)
     monkeypatch.setattr(ctm.cli, "_run", recorded_run)
     got = outcome(capsys, argv)
-    assert top_level == ([] if path == "command" else ["ctm"])
-    # the same line with no subcommand parser to hand it to: argparse's full parse
+    assert top_level == ([] if path == "reader" else ["ctm"])
+    # the same line with no table to read it from: argparse's full parse
     monkeypatch.setattr(ctm.cli, "_parser", lambda: (ctm.cli.build_parser(), {}))
     assert outcome(capsys, argv) == got
     try:
@@ -803,6 +816,125 @@ def test_main_gives_what_the_full_parser_gives(capsys, monkeypatch, models_dir, 
         want = []
     capsys.readouterr()
     assert parsed == want
+
+
+# the words a differential line is drawn from: each command's flags with values it takes,
+# and odd words put in anywhere (a typo, the empty word, negative numbers, bad values, "--",
+# help, abbreviated and "=" flags, and every flag out of place); "f" and "g" stand for paths
+COMMAND_FLAGS = {
+    "check": ["--format", "--horizon"],
+    "classify": ["--format"],
+    "dynamics": ["--variable", "--schedule", "--at", "--csv", "--format", "--tol"],
+}
+GOOD_VALUES = {
+    "--format": ["json", "text"],
+    "--horizon": ["3", "0", "٣"],
+    "--variable": ["pos", ""],
+    "--schedule": ["8,4,2,1", "4,2,1"],
+    "--at": ["0", "3/2"],
+    "--csv": ["out.csv"],
+    "--tol": ["0.1", "0"],
+    "--limit": ["2", "٣"],
+}
+ODD_WORDS = [
+    "chek", "", "-3", "-3/2", "٣", "nan", "xml", "x", "--", "-h", "--version", "--=x", "--budget",
+    "--hor", "--var", "--form", "--h", "--horizon=3", "--format=json", "--at=-3", "--limit=1",
+    *GOOD_VALUES,
+]
+
+
+def differential_lines(rng, count, extra_flags=()):
+    """`count` command lines: mostly well-formed, some with odd words put in, repeated flags, or
+    models split by a flag."""
+    for _ in range(count):
+        command = rng.choice([*COMMAND_FLAGS, "chek"])
+        flags = [*COMMAND_FLAGS.get(command, ["--format"]), *extra_flags]
+        items = []
+        for _ in range(rng.randrange(4)):
+            flag = rng.choice(flags)
+            items.append([flag, rng.choice(GOOD_VALUES[flag])])
+        if command == "dynamics" and rng.random() < 0.8:
+            items += [["--variable", "pos"], ["--schedule", "4,2,1"]]
+        models = rng.choice([["f"], ["f"], ["f", "g"], ["f", "g", "f"], [""], []])
+        if len(models) > 1 and rng.random() < 0.3:
+            items += [models[:1], models[1:]]
+        else:
+            items.append(models)
+        rng.shuffle(items)
+        words = [word for item in items for word in item]
+        for _ in range(rng.choice([0, 0, 1, 1, 2])):
+            odd = rng.choice(ODD_WORDS)
+            at = rng.randrange(len(words) + 1)
+            if rng.random() < 0.5 and at < len(words):
+                words[at] = odd
+            else:
+                words.insert(at, odd)
+        yield [command, *words]
+
+
+def with_a_typed_str_default(build_parser):
+    """`build_parser` with one more flag on every command: --limit, an int whose default is "7"."""
+
+    def build():
+        parser = build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command in sub.choices.values():
+            command.add_argument("--limit", type=int, default="7")
+        return parser
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "typed_default, count", [(False, 5000), (True, 1000)], ids=["shipped", "typed-str-default"]
+)
+def test_main_reads_each_line_as_argparse_does(capsys, monkeypatch, typed_default, count):
+    # each line runs no command: _run records the Namespace it is given and returns 0
+    build = ctm.cli.build_parser
+    if typed_default:
+        build = with_a_typed_str_default(build)
+        monkeypatch.setattr(ctm.cli, "build_parser", build)
+    parser, tables = ctm.cli._parser.__wrapped__()
+    reference = build()
+    in_use, full_parses, parsed = [tables], [], []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recorded_parse_args(self, *args):
+        full_parses.append(self.prog)
+        return parse_args(self, *args)
+
+    def run(argv, tables):
+        """main's outcome and the Namespaces it ran, reading with `tables`; and whether the
+        full parse read the line."""
+        in_use[0] = tables
+        full_parses.clear()
+        parsed.clear()
+        got = outcome(capsys, argv)
+        return (got, [list(vars(args).items()) for args in parsed]), bool(full_parses)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded_parse_args)
+    monkeypatch.setattr(ctm.cli, "_run", lambda args, started: parsed.append(args) or 0)
+    monkeypatch.setattr(ctm.cli, "_parser", lambda: (parser, in_use[0]))
+    read = 0
+    extra_flags = ["--limit"] if typed_default else []
+    for argv in differential_lines(random.Random(1), count, extra_flags):
+        got, by_argparse = run(argv, tables)
+        assert got == run(argv, {})[0], argv
+        read += not by_argparse
+        (status, out, err), namespaces = got
+        try:
+            want = reference.parse_args(argv)
+        except SystemExit as e:
+            assert not namespaces, argv
+            assert (status, out, err) == (("SystemExit", e.code), *capsys.readouterr()), argv
+            continue
+        if namespaces:
+            assert namespaces == [list(vars(want).items())], argv
+        else:
+            # argparse takes the line, and main's own range check refuses it
+            assert status == ("SystemExit", 2) and "must be" in err, argv
+    # the reader takes at least a fifth of the lines, and leaves at least a fifth to argparse
+    assert read >= count // 5 and count - read >= count // 5
 
 
 @pytest.mark.parametrize(
@@ -877,6 +1009,26 @@ def test_cli_subprocess_entry_point(models_dir):
     report = json.loads(result.stdout)
     assert report["exit_status"] == 0
     assert report["files"][0]["null_task"] is not None
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "models",
+    [["linear.ctm", "rotation.ctm", "timers.ctm", "contradiction.ctm"], ["timers.ctm"]],
+    ids=["10 KB report", "small report"],
+)
+def test_a_closed_stdout_ends_the_run_with_exit_two_and_no_traceback(models_dir, unbuffered, models):
+    # a report larger than the 8 KiB stdout buffer fails in the write, a small one in the flush
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ctm.cli", "check", *(str(models_dir / m) for m in models)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONUNBUFFERED=unbuffered),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err == b""
 
 
 # the cyclic garbage collector -----------------------------------------------------
